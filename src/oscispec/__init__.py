@@ -33,7 +33,6 @@ from .potentials import (
     build_corrector,
     canonical_potential,
     combine,
-    mean_over_period,
     p_transform,
     poly_bump,
     smooth_bump,
@@ -88,7 +87,6 @@ __all__ = [
     "fit_k_eps_coefficients",
     "identity_residual",
     "load_config",
-    "mean_over_period",
     "min_mismatch_on_disk",
     "mismatch",
     "oscillatory_integral",

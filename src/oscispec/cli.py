@@ -1,7 +1,7 @@
 """Command-line harness: deterministic CSV experiments tying predictor to solver.
 
 Commands: k2, predict, solve, sweep, scan, lemma, gauge-check, keps.
-Every command is a pure function of (config file, seed) to output bytes:
+Every command is a pure function of its config file to output bytes:
 fixed scientific formatting, LF endings, no wall-clock or locale input,
 so repeated runs are byte-identical and diffable.
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -154,7 +154,7 @@ def run_sweep(
 ) -> tuple[list[SweepRecord], SweepSummary]:
     """One record per configured eps; k2 is computed once for the whole sweep."""
     if solver_cfg is None:
-        solver_cfg = slv.SolverConfig(points_per_fast_period=cfg.points_per_period)
+        solver_cfg = _solver_config(cfg)
     V = cfg.build_potential()
     rep = asym.compute_k2(V)
     verdict = str(rep.classification)
@@ -179,6 +179,10 @@ def run_sweep(
     return records, SweepSummary(slope=slope, mean_remainder_ratio=mean_ratio, ratio_spread=spread)
 
 
+def _solver_config(cfg: ExperimentConfig) -> slv.SolverConfig:
+    return slv.SolverConfig(points_per_fast_period=cfg.points_per_period)
+
+
 def _table(header: str, rows: list[tuple[str, str]], comments: list[str]) -> bytes:
     lines = [header]
     lines.extend(f"{a},{b}" for a, b in rows)
@@ -186,7 +190,7 @@ def _table(header: str, rows: list[tuple[str, str]], comments: list[str]) -> byt
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _cmd_k2(cfg: ExperimentConfig) -> bytes:
+def _cmd_k2(cfg: ExperimentConfig) -> tuple[bytes, int]:
     rep = asym.compute_k2(cfg.build_potential())
     rows = [
         ("k2_re", _fmt(rep.value.real)),
@@ -199,10 +203,10 @@ def _cmd_k2(cfg: ExperimentConfig) -> bytes:
         ("classification", str(rep.classification)),
         ("flagged", "1" if rep.flagged else "0"),
     ]
-    return _table("quantity,value", rows, [])
+    return _table("quantity,value", rows, []), 0
 
 
-def _cmd_predict(cfg: ExperimentConfig) -> bytes:
+def _cmd_predict(cfg: ExperimentConfig) -> tuple[bytes, int]:
     rep = asym.compute_k2(cfg.build_potential())
     verdict = str(rep.classification)
     records = [
@@ -218,15 +222,15 @@ def _cmd_predict(cfg: ExperimentConfig) -> bytes:
         )
         for eps in cfg.epsilons
     ]
-    return emit_csv(records)
+    return emit_csv(records), 0
 
 
-def _cmd_solve(cfg: ExperimentConfig, solver_cfg: slv.SolverConfig) -> tuple[bytes, int]:
+def _cmd_solve(cfg: ExperimentConfig) -> tuple[bytes, int]:
     V = cfg.build_potential()
     rep = asym.compute_k2(V)
     eps = cfg.epsilons[0]
     record = _solve_record(
-        V, eps, rep.value, str(rep.classification), rep.classification is asym.Existence.EXISTS, solver_cfg
+        V, eps, rep.value, str(rep.classification), rep.classification is asym.Existence.EXISTS, _solver_config(cfg)
     )
     data = emit_csv([record])
     failed = rep.classification is asym.Existence.EXISTS and (
@@ -235,15 +239,15 @@ def _cmd_solve(cfg: ExperimentConfig, solver_cfg: slv.SolverConfig) -> tuple[byt
     return data, (3 if failed else 0)
 
 
-def _cmd_sweep(cfg: ExperimentConfig, solver_cfg: slv.SolverConfig) -> bytes:
-    records, summary = run_sweep(cfg, solver_cfg)
-    return emit_csv(records, summary=summary)
+def _cmd_sweep(cfg: ExperimentConfig) -> tuple[bytes, int]:
+    records, summary = run_sweep(cfg)
+    return emit_csv(records, summary=summary), 0
 
 
-def _cmd_scan(cfg: ExperimentConfig, solver_cfg: slv.SolverConfig) -> bytes:
+def _cmd_scan(cfg: ExperimentConfig) -> tuple[bytes, int]:
     V = cfg.build_potential()
     eps = cfg.epsilons[0]
-    result = slv.scan_roots(V, eps, cfg=solver_cfg)
+    result = slv.scan_roots(V, eps, cfg=_solver_config(cfg))
     rows = [(_fmt(k), _fmt(lam)) for k, lam in zip(result.kappas, result.eigenvalues)]
     comments = [
         f"# count={result.count}",
@@ -251,10 +255,10 @@ def _cmd_scan(cfg: ExperimentConfig, solver_cfg: slv.SolverConfig) -> bytes:
         "# window_high=" + _fmt(result.window[1]),
         f"# samples={result.samples}",
     ]
-    return _table("kappa,eigenvalue", rows, comments)
+    return _table("kappa,eigenvalue", rows, comments), 0
 
 
-def _cmd_lemma(cfg: ExperimentConfig) -> bytes:
+def _cmd_lemma(cfg: ExperimentConfig) -> tuple[bytes, int]:
     u = cfg.build_potential()
     fit = decay_order_fit(u, list(cfg.epsilons), DEFAULT_QUADRATURE)
     rows = [(_fmt(e), _fmt(err)) for e, err in zip(fit.epsilons, fit.errors)]
@@ -264,10 +268,10 @@ def _cmd_lemma(cfg: ExperimentConfig) -> bytes:
         f"# floor_limited={1 if fit.floor_flag else 0}",
         f"# points_used={fit.used}",
     ]
-    return _table("eps,remainder", rows, comments)
+    return _table("eps,remainder", rows, comments), 0
 
 
-def _cmd_gauge_check(cfg: ExperimentConfig) -> bytes:
+def _cmd_gauge_check(cfg: ExperimentConfig) -> tuple[bytes, int]:
     V = cfg.build_potential()
     catalog = default_catalog()
     rows = []
@@ -280,10 +284,10 @@ def _cmd_gauge_check(cfg: ExperimentConfig) -> bytes:
             res = identity_residual(g, probe, grid)
             worst = max(worst, res)
             rows.append((f"eps={eps:.6g}:{probe.label}", _fmt(res)))
-    return _table("probe,residual", rows, ["# max_residual=" + _fmt(worst)])
+    return _table("probe,residual", rows, ["# max_residual=" + _fmt(worst)]), 0
 
 
-def _cmd_keps(cfg: ExperimentConfig) -> bytes:
+def _cmd_keps(cfg: ExperimentConfig) -> tuple[bytes, int]:
     V = cfg.build_potential()
     reports = [asym.compute_k_eps(V, eps) for eps in cfg.epsilons]
     header = "eps,m1_re,m1_im,m2_re,m2_im,keps_re,keps_im"
@@ -314,7 +318,20 @@ def _cmd_keps(cfg: ExperimentConfig) -> bytes:
             "# k2_re=" + _fmt(rep2.value.real),
             "# k2_im=" + _fmt(rep2.value.imag),
         ]
-    return ("\n".join(lines + comments) + "\n").encode("utf-8")
+    return ("\n".join(lines + comments) + "\n").encode("utf-8"), 0
+
+
+# name -> (help text, command); a command maps the config to (output bytes, exit code)
+_COMMANDS = {
+    "k2": ("compute the k2 constant by both routes and classify existence", _cmd_k2),
+    "predict": ("tabulate the leading-order eigenvalue prediction per eps", _cmd_predict),
+    "solve": ("locate the bound state at the first configured eps", _cmd_solve),
+    "sweep": ("full eps sweep: prediction, solve, remainder diagnostics", _cmd_sweep),
+    "scan": ("count mismatch roots in the kappa window at the first eps", _cmd_scan),
+    "lemma": ("tabulate the oscillatory-average remainder decay in eps", _cmd_lemma),
+    "gauge-check": ("residual of the gauge identity over the probe catalog", _cmd_gauge_check),
+    "keps": ("tabulate the finite-eps coefficient chain and its eps-fit", _cmd_keps),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,20 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Emerging-eigenvalue experiments: asymptotic prediction vs direct solve.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in [
-        ("k2", "compute the k2 constant by both routes and classify existence"),
-        ("predict", "tabulate the leading-order eigenvalue prediction per eps"),
-        ("solve", "locate the bound state at the first configured eps"),
-        ("sweep", "full eps sweep: prediction, solve, remainder diagnostics"),
-        ("scan", "count mismatch roots in the kappa window at the first eps"),
-        ("lemma", "tabulate the oscillatory-average remainder decay in eps"),
-        ("gauge-check", "residual of the gauge identity over the probe catalog"),
-        ("keps", "tabulate the finite-eps coefficient chain and its eps-fit"),
-    ]:
+    for name, (text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to the experiment config file")
         p.add_argument("--out", default=None, help="output path (default: standard output)")
-        p.add_argument("--seed", type=int, default=None, help="seed recorded for randomized suites")
         p.add_argument(
             "--points-per-period",
             type=int,
@@ -353,40 +360,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.points_per_period is not None:
             if args.points_per_period < 20:
                 raise ConfigError(["--points-per-period must be at least 20"])
-            cfg = ExperimentConfig(
-                modes=cfg.modes,
-                support=cfg.support,
-                epsilons=cfg.epsilons,
-                points_per_period=args.points_per_period,
-                seed=cfg.seed if args.seed is None else args.seed,
-            )
-        elif args.seed is not None:
-            cfg = ExperimentConfig(
-                modes=cfg.modes,
-                support=cfg.support,
-                epsilons=cfg.epsilons,
-                points_per_period=cfg.points_per_period,
-                seed=args.seed,
-            )
-        solver_cfg = slv.SolverConfig(points_per_fast_period=cfg.points_per_period)
-
-        code = 0
-        if args.command == "k2":
-            data = _cmd_k2(cfg)
-        elif args.command == "predict":
-            data = _cmd_predict(cfg)
-        elif args.command == "solve":
-            data, code = _cmd_solve(cfg, solver_cfg)
-        elif args.command == "sweep":
-            data = _cmd_sweep(cfg, solver_cfg)
-        elif args.command == "scan":
-            data = _cmd_scan(cfg, solver_cfg)
-        elif args.command == "lemma":
-            data = _cmd_lemma(cfg)
-        elif args.command == "gauge-check":
-            data = _cmd_gauge_check(cfg)
-        else:
-            data = _cmd_keps(cfg)
+            cfg = replace(cfg, points_per_period=args.points_per_period)
+        data, code = _COMMANDS[args.command][1](cfg)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -50,7 +50,6 @@ class ExperimentConfig:
     support: tuple[float, float] = (0.0, 1.0)
     epsilons: tuple[float, ...] = (0.1,)
     points_per_period: int = 40
-    seed: int | None = None
 
     def build_potential(self) -> TwoScaleFunction:
         total: TwoScaleFunction | None = None
@@ -139,7 +138,6 @@ def parse_config(text: str, require_zero_mean: bool = True) -> ExperimentConfig:
     support = (0.0, 1.0)
     epsilons: tuple[float, ...] = (0.1,)
     ppp = 40
-    seed: int | None = None
     seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -207,11 +205,6 @@ def parse_config(text: str, require_zero_mean: bool = True) -> ExperimentConfig:
                 continue
             if ppp < 20:
                 problems.append(f"line {lineno}: points_per_period must be at least 20, got {ppp}")
-        elif key == "seed":
-            try:
-                seed = int(value)
-            except ValueError:
-                problems.append(f"line {lineno}: seed must be an integer")
         else:
             problems.append(f"line {lineno}: unknown key {key!r}")
 
@@ -225,7 +218,6 @@ def parse_config(text: str, require_zero_mean: bool = True) -> ExperimentConfig:
         support=support,
         epsilons=epsilons,
         points_per_period=ppp,
-        seed=seed,
     )
 
 

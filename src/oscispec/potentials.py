@@ -276,11 +276,6 @@ def combine(u: TwoScaleFunction, w: TwoScaleFunction, alpha: complex = 1.0, beta
     return TwoScaleFunction(modes=merged)
 
 
-def mean_over_period(u: TwoScaleFunction) -> SlowProfile:
-    """Mean of u over one fast period, as a slow profile (the n = 0 envelope)."""
-    return u.mean_profile()
-
-
 def p_transform(u: TwoScaleFunction) -> TwoScaleFunction:
     """Zero-mean antiderivative in the fast variable.
 

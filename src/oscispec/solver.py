@@ -13,6 +13,22 @@ form there is no domain-truncation error: the only discretization is the
 fixed step h <= eps / points_per_fast_period, kept commensurate with the
 fast period so oscillatory truncation errors cancel over whole periods.
 
+Layout.  One stage grid (``_StageGrid``) fixes the steps across the hull --
+full steps of length h, then one partial step when the hull length is not a
+multiple of h -- and the RK4 stage points (start, middle, end of each step).
+The coefficient grid samples V there once and is reused for every kappa.
+One RK4 kernel (``_rk4``) propagates u'' = (V - lam) u over those samples.
+It is plain arithmetic, so the same body runs on a Python scalar (one kappa,
+the fast path for root finding) or on numpy arrays of kappas, one lane per
+kappa: ``scan_roots`` and ``min_mismatch_on_disk`` push all their samples
+through one call.  Real lanes give the scalar values bit for bit; complex
+lanes agree to the last ulp.  The gauge-conjugated operator has a first-order
+term b(x) u' and keeps its own step body on the same stage grid, because
+routing it through the H kernel with b = 0 slows every H step.
+
+Roots of the real mismatch are polished with Brent's method (``_brent``),
+complex roots with damped Newton.
+
 This module never consumes the asymptotic machinery beyond an optional
 initial guess, which is what makes it a genuine cross-check of the
 eps^4 prediction rather than a restatement of it.
@@ -22,22 +38,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from . import asymptotics as asym
 from .gauge import GaugeData
-from .potentials import TwoScaleFunction
 
 _STEP_SLACK = 1.0 + 1e-9
+
+# Brent tolerances: the tightest that scipy's brentq accepts, so roots agree with it to the bit.
+_BRENT_XTOL = 1e-17
+_BRENT_RTOL = 8.9e-16
+_BRENT_MAXITER = 200
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     points_per_fast_period: int = 40
-    rk_order: int = 4
     root_tol: float = 1e-13
     kappa_floor: float = 1e-9
     scan_window: tuple[float, float] = (1e-6, 0.5)
@@ -47,8 +66,6 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.points_per_fast_period < 20:
             raise ValueError("points_per_fast_period must be at least 20")
-        if self.rk_order != 4:
-            raise ValueError("only the classical fourth-order step is implemented")
         if self.root_tol <= 0 or self.kappa_floor < 0:
             raise ValueError("root_tol must be positive and kappa_floor nonnegative")
         lo, hi = self.scan_window
@@ -89,135 +106,97 @@ class SquareWell:
         return np.where((x >= a) & (x <= b), -float(self.depth), 0.0)
 
 
-class _CoefficientGrid:
-    """Potential samples at RK4 stage points, reusable across kappa values.
+class _StageGrid:
+    """Fixed RK4 steps across the support hull and their stage points.
 
-    Layout: stage points x0 + j*h/2 for j = 0..2n over the full steps, then
-    (mid, end) of one final partial step when the hull length is not an exact
-    multiple of h.  For real potentials the samples are kept as floats so the
-    whole propagation stays in real arithmetic.
+    ``steps`` holds n full steps of length h, then one partial step when the
+    hull length is not an exact multiple of h.  ``xs`` holds the stage points
+    x0 + j*h/2 for j = 0..2n over the full steps, then (mid, end) of the
+    partial step, so step k reads its samples at indices 2k, 2k+1, 2k+2.
     """
 
-    def __init__(self, V, eps: float, h: float):
+    def __init__(self, hull: tuple[float, float], eps: float, h: float):
         if eps <= 0 or h <= 0:
             raise ValueError("eps and h must be positive")
         if h > eps / 20.0 * _STEP_SLACK:
             raise ValueError(f"step too large for the fast scale: h={h:g} exceeds eps/20={eps / 20:g}")
-        x0, x1 = V.support_hull
+        x0, x1 = hull
         length = x1 - x0
-        self.eps = float(eps)
         self.h = float(h)
         self.x0, self.x1 = float(x0), float(x1)
         n_full = int(math.floor(length / h + 1e-9))
         h_last = length - n_full * h
         if h_last < 1e-12 * max(1.0, length):
             h_last = 0.0
-        self.n_full = n_full
-        self.h_last = h_last
+        self.steps = [self.h] * n_full + ([h_last] if h_last > 0.0 else [])
         xs = x0 + 0.5 * h * np.arange(2 * n_full + 1)
         if h_last > 0.0:
             xs = np.concatenate([xs, [x0 + n_full * h + 0.5 * h_last, x1]])
-        vals = np.asarray(V.eval_fast(xs, eps))
+        self.xs = xs
+
+
+def _rk4(vals, steps, u, w, lam, trail=None):
+    """Classical RK4 for u'' = (V - lam) u over the stage samples ``vals``.
+
+    Pure arithmetic: u, w and lam may be Python scalars or numpy arrays of
+    one lane per kappa.  ``trail``, when given, receives (u, w) after every
+    step.
+    """
+    idx = 0
+    for h in steps:
+        half = 0.5 * h
+        a0 = vals[idx] - lam
+        a1 = vals[idx + 1] - lam
+        a2 = vals[idx + 2] - lam
+        k1u = w
+        k1w = a0 * u
+        yu = u + half * k1u
+        yw = w + half * k1w
+        k2u = yw
+        k2w = a1 * yu
+        yu = u + half * k2u
+        yw = w + half * k2w
+        k3u = yw
+        k3w = a1 * yu
+        yu = u + h * k3u
+        yw = w + h * k3w
+        k4u = yw
+        k4w = a2 * yu
+        sixth = h / 6.0
+        u = u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
+        w = w + sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
+        idx += 2
+        if trail is not None:
+            trail.append((u, w))
+    return u, w
+
+
+class _CoefficientGrid(_StageGrid):
+    """Potential samples at the RK4 stage points, reusable across kappa values.
+
+    For real potentials the samples are kept as floats so the whole
+    propagation stays in real arithmetic.
+    """
+
+    def __init__(self, V, eps: float, h: float):
+        super().__init__(V.support_hull, eps, h)
+        vals = np.asarray(V.eval_fast(self.xs, eps))
         self.real = bool(getattr(V, "is_real", False))
         if self.real:
             vals = vals.real
         self.values = vals.tolist()
 
-    def propagate(self, y0: tuple[complex, complex], lam) -> tuple[complex, complex]:
-        """RK4 for u'' = (V - lam) u from x0 to x1, scalar inner loop."""
-        u, w = y0
-        h = self.h
-        vals = self.values
-        idx = 0
-        for _ in range(self.n_full):
-            a0 = vals[idx] - lam
-            a1 = vals[idx + 1] - lam
-            a2 = vals[idx + 2] - lam
-            k1u = w
-            k1w = a0 * u
-            yu = u + 0.5 * h * k1u
-            yw = w + 0.5 * h * k1w
-            k2u = yw
-            k2w = a1 * yu
-            yu = u + 0.5 * h * k2u
-            yw = w + 0.5 * h * k2w
-            k3u = yw
-            k3w = a1 * yu
-            yu = u + h * k3u
-            yw = w + h * k3w
-            k4u = yw
-            k4w = a2 * yu
-            u = u + h / 6.0 * (k1u + 2.0 * (k2u + k3u) + k4u)
-            w = w + h / 6.0 * (k1w + 2.0 * (k2w + k3w) + k4w)
-            idx += 2
-        if self.h_last > 0.0:
-            hl = self.h_last
-            a0 = vals[idx] - lam
-            a1 = vals[idx + 1] - lam
-            a2 = vals[idx + 2] - lam
-            k1u = w
-            k1w = a0 * u
-            yu = u + 0.5 * hl * k1u
-            yw = w + 0.5 * hl * k1w
-            k2u = yw
-            k2w = a1 * yu
-            yu = u + 0.5 * hl * k2u
-            yw = w + 0.5 * hl * k2w
-            k3u = yw
-            k3w = a1 * yu
-            yu = u + hl * k3u
-            yw = w + hl * k3w
-            k4u = yw
-            k4w = a2 * yu
-            u = u + hl / 6.0 * (k1u + 2.0 * (k2u + k3u) + k4u)
-            w = w + hl / 6.0 * (k1w + 2.0 * (k2w + k3w) + k4w)
-        return u, w
-
-    def propagate_samples(self, y0: tuple[complex, complex], lam):
-        """Like propagate but records (u, u') after every step."""
-        u, w = y0
-        out_u = [u]
-        out_w = [w]
-        xs = [self.x0]
-        h = self.h
-        vals = self.values
-        idx = 0
-        steps = [(h, True)] * self.n_full + ([(self.h_last, True)] if self.h_last > 0 else [])
-        for k, (hh, _) in enumerate(steps):
-            a0 = vals[idx] - lam
-            a1 = vals[idx + 1] - lam
-            a2 = vals[idx + 2] - lam
-            k1u = w
-            k1w = a0 * u
-            yu = u + 0.5 * hh * k1u
-            yw = w + 0.5 * hh * k1w
-            k2u = yw
-            k2w = a1 * yu
-            yu = u + 0.5 * hh * k2u
-            yw = w + 0.5 * hh * k2w
-            k3u = yw
-            k3w = a1 * yu
-            yu = u + hh * k3u
-            yw = w + hh * k3w
-            k4u = yw
-            k4w = a2 * yu
-            u = u + hh / 6.0 * (k1u + 2.0 * (k2u + k3u) + k4u)
-            w = w + hh / 6.0 * (k1w + 2.0 * (k2w + k3w) + k4w)
-            idx += 2
-            out_u.append(u)
-            out_w.append(w)
-            xs.append(xs[-1] + hh)
-        return np.array(xs), np.array(out_u), np.array(out_w)
-
-    def mismatch(self, kappa) -> complex:
-        if not (np.real(kappa) > 0):
+    def mismatch(self, kappa):
+        """F(kappa) at one kappa, or lane by lane over a numpy array of kappas."""
+        if not np.all(np.real(kappa) > 0):
             raise ValueError("not in the physical half-plane: Re kappa must be positive")
-        if self.real and np.imag(kappa) == 0:
-            kappa = float(np.real(kappa))
-            u, w = self.propagate((1.0, kappa), -kappa * kappa)
-            return w + kappa * u
-        kappa = complex(kappa)
-        u, w = self.propagate((1.0 + 0j, kappa), -kappa * kappa)
+        if isinstance(kappa, np.ndarray):
+            real = self.real and not np.iscomplexobj(kappa)
+            kappa = kappa.astype(float if real else complex)
+        else:
+            real = self.real and np.imag(kappa) == 0
+            kappa = float(np.real(kappa)) if real else complex(kappa)
+        u, w = _rk4(self.values, self.steps, 1.0 if real else 1.0 + 0j, kappa, -kappa * kappa)
         return w + kappa * u
 
 
@@ -243,13 +222,11 @@ def transfer_matrix(V, eps: float, lam: complex, h: float) -> TransferMatrix:
     """
     grid = _CoefficientGrid(V, eps, h)
     if grid.real and np.imag(lam) == 0:
-        lam = float(np.real(lam))
-        c0 = grid.propagate((1.0, 0.0), lam)
-        c1 = grid.propagate((0.0, 1.0), lam)
+        lam, one, zero = float(np.real(lam)), 1.0, 0.0
     else:
-        lam = complex(lam)
-        c0 = grid.propagate((1.0 + 0j, 0j), lam)
-        c1 = grid.propagate((0j, 1.0 + 0j), lam)
+        lam, one, zero = complex(lam), 1.0 + 0j, 0j
+    c0 = _rk4(grid.values, grid.steps, one, zero, lam)
+    c1 = _rk4(grid.values, grid.steps, zero, one, lam)
     m = np.array([[c0[0], c1[0]], [c0[1], c1[1]]], dtype=complex)
     return TransferMatrix(matrix=m, x0=grid.x0, x1=grid.x1, lam=complex(lam))
 
@@ -270,6 +247,51 @@ class BoundStateResult:
     converged: bool
 
 
+def _brent(f, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, float, int]:
+    """Root of f on [lo, hi] by Brent's method: (root, f(root), iterations).
+
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4,
+    in the formulation of scipy's ``brentq``, ported step for step so roots
+    and iteration counts match it bit for bit.  The caller passes the end
+    values it already has; they must be nonzero and of opposite sign.
+    """
+    xpre, xcur, fpre, fcur = lo, hi, flo, fhi
+    xblk = fblk = spre = scur = 0.0
+    for it in range(1, _BRENT_MAXITER + 1):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, fcur, it
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"the function value at x={xcur} is NaN; Brent cannot continue")
+    raise RuntimeError(f"Brent failed to converge after {_BRENT_MAXITER} iterations")
+
+
 def _real_root(
     grid: _CoefficientGrid,
     lo: float,
@@ -277,20 +299,24 @@ def _real_root(
     cfg: SolverConfig,
 ) -> Optional[tuple[float, float, int]]:
     """Brent root of the real mismatch on [lo, hi]; None without a sign change."""
-    flo = float(np.real(grid.mismatch(lo)))
-    fhi = float(np.real(grid.mismatch(hi)))
+
+    def f(k: float) -> float:
+        return grid.mismatch(k).real
+
+    flo = f(lo)
+    fhi = f(hi)
     evals = 2
     expansions = 0
     while flo * fhi > 0 and expansions < cfg.max_bracket_expansions:
         grew = False
         if lo > cfg.kappa_floor * 2:
             lo = max(lo / 2.0, cfg.kappa_floor)
-            flo = float(np.real(grid.mismatch(lo)))
+            flo = f(lo)
             evals += 1
             grew = True
         if hi < 1.0:
             hi = min(hi * 2.0, 1.0)
-            fhi = float(np.real(grid.mismatch(hi)))
+            fhi = f(hi)
             evals += 1
             grew = True
         expansions += 1
@@ -304,17 +330,10 @@ def _real_root(
         return lo, 0.0, evals
     if fhi == 0.0:
         return hi, 0.0, evals
-    root, info = optimize.brentq(
-        lambda k: float(np.real(grid.mismatch(k))),
-        lo,
-        hi,
-        xtol=1e-17,
-        rtol=8.9e-16,
-        maxiter=200,
-        full_output=True,
-    )
-    residual = abs(grid.mismatch(root))
-    return float(root), float(residual), evals + info.iterations
+    root, froot, its = _brent(f, lo, hi, flo, fhi)
+    # a complex potential has a complex mismatch on the real axis: Brent zeroes its real part only
+    residual = abs(froot) if grid.real else abs(grid.mismatch(root))
+    return root, residual, evals + its
 
 
 def _newton_root(grid: _CoefficientGrid, start: complex, cfg: SolverConfig) -> Optional[tuple[complex, float, int]]:
@@ -382,57 +401,33 @@ def find_bound_state(
         if not (0 < lo < hi):
             raise ValueError("bracket must satisfy 0 < low < high")
         hit = _real_root(grid, lo, hi, cfg)
-        if hit is None:
-            return None
-        root, residual, its = hit
-        converged = residual <= cfg.root_tol and root > cfg.kappa_floor
-        return BoundStateResult(
-            kappa=complex(root),
-            eigenvalue=-complex(root) ** 2,
-            mismatch_residual=residual,
-            iterations=its,
-            step=h,
-            converged=converged,
-        )
-
-    if not getattr(V, "has_zero_mean", False):
-        raise ValueError("provide an explicit bracket for potentials with a mean component")
-    k2 = k2_hint if k2_hint is not None else asym.compute_k2(V).value
-    k2 = complex(k2)
-    seed = eps * eps * k2
-
-    if getattr(V, "is_real", False) and abs(k2.imag) <= 1e-10 * max(abs(k2), 1.0):
-        kappa0 = seed.real
-        if kappa0 <= cfg.kappa_floor:
-            return None
-        hit = _real_root(grid, kappa0 / 10.0, min(10.0 * kappa0, 1.0), cfg)
-        if hit is None:
-            return None
-        root, residual, its = hit
-        converged = residual <= cfg.root_tol and root > cfg.kappa_floor
-        return BoundStateResult(
-            kappa=complex(root),
-            eigenvalue=-complex(root) ** 2,
-            mismatch_residual=residual,
-            iterations=its,
-            step=h,
-            converged=converged,
-        )
-
-    start = seed if seed.real > cfg.kappa_floor else complex(abs(seed))
-    if abs(start) <= cfg.kappa_floor:
-        return None
-    hit = _newton_root(grid, start, cfg)
+    else:
+        if not getattr(V, "has_zero_mean", False):
+            raise ValueError("provide an explicit bracket for potentials with a mean component")
+        k2 = k2_hint if k2_hint is not None else asym.compute_k2(V).value
+        k2 = complex(k2)
+        seed = eps * eps * k2
+        if getattr(V, "is_real", False) and abs(k2.imag) <= 1e-10 * max(abs(k2), 1.0):
+            kappa0 = seed.real
+            if kappa0 <= cfg.kappa_floor:
+                return None
+            hit = _real_root(grid, kappa0 / 10.0, min(10.0 * kappa0, 1.0), cfg)
+        else:
+            start = seed if seed.real > cfg.kappa_floor else complex(abs(seed))
+            if abs(start) <= cfg.kappa_floor:
+                return None
+            hit = _newton_root(grid, start, cfg)
     if hit is None:
         return None
-    kappa, residual, its = hit
+    root, residual, its = hit
+    kappa = complex(root)
     return BoundStateResult(
         kappa=kappa,
         eigenvalue=-kappa * kappa,
         mismatch_residual=residual,
         iterations=its,
         step=h,
-        converged=True,
+        converged=residual <= cfg.root_tol and kappa.real > cfg.kappa_floor,
     )
 
 
@@ -467,25 +462,18 @@ def scan_roots(
         raise ValueError("scan window must satisfy 0 < low < high")
     h = eps / cfg.points_per_fast_period
     grid = _CoefficientGrid(V, eps, h)
-    ks = np.linspace(lo, hi, samples)
-    fs = np.array([float(np.real(grid.mismatch(k))) for k in ks])
+    ks = np.linspace(lo, hi, samples).tolist()
+    fs = grid.mismatch(np.array(ks)).tolist()
     roots: list[float] = []
     for i in range(samples - 1):
         if fs[i] == 0.0:
-            roots.append(float(ks[i]))
+            roots.append(ks[i])
             continue
         if fs[i] * fs[i + 1] < 0:
-            r = optimize.brentq(
-                lambda k: float(np.real(grid.mismatch(k))),
-                ks[i],
-                ks[i + 1],
-                xtol=1e-17,
-                rtol=8.9e-16,
-                maxiter=200,
-            )
-            roots.append(float(r))
+            root, _, _ = _brent(grid.mismatch, ks[i], ks[i + 1], fs[i], fs[i + 1])
+            roots.append(root)
     if fs[-1] == 0.0:
-        roots.append(float(ks[-1]))
+        roots.append(ks[-1])
     return ScanResult(
         count=len(roots),
         kappas=tuple(roots),
@@ -515,17 +503,14 @@ def min_mismatch_on_disk(
     radius = radius_factor * max(abs(center), 10.0 * cfg.kappa_floor)
     h = eps / cfg.points_per_fast_period
     grid = _CoefficientGrid(V, eps, h)
-    best = math.inf
     radii = radius * np.linspace(0.0, 1.0, n_radial + 1)[1:]
     angles = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
-    candidates = [center] if center.real > cfg.kappa_floor else []
+    candidates = [center]
     for r in radii:
         for th in angles:
             candidates.append(center + r * complex(math.cos(th), math.sin(th)))
-    for kappa in candidates:
-        if kappa.real <= cfg.kappa_floor:
-            continue
-        best = min(best, abs(grid.mismatch(kappa)))
+    admissible = [k for k in candidates if k.real > cfg.kappa_floor]
+    best = float(np.min(np.abs(grid.mismatch(np.array(admissible))))) if admissible else math.inf
     if not math.isfinite(best):
         raise ValueError("no admissible sample in the half-plane disk; enlarge the radius")
     return best
@@ -560,10 +545,12 @@ def eigenfunction(
     kc = complex(kappa)
     if kc.real <= 0:
         raise ValueError("not in the physical half-plane: Re kappa must be positive")
-    lam = -kc * kc
-    y0 = (1.0, float(kc.real)) if (grid.real and kc.imag == 0) else (1.0 + 0j, kc)
-    lam_arg = lam.real if (grid.real and kc.imag == 0) else lam
-    xs, us, ws = grid.propagate_samples(y0, lam_arg)
+    real = grid.real and kc.imag == 0
+    k0 = kc.real if real else kc
+    trail = [(1.0, k0) if real else (1.0 + 0j, k0)]
+    _rk4(grid.values, grid.steps, *trail[0], -k0 * k0, trail)
+    xs = np.array(list(accumulate(grid.steps, initial=grid.x0)))
+    us, ws = np.array(trail).T
 
     u1, w1 = us[-1], ws[-1]
     defect = abs(w1 + kc * u1) / (abs(kc) * abs(u1) + abs(w1) + 1e-300)
@@ -646,7 +633,7 @@ def convergence_study(
     )
 
 
-class _GaugedGrid:
+class _GaugedGrid(_StageGrid):
     """Stage samples for the conjugated operator's ODE.
 
     psi'' = (eps*f/q - lambda) psi - (2 eps^2 v'/q) psi', with all
@@ -658,24 +645,10 @@ class _GaugedGrid:
     def __init__(self, g: GaugeData, cfg: SolverConfig = DEFAULT_SOLVER, step: float | None = None):
         eps = g.eps
         h = step if step is not None else eps / cfg.points_per_fast_period
-        if h > eps / 20.0 * _STEP_SLACK:
-            raise ValueError(f"step too large for the fast scale: h={h:g} exceeds eps/20={eps / 20:g}")
-        x0, x1 = g.potential.support_hull
-        length = x1 - x0
-        self.h = float(h)
-        self.x0, self.x1 = float(x0), float(x1)
-        n_full = int(math.floor(length / h + 1e-9))
-        h_last = length - n_full * h
-        if h_last < 1e-12 * max(1.0, length):
-            h_last = 0.0
-        self.n_full = n_full
-        self.h_last = h_last
-        xs = x0 + 0.5 * h * np.arange(2 * n_full + 1)
-        if h_last > 0.0:
-            xs = np.concatenate([xs, [x0 + n_full * h + 0.5 * h_last, x1]])
-        qt = g.q_tilde(xs)
-        alpha = eps * g.f_tilde(xs) / qt
-        beta = -2.0 * eps**2 * g.v_total_d1(xs) / qt
+        super().__init__(g.potential.support_hull, eps, h)
+        qt = g.q_tilde(self.xs)
+        alpha = eps * g.f_tilde(self.xs) / qt
+        beta = -2.0 * eps**2 * g.v_total_d1(self.xs) / qt
         self.real = bool(getattr(g.potential, "is_real", False))
         if self.real:
             alpha = alpha.real
@@ -696,8 +669,7 @@ class _GaugedGrid:
         al = self.alpha
         bl = self.beta
         idx = 0
-        steps = [self.h] * self.n_full + ([self.h_last] if self.h_last > 0 else [])
-        for hh in steps:
+        for hh in self.steps:
             a0 = al[idx] - lam
             a1 = al[idx + 1] - lam
             a2 = al[idx + 2] - lam

@@ -10,7 +10,6 @@ from oscispec.potentials import (
     build_corrector,
     canonical_potential,
     combine,
-    mean_over_period,
     p_transform,
     poly_bump,
     smooth_bump,
@@ -105,7 +104,7 @@ def test_mean_over_period_matches_trapezoid_oracle():
         1.0,
         1.0,
     )
-    m = mean_over_period(u)
+    m = u.mean_profile()
     for x in [0.1, 0.5, 0.83]:
         assert m.evaluate(x) == pytest.approx(trapezoid_period_mean(u, x), abs=1e-8)
     assert not u.has_zero_mean

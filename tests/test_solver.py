@@ -1,15 +1,22 @@
+import gc
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import optimize
 
+from oscispec import solver
+from oscispec.config import load_config
 from oscispec.gauge import build_gauge
 from oscispec.potentials import TwoScaleFunction, poly_bump
 from oscispec.solver import (
     DEFAULT_SOLVER,
     SolverConfig,
     SquareWell,
+    _brent,
+    _CoefficientGrid,
     convergence_study,
     eigenfunction,
     find_bound_state,
@@ -21,11 +28,15 @@ from oscispec.solver import (
 )
 
 
-def well_ground_state_kappa(depth, width=1.0):
-    """Closed-form oracle: even bound state of a constant well of given depth.
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def well_even_state_equation(depth, width=1.0):
+    """Closed-form oracle: even bound states of a constant well of given depth.
 
     Matching decaying tails to the interior cosine gives k tan(k w/2) = kappa
-    with k^2 + kappa^2 = depth.
+    with k^2 + kappa^2 = depth.  Returns the equation f(k) and a bracket
+    (lo, hi) in k on which f changes sign at the ground state.
     """
 
     def f(k):
@@ -33,8 +44,13 @@ def well_ground_state_kappa(depth, width=1.0):
         return k * math.tan(k * width / 2.0) - kk
 
     # the even ground state always sits below both k = pi/width and sqrt(depth)
-    hi = min(math.pi / width, math.sqrt(depth)) - 1e-12
-    k = optimize.brentq(f, 1e-9, hi, xtol=1e-15)
+    lo, hi = 1e-9, min(math.pi / width, math.sqrt(depth)) - 1e-12
+    return f, lo, hi
+
+
+def well_ground_state_kappa(depth, width=1.0):
+    f, lo, hi = well_even_state_equation(depth, width)
+    k = optimize.brentq(f, lo, hi, xtol=1e-15)
     return math.sqrt(depth - k * k)
 
 
@@ -138,6 +154,54 @@ def test_gauged_formulation_finds_the_same_root(canonical, canonical_k2):
     assert root == pytest.approx(kap, rel=1e-5)
 
 
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+def test_mismatch_lanes_match_one_kappa_at_a_time(name):
+    cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
+    grid = _CoefficientGrid(cfg.build_potential(), 0.1, 0.1 / cfg.points_per_period)
+    ks = np.linspace(1e-6, 0.5, 41)
+    # real lanes run the scalar arithmetic elementwise: bit for bit
+    scalar = np.array([grid.mismatch(k) for k in ks.tolist()])
+    assert grid.mismatch(ks).tobytes() == scalar.tobytes()
+    # numpy's complex multiply may round differently in the last ulp; measured
+    # norm-wise, since lanes near a zero of F lose relative digits to cancellation
+    kc = ks * np.exp(0.6j)
+    scalar = np.array([grid.mismatch(k) for k in kc.tolist()])
+    assert np.max(np.abs(grid.mismatch(kc) - scalar)) <= 1e-15 * np.max(np.abs(scalar))
+
+
+def test_find_bound_state_frees_its_grid_without_the_cycle_collector(canonical, canonical_k2, monkeypatch):
+    grids = []
+
+    class TrackedGrid(_CoefficientGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grids.append(weakref.ref(self))
+
+    monkeypatch.setattr(solver, "_CoefficientGrid", TrackedGrid)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        res = find_bound_state(canonical, 0.1, k2_hint=canonical_k2.value)
+        assert res is not None and res.converged
+        assert len(grids) == 1 and grids[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("depth, bracket", [(2.0, (0.1, 1.2)), (30.0, (4.0, 5.4))])
+def test_brent_reproduces_scipy_brentq_on_the_square_well_oracle(depth, bracket):
+    f, lo, hi = well_even_state_equation(depth)
+    grid = _CoefficientGrid(SquareWell(depth=depth), 0.1, 0.1 / 40)
+    # the transcendental oracle, then the solver's own mismatch of the same well
+    for g, a, b in [(f, lo, hi), (grid.mismatch, *bracket)]:
+        ref, info = optimize.brentq(g, a, b, xtol=1e-17, rtol=8.9e-16, maxiter=200, full_output=True)
+        root, froot, its = _brent(g, a, b, g(a), g(b))
+        assert root.hex() == ref.hex()
+        assert its == info.iterations
+        assert froot == g(root)
+
+
 # ---------------------------------------------------------------- guards
 
 
@@ -172,8 +236,6 @@ def test_scan_rejects_complex_potentials(canonical):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(points_per_fast_period=10)
-    with pytest.raises(ValueError):
-        SolverConfig(rk_order=2)
     with pytest.raises(ValueError):
         SolverConfig(scan_window=(0.5, 0.1))
 
