@@ -32,13 +32,16 @@ from . import gauge as gauge_mod
 from .averaging import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
-    _quad_complex,
+    _breakpoint_integral,
+    _gauss_legendre,
     fast_panel_grid,
     profile_product_integral,
 )
 from .potentials import TwoScaleFunction
 
 _TINY = 1e-300
+# Hull-route panel rule, on purpose a different node set from the pair route's.
+_HULL_PANELS, _HULL_NODES = 48, 12
 
 
 class Existence(enum.Enum):
@@ -77,6 +80,11 @@ class K2Report:
     tol: float
 
 
+def _mode_pairs(V: TwoScaleFunction) -> list:
+    """(n, c_n, c_{-n}) for each n >= 1 whose partner -n is present, n increasing."""
+    return [(n, V.modes[n], V.modes[-n]) for n in sorted(V.modes) if n >= 1 and -n in V.modes]
+
+
 def _pair_mean(V: TwoScaleFunction, x: np.ndarray) -> np.ndarray:
     """Fast mean of (P[V])^2 at slow positions x, evaluated in mode space.
 
@@ -85,48 +93,33 @@ def _pair_mean(V: TwoScaleFunction, x: np.ndarray) -> np.ndarray:
     An unpaired mode contributes nothing.
     """
     out = np.zeros(np.shape(x), dtype=complex)
-    for n in sorted(V.modes):
-        if n < 1:
-            continue
-        partner = V.modes.get(-n)
-        if partner is None:
-            continue
-        out = out + V.modes[n].evaluate(x) * partner.evaluate(x) / (2.0 * math.pi**2 * n * n)
+    for n, mode, partner in _mode_pairs(V):
+        out = out + mode.evaluate(x) * partner.evaluate(x) / (2.0 * math.pi**2 * n * n)
     return out
 
 
 def compute_k2(V: TwoScaleFunction, tol: float = 1e-10) -> K2Report:
     """Evaluate k2 along two independent routes and cross-check them.
 
-    Route one integrates the mode-space fast mean of (P[V])^2 by adaptive
-    quadrature with envelope endpoints as breakpoints.  Route two assembles
-    the same integral from per-pair envelope products, in Beta closed form
-    whenever a pair shares a poly shape.  Disagreement beyond ``tol`` flags
-    the report but still returns it.
+    Route one integrates the mode-space fast mean of (P[V])^2 over the support
+    hull with the breakpoint panel rule, 48 panels x 12 Gauss-Legendre nodes
+    between consecutive envelope endpoints.  Route two assembles the same
+    integral from per-pair envelope products: Beta closed form whenever a pair
+    shares a poly shape, otherwise the 32 x 16 rule, so no node is shared with
+    route one.  Disagreement beyond ``tol`` flags the report but still returns it.
     """
     if not V.has_zero_mean:
         raise ValueError("k2 is defined for zero-mean potentials only")
 
     # closed-form route
     closed = 0j
-    for n in sorted(V.modes):
-        if n < 1:
-            continue
-        partner = V.modes.get(-n)
-        if partner is None:
-            continue
-        closed += profile_product_integral(V.modes[n], partner) / (2.0 * math.pi**2 * n * n)
+    for n, mode, partner in _mode_pairs(V):
+        closed += profile_product_integral(mode, partner) / (2.0 * math.pi**2 * n * n)
     closed *= 0.5
 
     # quadrature route
-    a, b = V.support_hull
-    if a >= b:
-        quad_val = 0j
-    else:
-        breaks = sorted(
-            {p.support[0] for p in V.modes.values()} | {p.support[1] for p in V.modes.values()}
-        )
-        quad_val = 0.5 * _quad_complex(lambda x: _pair_mean(V, x), a, b, points=breaks)
+    breaks = [x for p in V.modes.values() for x in p.support]
+    quad_val = 0.5 * _breakpoint_integral(lambda x: _pair_mean(V, x), breaks, _HULL_PANELS, _HULL_NODES)
 
     value = closed
     agreement = abs(quad_val - closed) / (abs(value) + _TINY)
@@ -203,7 +196,7 @@ def compute_k_eps(
     lefts = np.repeat(edges[:-1], n_per)
     half = 0.5 * (nodes - lefts)
     mid = 0.5 * (nodes + lefts)
-    gx, gw = np.polynomial.legendre.leggauss(n_per)
+    gx, gw = _gauss_legendre(n_per)
     pts = mid[:, None] + half[:, None] * gx[None, :]
     sub_l1 = -g.f_tilde(pts) / g.q_tilde(pts)
     part0 = np.sum(half[:, None] * gw[None, :] * sub_l1, axis=1)

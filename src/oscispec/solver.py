@@ -394,13 +394,12 @@ def find_bound_state(
     provides the corroborating evidence.
     """
     h = step if step is not None else eps / cfg.points_per_fast_period
-    grid = _CoefficientGrid(V, eps, h)
-
+    # sample the grid only after every early exit: it is most of a short call's cost
     if bracket is not None:
         lo, hi = float(bracket[0]), float(bracket[1])
         if not (0 < lo < hi):
             raise ValueError("bracket must satisfy 0 < low < high")
-        hit = _real_root(grid, lo, hi, cfg)
+        search, args = _real_root, (lo, hi)
     else:
         if not getattr(V, "has_zero_mean", False):
             raise ValueError("provide an explicit bracket for potentials with a mean component")
@@ -411,12 +410,13 @@ def find_bound_state(
             kappa0 = seed.real
             if kappa0 <= cfg.kappa_floor:
                 return None
-            hit = _real_root(grid, kappa0 / 10.0, min(10.0 * kappa0, 1.0), cfg)
+            search, args = _real_root, (kappa0 / 10.0, min(10.0 * kappa0, 1.0))
         else:
             start = seed if seed.real > cfg.kappa_floor else complex(abs(seed))
             if abs(start) <= cfg.kappa_floor:
                 return None
-            hit = _newton_root(grid, start, cfg)
+            search, args = _newton_root, (start,)
+    hit = search(_CoefficientGrid(V, eps, h), *args, cfg)
     if hit is None:
         return None
     root, residual, its = hit

@@ -54,12 +54,31 @@ def test_profile_integral_beta_values():
     assert profile_integral(poly_bump(1.0, 2, (0.0, 2.0))) == pytest.approx(2.0**5 / 30.0, rel=1e-13)
 
 
-def test_profile_product_integral_agrees_with_quadrature():
-    p1 = poly_bump(2.0, 2, (0.0, 1.0))
-    p2 = smooth_bump(1.5, (0.2, 0.9))
-    got = profile_product_integral(p1, p2)
-    ref = integrate.quad(lambda x: (p1.evaluate(x) * p2.evaluate(x)).real, 0.2, 0.9, epsabs=1e-13)[0]
-    assert got == pytest.approx(ref, abs=1e-11)
+_POLY = poly_bump(2.0, 2, (0.0, 1.0))
+_SMOOTH = smooth_bump(1.5, (0.2, 0.9))
+
+
+@pytest.mark.parametrize(
+    "profiles",
+    [
+        pytest.param((_POLY, _SMOOTH), id="poly-x-smooth"),
+        pytest.param((_SMOOTH, smooth_bump(-0.7, (0.2, 0.9))), id="smooth-x-smooth-same-support"),
+        pytest.param((smooth_bump(1.5, (0.0, 0.8)), smooth_bump(2.0, (0.3, 1.1))), id="smooth-x-smooth-offset"),
+        pytest.param((_SMOOTH,), id="smooth-profile-integral"),
+    ],
+)
+def test_profile_product_integral_agrees_with_quadrature(profiles):
+    lo = max(p.support[0] for p in profiles)
+    hi = min(p.support[1] for p in profiles)
+    if len(profiles) == 1:
+        got = profile_integral(profiles[0])
+    else:
+        got = profile_product_integral(*profiles)
+    ref = integrate.quad(
+        lambda x: math.prod(p.evaluate(x) for p in profiles).real, lo, hi, epsabs=0, epsrel=2e-14, limit=500
+    )[0]
+    assert abs(got.imag) == 0.0
+    assert abs(got.real - ref) <= 1e-13 * abs(ref)
 
 
 def test_profile_product_integral_disjoint_supports():

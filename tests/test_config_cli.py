@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oscispec
 from oscispec.asymptotics import compute_k2, predict_lambda
 from oscispec.cli import (
     CSV_HEADER,
@@ -260,3 +266,18 @@ def test_cli_keps_chain(tmp_path):
     text = out.decode()
     assert text.startswith("eps,m1_re,m1_im,m2_re,m2_im,keps_re,keps_im\n")
     assert "# c2_re=" in text and "# k2_re=" in text
+
+
+def test_cli_k2_runs_without_importing_scipy(tmp_path):
+    # numpy is the only runtime dependency: a fresh interpreter running k2 never loads scipy
+    src = Path(oscispec.__file__).resolve().parents[1]
+    cfgp = Path(__file__).resolve().parents[1] / "configs" / "two_mode.cfg"
+    script = (
+        "import sys, oscispec, oscispec.cli\n"
+        f"code = oscispec.cli.main(['k2', '--config', {str(cfgp)!r}, '--out', {str(tmp_path / 'k2.csv')!r}])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", "False"]
+    assert (tmp_path / "k2.csv").read_text().startswith("quantity,value\n")

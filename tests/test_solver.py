@@ -10,7 +10,7 @@ from scipy import optimize
 from oscispec import solver
 from oscispec.config import load_config
 from oscispec.gauge import build_gauge
-from oscispec.potentials import TwoScaleFunction, poly_bump
+from oscispec.potentials import TwoScaleFunction, canonical_potential, poly_bump
 from oscispec.solver import (
     DEFAULT_SOLVER,
     SolverConfig,
@@ -226,6 +226,19 @@ def test_mean_component_requires_explicit_bracket():
     u = TwoScaleFunction.single_mode(0, poly_bump(-2.0, 2, (0.0, 1.0)))
     with pytest.raises(ValueError, match="bracket"):
         find_bound_state(u, 0.1)
+
+
+def test_early_exits_build_no_coefficient_grid(monkeypatch):
+    # a negative k2 seed lies below kappa_floor: absence is reported without sampling a grid
+    def refuse(*args, **kwargs):
+        raise AssertionError("coefficient grid built before an early exit")
+
+    monkeypatch.setattr(solver, "_CoefficientGrid", refuse)
+    assert find_bound_state(canonical_potential(), 1e-3, k2_hint=-1.0) is None
+    with pytest.raises(ValueError, match="bracket"):
+        find_bound_state(canonical_potential(), 0.1, bracket=(0.5, 0.1))
+    with pytest.raises(ValueError, match="bracket"):
+        find_bound_state(TwoScaleFunction.single_mode(0, poly_bump(-2.0, 2, (0.0, 1.0))), 0.1)
 
 
 def test_scan_rejects_complex_potentials(canonical):
