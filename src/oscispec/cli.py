@@ -123,7 +123,7 @@ def _solve_record(
     converged: Optional[bool] = None
     try:
         res = slv.find_bound_state(V, eps, k2_hint=k2, cfg=solver_cfg)
-    except Exception:
+    except (ValueError, RuntimeError):  # what find_bound_state raises; anything else is a bug
         res = None
         converged = False
     else:

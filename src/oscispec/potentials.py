@@ -224,6 +224,10 @@ class TwoScaleFunction:
     def mean_profile(self) -> SlowProfile:
         return self.modes.get(0, zero_profile())
 
+    def sup_abs(self) -> float:
+        """Upper bound for sup |u| along any slice (sum of per-mode suprema)."""
+        return sum(p.sup_abs() for p in self.modes.values())
+
     def scaled(self, factor: complex) -> "TwoScaleFunction":
         return TwoScaleFunction(modes={n: p.scaled(factor) for n, p in self.modes.items()})
 
@@ -320,7 +324,7 @@ class CorrectorBundle:
 
     def sup_abs(self) -> float:
         """Upper bound for sup |v| (sum of per-mode suprema)."""
-        return sum(p.sup_abs() for p in self.v.modes.values())
+        return self.v.sup_abs()
 
 
 def build_corrector(V: TwoScaleFunction) -> CorrectorBundle:

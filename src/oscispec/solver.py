@@ -15,19 +15,28 @@ fast period so oscillatory truncation errors cancel over whole periods.
 
 Layout.  One stage grid (``_StageGrid``) fixes the steps across the hull --
 full steps of length h, then one partial step when the hull length is not a
-multiple of h -- and the RK4 stage points (start, middle, end of each step).
-The coefficient grid samples V there once and is reused for every kappa.
-One RK4 kernel (``_rk4``) propagates u'' = (V - lam) u over those samples.
-It is plain arithmetic, so the same body runs on a Python scalar (one kappa,
-the fast path for root finding) or on numpy arrays of kappas, one lane per
-kappa: ``scan_roots`` and ``min_mismatch_on_disk`` push all their samples
-through one call.  Real lanes give the scalar values bit for bit; complex
-lanes agree to the last ulp.  The gauge-conjugated operator has a first-order
-term b(x) u' and keeps its own step body on the same stage grid, because
-routing it through the H kernel with b = 0 slows every H step.
+multiple of h -- and holds the coefficients of y' = [[0, 1], [a - lam, b]] y
+at the RK4 stage points as contiguous (start, middle, end) arrays, sampled
+once and reused for every kappa.  For H, a = V and b = 0 (``None``); the
+gauge-conjugated operator has b = -2 eps^2 v'/q.
+
+One RK4 step body (``_rk4_step``), plain arithmetic, runs two ways, chosen
+by the type of kappa alone:
+
+* One kappa: a step of the linear ODE is a 2x2 matrix.  ``_step_maps`` runs
+  the body once over all steps (one numpy lane per step) on the basis
+  columns, and ``_compose`` multiplies the maps pairwise, later step on the
+  left, in log2(n) numpy passes; pairwise products keep round-off growth at
+  O(log n) (Higham, SIAM J. Sci. Comput. 14, 1993).  Root finding,
+  ``transfer_matrix`` and the gauged mismatch take this path.
+* A numpy array of kappas: ``_rk4`` walks the steps with one lane per kappa
+  (``scan_roots``, ``min_mismatch_on_disk``; ``eigenfunction`` keeps every
+  step).  Each step is already a numpy pass over the lanes, and composing
+  maps per lane measured slower than stepping them.
 
 Roots of the real mismatch are polished with Brent's method (``_brent``),
-complex roots with damped Newton.
+complex roots with damped Newton.  Every real bound state has
+kappa^2 <= sup|V|, so bracket searches stop at sqrt(sup|V|).
 
 This module never consumes the asymptotic machinery beyond an optional
 initial guess, which is what makes it a genuine cross-check of the
@@ -38,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -81,7 +90,7 @@ class SquareWell:
     """Constant well -depth on [a, b]: plumbing for closed-form oracle tests.
 
     Quacks like a two-scale function as far as the solver needs (fast trace,
-    support hull, realness) while being exactly representable: no Fourier
+    support hull, realness, sup |V|) while being exactly representable: no Fourier
     truncation, no envelope smoothing.
     """
 
@@ -100,6 +109,9 @@ class SquareWell:
     def has_zero_mean(self) -> bool:
         return False
 
+    def sup_abs(self) -> float:
+        return abs(self.depth)
+
     def eval_fast(self, x, eps: float):
         x = np.asarray(x, dtype=float)
         a, b = self.support
@@ -107,13 +119,17 @@ class SquareWell:
 
 
 class _StageGrid:
-    """Fixed RK4 steps across the support hull and their stage points.
+    """Fixed RK4 steps across the support hull and the ODE coefficients at their stages.
 
-    ``steps`` holds n full steps of length h, then one partial step when the
-    hull length is not an exact multiple of h.  ``xs`` holds the stage points
-    x0 + j*h/2 for j = 0..2n over the full steps, then (mid, end) of the
-    partial step, so step k reads its samples at indices 2k, 2k+1, 2k+2.
+    ``steps`` holds the step lengths: n full steps of length h, then one
+    partial step when the hull length is not an exact multiple of h.  ``xs``
+    holds the stage points x0 + j*h/2 for j = 0..2n over the full steps, then
+    (mid, end) of the partial step, so step k reads its samples at indices
+    2k, 2k+1, 2k+2.  Subclasses sample a (and b, else None) there, store them
+    with ``_by_stage`` and set ``real`` when the samples are real.
     """
+
+    b = None
 
     def __init__(self, hull: tuple[float, float], eps: float, h: float):
         if eps <= 0 or h <= 0:
@@ -128,47 +144,114 @@ class _StageGrid:
         h_last = length - n_full * h
         if h_last < 1e-12 * max(1.0, length):
             h_last = 0.0
-        self.steps = [self.h] * n_full + ([h_last] if h_last > 0.0 else [])
+        self.steps = np.append(np.full(n_full, self.h), [h_last] if h_last > 0.0 else [])
         xs = x0 + 0.5 * h * np.arange(2 * n_full + 1)
         if h_last > 0.0:
             xs = np.concatenate([xs, [x0 + n_full * h + 0.5 * h_last, x1]])
         self.xs = xs
 
+    def mismatch(self, kappa):
+        """F(kappa) at one kappa (composed step maps), or lane by lane over a numpy array of kappas."""
+        if not np.all(np.real(kappa) > 0):
+            raise ValueError("not in the physical half-plane: Re kappa must be positive")
+        if isinstance(kappa, np.ndarray):
+            real = self.real and not np.iscomplexobj(kappa)
+            kappa = kappa.astype(float if real else complex)
+            u, w = _rk4(self, 1.0 if real else 1.0 + 0j, kappa, -kappa * kappa)
+        else:
+            real = self.real and np.imag(kappa) == 0
+            kappa = float(np.real(kappa)) if real else complex(kappa)
+            (t00, t01), (t10, t11) = _compose(_step_maps(self, -kappa * kappa))
+            u, w = t00 + t01 * kappa, t10 + t11 * kappa
+        return w + kappa * u
 
-def _rk4(vals, steps, u, w, lam, trail=None):
-    """Classical RK4 for u'' = (V - lam) u over the stage samples ``vals``.
 
-    Pure arithmetic: u, w and lam may be Python scalars or numpy arrays of
-    one lane per kappa.  ``trail``, when given, receives (u, w) after every
-    step.
+def _by_stage(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage samples split into contiguous (start, middle, end) arrays, one entry per step."""
+    return vals[:-1:2].copy(), vals[1::2].copy(), vals[2::2].copy()
+
+
+def _slope(a, b, u, w):
+    """w' = a u + b w, or a u where the first-order term vanishes (b is None).
+
+    H passes None rather than zeros: zero b terms would add four products and
+    four sums to every step of a many-lane scan.
     """
-    idx = 0
-    for h in steps:
-        half = 0.5 * h
-        a0 = vals[idx] - lam
-        a1 = vals[idx + 1] - lam
-        a2 = vals[idx + 2] - lam
-        k1u = w
-        k1w = a0 * u
-        yu = u + half * k1u
-        yw = w + half * k1w
-        k2u = yw
-        k2w = a1 * yu
-        yu = u + half * k2u
-        yw = w + half * k2w
-        k3u = yw
-        k3w = a1 * yu
-        yu = u + h * k3u
-        yw = w + h * k3w
-        k4u = yw
-        k4w = a2 * yu
-        sixth = h / 6.0
-        u = u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
-        w = w + sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
-        idx += 2
+    return a * u if b is None else a * u + b * w
+
+
+def _rk4_step(h, u, w, a, b):
+    """One classical RK4 step of u' = w, w' = a u + b w.
+
+    ``a`` holds a - lam at the start, middle and end of the step; ``b`` the
+    same for b, or None for H.  Pure arithmetic: h, u, w and the entries of
+    a and b may be Python scalars or numpy arrays, one lane per step or per
+    kappa.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b if b is not None else (None, None, None)
+    half = 0.5 * h
+    k1u = w
+    k1w = _slope(a0, b0, u, w)
+    yu = u + half * k1u
+    yw = w + half * k1w
+    k2u = yw
+    k2w = _slope(a1, b1, yu, yw)
+    yu = u + half * k2u
+    yw = w + half * k2w
+    k3u = yw
+    k3w = _slope(a1, b1, yu, yw)
+    yu = u + h * k3u
+    yw = w + h * k3w
+    k4u = yw
+    k4w = _slope(a2, b2, yu, yw)
+    sixth = h / 6.0
+    return u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u), w + sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
+
+
+def _rk4(grid: _StageGrid, u, w, lam, trail=None):
+    """RK4 across the grid from (u, w) at x0, step after step.
+
+    u, w and lam may be Python scalars or numpy arrays of one lane per kappa.
+    ``trail``, when given, receives (u, w) after every step.
+    """
+    a = zip(*(x.tolist() for x in grid.a))
+    b = zip(*(x.tolist() for x in grid.b)) if grid.b is not None else repeat(None)
+    for h, (a0, a1, a2), bk in zip(grid.steps.tolist(), a, b):
+        u, w = _rk4_step(h, u, w, (a0 - lam, a1 - lam, a2 - lam), bk)
         if trail is not None:
             trail.append((u, w))
     return u, w
+
+
+def _step_maps(grid: _StageGrid, lam):
+    """The 2x2 RK4 map of every step at spectral value lam, one numpy lane per step.
+
+    Returns the entry arrays (m00, m01, m10, m11); column j of a step's map
+    is one ``_rk4_step`` from the basis vector e_j.
+    """
+    a = [x - lam for x in grid.a]
+    m00, m10 = _rk4_step(grid.steps, 1.0, 0.0, a, grid.b)
+    m01, m11 = _rk4_step(grid.steps, 0.0, 1.0, a, grid.b)
+    return m00, m01, m10, m11
+
+
+def _compose(m):
+    """Transfer matrix M[n-1] ... M[1] M[0] of the step maps, as ((t00, t01), (t10, t11)).
+
+    Each pass multiplies neighbouring maps, the later one on the left; an odd
+    last map waits for the next pass.
+    """
+    if m[0].size == 0:
+        return (1.0, 0.0), (0.0, 1.0)
+    while m[0].size > 1:
+        n = m[0].size - m[0].size % 2
+        ea, eb, ec, ed = (x[0:n:2] for x in m)
+        la, lb, lc, ld = (x[1:n:2] for x in m)
+        pairs = (la * ea + lb * ec, la * eb + lb * ed, lc * ea + ld * ec, lc * eb + ld * ed)
+        m = pairs if n == m[0].size else tuple(np.append(p, x[n:]) for p, x in zip(pairs, m))
+    t00, t01, t10, t11 = (x.item() for x in m)
+    return (t00, t01), (t10, t11)
 
 
 class _CoefficientGrid(_StageGrid):
@@ -182,22 +265,7 @@ class _CoefficientGrid(_StageGrid):
         super().__init__(V.support_hull, eps, h)
         vals = np.asarray(V.eval_fast(self.xs, eps))
         self.real = bool(getattr(V, "is_real", False))
-        if self.real:
-            vals = vals.real
-        self.values = vals.tolist()
-
-    def mismatch(self, kappa):
-        """F(kappa) at one kappa, or lane by lane over a numpy array of kappas."""
-        if not np.all(np.real(kappa) > 0):
-            raise ValueError("not in the physical half-plane: Re kappa must be positive")
-        if isinstance(kappa, np.ndarray):
-            real = self.real and not np.iscomplexobj(kappa)
-            kappa = kappa.astype(float if real else complex)
-        else:
-            real = self.real and np.imag(kappa) == 0
-            kappa = float(np.real(kappa)) if real else complex(kappa)
-        u, w = _rk4(self.values, self.steps, 1.0 if real else 1.0 + 0j, kappa, -kappa * kappa)
-        return w + kappa * u
+        self.a = _by_stage(vals.real if self.real else vals)
 
 
 @dataclass(frozen=True)
@@ -215,19 +283,14 @@ class TransferMatrix:
 
 
 def transfer_matrix(V, eps: float, lam: complex, h: float) -> TransferMatrix:
-    """Propagate the identity data across the support hull at spectral value lam.
+    """Compose the step maps across the support hull at spectral value lam.
 
     The Wronskian of the exact flow is conserved, so det = 1 up to integrator
     round-off; deviations are a direct integrator health measure.
     """
     grid = _CoefficientGrid(V, eps, h)
-    if grid.real and np.imag(lam) == 0:
-        lam, one, zero = float(np.real(lam)), 1.0, 0.0
-    else:
-        lam, one, zero = complex(lam), 1.0 + 0j, 0j
-    c0 = _rk4(grid.values, grid.steps, one, zero, lam)
-    c1 = _rk4(grid.values, grid.steps, zero, one, lam)
-    m = np.array([[c0[0], c1[0]], [c0[1], c1[1]]], dtype=complex)
+    lam = float(np.real(lam)) if grid.real and np.imag(lam) == 0 else complex(lam)
+    m = np.array(_compose(_step_maps(grid, lam)), dtype=complex)
     return TransferMatrix(matrix=m, x0=grid.x0, x1=grid.x1, lam=complex(lam))
 
 
@@ -296,9 +359,10 @@ def _real_root(
     grid: _CoefficientGrid,
     lo: float,
     hi: float,
+    cap: float,
     cfg: SolverConfig,
 ) -> Optional[tuple[float, float, int]]:
-    """Brent root of the real mismatch on [lo, hi]; None without a sign change."""
+    """Brent root of the real mismatch on [lo, hi], widened up to hi = cap; None without a sign change."""
 
     def f(k: float) -> float:
         return grid.mismatch(k).real
@@ -314,8 +378,8 @@ def _real_root(
             flo = f(lo)
             evals += 1
             grew = True
-        if hi < 1.0:
-            hi = min(hi * 2.0, 1.0)
+        if hi < cap:
+            hi = min(hi * 2.0, cap)
             fhi = f(hi)
             evals += 1
             grew = True
@@ -394,12 +458,14 @@ def find_bound_state(
     provides the corroborating evidence.
     """
     h = step if step is not None else eps / cfg.points_per_fast_period
+    # every real bound state has kappa^2 <= sup|V|: real brackets widen no further
+    cap = math.sqrt(V.sup_abs())
     # sample the grid only after every early exit: it is most of a short call's cost
     if bracket is not None:
         lo, hi = float(bracket[0]), float(bracket[1])
         if not (0 < lo < hi):
             raise ValueError("bracket must satisfy 0 < low < high")
-        search, args = _real_root, (lo, hi)
+        search, args = _real_root, (lo, hi, cap)
     else:
         if not getattr(V, "has_zero_mean", False):
             raise ValueError("provide an explicit bracket for potentials with a mean component")
@@ -410,7 +476,8 @@ def find_bound_state(
             kappa0 = seed.real
             if kappa0 <= cfg.kappa_floor:
                 return None
-            search, args = _real_root, (kappa0 / 10.0, min(10.0 * kappa0, 1.0))
+            hi = min(10.0 * kappa0, cap)
+            search, args = _real_root, (min(kappa0 / 10.0, 0.5 * hi), hi, cap)
         else:
             start = seed if seed.real > cfg.kappa_floor else complex(abs(seed))
             if abs(start) <= cfg.kappa_floor:
@@ -548,8 +615,8 @@ def eigenfunction(
     real = grid.real and kc.imag == 0
     k0 = kc.real if real else kc
     trail = [(1.0, k0) if real else (1.0 + 0j, k0)]
-    _rk4(grid.values, grid.steps, *trail[0], -k0 * k0, trail)
-    xs = np.array(list(accumulate(grid.steps, initial=grid.x0)))
+    _rk4(grid, *trail[0], -k0 * k0, trail)
+    xs = np.array(list(accumulate(grid.steps.tolist(), initial=grid.x0)))
     us, ws = np.array(trail).T
 
     u1, w1 = us[-1], ws[-1]
@@ -653,47 +720,8 @@ class _GaugedGrid(_StageGrid):
         if self.real:
             alpha = alpha.real
             beta = beta.real
-        self.alpha = alpha.tolist()
-        self.beta = beta.tolist()
-
-    def mismatch(self, kappa) -> complex:
-        if not (np.real(kappa) > 0):
-            raise ValueError("not in the physical half-plane: Re kappa must be positive")
-        if self.real and np.imag(kappa) == 0:
-            kappa = float(np.real(kappa))
-            u, w = 1.0, kappa
-        else:
-            kappa = complex(kappa)
-            u, w = 1.0 + 0j, kappa
-        lam = -kappa * kappa
-        al = self.alpha
-        bl = self.beta
-        idx = 0
-        for hh in self.steps:
-            a0 = al[idx] - lam
-            a1 = al[idx + 1] - lam
-            a2 = al[idx + 2] - lam
-            b0 = bl[idx]
-            b1 = bl[idx + 1]
-            b2 = bl[idx + 2]
-            k1u = w
-            k1w = a0 * u + b0 * w
-            yu = u + 0.5 * hh * k1u
-            yw = w + 0.5 * hh * k1w
-            k2u = yw
-            k2w = a1 * yu + b1 * yw
-            yu = u + 0.5 * hh * k2u
-            yw = w + 0.5 * hh * k2w
-            k3u = yw
-            k3w = a1 * yu + b1 * yw
-            yu = u + hh * k3u
-            yw = w + hh * k3w
-            k4u = yw
-            k4w = a2 * yu + b2 * yw
-            u = u + hh / 6.0 * (k1u + 2.0 * (k2u + k3u) + k4u)
-            w = w + hh / 6.0 * (k1w + 2.0 * (k2w + k3w) + k4w)
-            idx += 2
-        return w + kappa * u
+        self.a = _by_stage(alpha)
+        self.b = _by_stage(beta)
 
 
 def gauged_mismatch(

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import oscispec
+from oscispec import solver
 from oscispec.asymptotics import compute_k2, predict_lambda
 from oscispec.cli import (
     CSV_HEADER,
     SweepRecord,
+    _solve_record,
     emit_csv,
     main,
     run_sweep,
@@ -168,6 +170,24 @@ def test_run_sweep_absent_branch():
         assert r.lambda_num is None
         assert r.converged  # absence confirmed is a successful outcome
     assert summary.slope is None
+
+
+def test_solve_record_reports_solver_errors_and_lets_bugs_through(monkeypatch):
+    V = canonical_potential()
+    k2 = compute_k2(V).value
+
+    def raising(exc):
+        def find_bound_state(*args, **kwargs):
+            raise exc
+
+        return find_bound_state
+
+    monkeypatch.setattr(solver, "find_bound_state", raising(ValueError("no admissible root")))
+    record = _solve_record(V, 0.1, k2, "Exists", True, solver.DEFAULT_SOLVER)
+    assert record.converged is False and record.lambda_num is None
+    monkeypatch.setattr(solver, "find_bound_state", raising(TypeError("a programming error")))
+    with pytest.raises(TypeError, match="programming error"):
+        _solve_record(V, 0.1, k2, "Exists", True, solver.DEFAULT_SOLVER)
 
 
 # ---------------------------------------------------------------- CLI

@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from oscispec.solver import (
     SquareWell,
     _brent,
     _CoefficientGrid,
+    _rk4,
+    _step_maps,
     convergence_study,
     eigenfunction,
     find_bound_state,
@@ -154,19 +157,47 @@ def test_gauged_formulation_finds_the_same_root(canonical, canonical_k2):
     assert root == pytest.approx(kap, rel=1e-5)
 
 
+def shipped_grid(name, eps=0.1):
+    cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
+    V = cfg.build_potential()
+    return V, cfg, _CoefficientGrid(V, eps, eps / cfg.points_per_period)
+
+
 @pytest.mark.parametrize("name", ["canonical", "two_mode"])
 def test_mismatch_lanes_match_one_kappa_at_a_time(name):
-    cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
-    grid = _CoefficientGrid(cfg.build_potential(), 0.1, 0.1 / cfg.points_per_period)
+    _, _, grid = shipped_grid(name)
     ks = np.linspace(1e-6, 0.5, 41)
-    # real lanes run the scalar arithmetic elementwise: bit for bit
-    scalar = np.array([grid.mismatch(k) for k in ks.tolist()])
-    assert grid.mismatch(ks).tobytes() == scalar.tobytes()
-    # numpy's complex multiply may round differently in the last ulp; measured
-    # norm-wise, since lanes near a zero of F lose relative digits to cancellation
-    kc = ks * np.exp(0.6j)
-    scalar = np.array([grid.mismatch(k) for k in kc.tolist()])
-    assert np.max(np.abs(grid.mismatch(kc) - scalar)) <= 1e-15 * np.max(np.abs(scalar))
+    # one kappa composes step maps, lanes step sequentially: the rounding differs,
+    # so compare norm-wise (lanes near a zero of F lose relative digits to cancellation)
+    for kappas in (ks, ks * np.exp(0.6j)):
+        scalar = np.array([grid.mismatch(k) for k in kappas.tolist()])
+        assert np.max(np.abs(grid.mismatch(kappas) - scalar)) <= 1e-14 * np.max(np.abs(scalar))
+
+
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+@pytest.mark.parametrize("lam", [-1e-3, -0.01 + 0.004j])
+def test_step_map_columns_are_one_rk4_step_from_the_basis(name, lam):
+    _, _, grid = shipped_grid(name)
+    m00, m01, m10, m11 = _step_maps(grid, lam)
+    dtype = m00.dtype
+    for k in range(grid.steps.size):
+        one_step = SimpleNamespace(steps=grid.steps[k : k + 1], a=[x[k : k + 1] for x in grid.a], b=None)
+        # two lanes: the basis columns (1, 0) and (0, 1)
+        u, w = _rk4(one_step, np.array([1.0, 0.0], dtype=dtype), np.array([0.0, 1.0], dtype=dtype), lam)
+        assert u.tobytes() == np.array([m00[k], m01[k]]).tobytes()
+        assert w.tobytes() == np.array([m10[k], m11[k]]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+def test_composed_mismatch_matches_an_extended_precision_march(name):
+    V, cfg, grid = shipped_grid(name)
+    res = find_bound_state(V, 0.1, cfg=SolverConfig(points_per_fast_period=cfg.points_per_period))
+    for kappa in (res.kappa.real, 0.5 * res.kappa.real, 2.0 * res.kappa.real):
+        # the same RK4 scheme on the same samples, stepped one step at a time in long double
+        k = np.array([kappa], dtype=np.longdouble)
+        u, w = _rk4(grid, np.ones(1, dtype=np.longdouble), k, -k * k)
+        reference = (w + k * u)[0]
+        assert abs(np.longdouble(grid.mismatch(kappa)) - reference) <= 2e-15
 
 
 def test_find_bound_state_frees_its_grid_without_the_cycle_collector(canonical, canonical_k2, monkeypatch):
@@ -200,6 +231,16 @@ def test_brent_reproduces_scipy_brentq_on_the_square_well_oracle(depth, bracket)
         assert root.hex() == ref.hex()
         assert its == info.iterations
         assert froot == g(root)
+
+
+def test_bracket_reaches_past_kappa_one_on_a_deep_potential():
+    # kappa^2 <= sup|V| = 625 caps the search here, not kappa = 1
+    V = canonical_potential(amplitude=1e4)
+    scan = scan_roots(V, 0.05, window=(0.2, 3.0))
+    assert scan.count == 1 and scan.kappas[0] > 1.0
+    res = find_bound_state(V, 0.05)
+    assert res is not None and res.converged
+    assert res.kappa.real == pytest.approx(scan.kappas[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------- guards
