@@ -179,36 +179,38 @@ def compute_k_eps(
     if nodes.size == 0:
         return KEpsReport(eps=float(eps), m1=0j, m2=0j, k_eps=0j)
 
-    qt = g.q_tilde(nodes)
-    l1 = -g.f_tilde(nodes) / qt
+    coef = g.coefficients(nodes)
+    l1 = -coef.f / coef.q
     m1 = complex(np.sum(weights * l1))
 
     n_per = cfg.nodes_per_panel
     n_panels = nodes.size // n_per
     contrib0 = (weights * l1).reshape(n_panels, n_per)
     contrib1 = (weights * nodes * l1).reshape(n_panels, n_per)
-    prefix0 = np.concatenate([[0.0 + 0j], np.cumsum(contrib0.sum(axis=1))[:-1]])
-    prefix1 = np.concatenate([[0.0 + 0j], np.cumsum(contrib1.sum(axis=1))[:-1]])
-    s0 = complex(contrib0.sum())
-    s1 = complex(contrib1.sum())
+    prefix0 = np.concatenate([[0.0], np.cumsum(contrib0.sum(axis=1))[:-1]])
+    prefix1 = np.concatenate([[0.0], np.cumsum(contrib1.sum(axis=1))[:-1]])
+    s0 = contrib0.sum()
+    s1 = contrib1.sum()
 
-    # partial-panel pieces from the panel's left edge to each node
+    # partial-panel pieces from the panel's left edge to each node, one
+    # Gauss-Legendre point of [left, node] at a time so the samples stay node-sized
     lefts = np.repeat(edges[:-1], n_per)
     half = 0.5 * (nodes - lefts)
     mid = 0.5 * (nodes + lefts)
-    gx, gw = _gauss_legendre(n_per)
-    pts = mid[:, None] + half[:, None] * gx[None, :]
-    sub_l1 = -g.f_tilde(pts) / g.q_tilde(pts)
-    part0 = np.sum(half[:, None] * gw[None, :] * sub_l1, axis=1)
-    part1 = np.sum(half[:, None] * gw[None, :] * pts * sub_l1, axis=1)
+    part0 = part1 = 0.0
+    for gx, gw in zip(*_gauss_legendre(n_per)):
+        pts = mid + half * gx
+        sub = g.coefficients(pts)
+        sub_l1 = -sub.f / sub.q
+        part0 = part0 + half * gw * sub_l1
+        part1 = part1 + half * gw * pts * sub_l1
 
     c0 = prefix0.repeat(n_per) + part0
     c1 = prefix1.repeat(n_per) + part1
 
     G = 2.0 * nodes * c0 - 2.0 * c1 + s1 - nodes * s0
     Gp = 2.0 * c0 - s0
-    vprime = g.v_total_d1(nodes)
-    m2 = complex(np.sum(weights * (2.0 * eps * vprime / qt * Gp + l1 * G)))
+    m2 = complex(np.sum(weights * (2.0 * eps * coef.vprime / coef.q * Gp + l1 * G)))
 
     k_eps = 0.5 * eps * m1 + 0.5 * eps**2 * m2
     return KEpsReport(eps=float(eps), m1=m1, m2=m2, k_eps=k_eps)

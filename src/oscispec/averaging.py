@@ -92,9 +92,7 @@ def fast_panel_grid(
 def oscillatory_integral(u: TwoScaleFunction, eps: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
     """Integral of the fast trace x -> u(x, x/eps) over the support hull, on the fast-period panel grid."""
     nodes, weights = fast_panel_grid(u.support_hull, eps, cfg)
-    if nodes.size == 0:
-        return 0j
-    return complex(np.sum(weights * np.asarray(u.eval_fast(nodes, eps))))
+    return complex(np.sum(weights * u.eval_fast(nodes, eps)))
 
 
 def _breakpoint_integral(
@@ -188,13 +186,15 @@ def decay_order_fit(
         raise ValueError("epsilons must be positive and strictly decreasing")
 
     limit = averaged_integral(u)
-    errors = [abs(oscillatory_integral(u, e, cfg) - limit) for e in eps_list]
-
-    # Round-off floor estimate: accumulated rounding of the largest-eps
-    # quadrature, scaled by the L1 size of the integrand.
-    nodes, weights = fast_panel_grid(u.support_hull, eps_list[0], cfg)
-    scale = float(np.sum(weights * np.abs(u.eval_fast(nodes, eps_list[0])))) if nodes.size else 0.0
-    floor = 1e-13 * (1.0 + scale)
+    errors = []
+    for e in eps_list:
+        nodes, weights = fast_panel_grid(u.support_hull, e, cfg)
+        vals = u.eval_fast(nodes, e)
+        errors.append(abs(complex(np.sum(weights * vals)) - limit))
+        if e == eps_list[0]:
+            # Round-off floor estimate: accumulated rounding of the largest-eps
+            # quadrature, scaled by the L1 size of the integrand.
+            floor = 1e-13 * (1.0 + float(np.sum(weights * np.abs(vals))))
 
     used = tuple(err > floor for err in errors)
     if sum(used) < 3:

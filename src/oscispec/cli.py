@@ -23,7 +23,7 @@ from . import asymptotics as asym
 from . import solver as slv
 from .averaging import DEFAULT_QUADRATURE, decay_order_fit
 from .config import ConfigError, ExperimentConfig, load_config
-from .gauge import build_gauge, default_catalog, identity_residual
+from .gauge import _identity_residuals, build_gauge, default_catalog
 
 CSV_HEADER = (
     "eps,k2_re,k2_im,lambda_pred_re,lambda_pred_im,"
@@ -280,8 +280,7 @@ def _cmd_gauge_check(cfg: ExperimentConfig) -> tuple[bytes, int]:
         g = build_gauge(V, eps)
         x0, x1 = V.support_hull
         grid = np.arange(x0, x1 + eps / 80.0, eps / 40.0)
-        for probe in catalog:
-            res = identity_residual(g, probe, grid)
+        for probe, res in zip(catalog, _identity_residuals(g, catalog, grid)):
             worst = max(worst, res)
             rows.append((f"eps={eps:.6g}:{probe.label}", _fmt(res)))
     return _table("probe,residual", rows, ["# max_residual=" + _fmt(worst)]), 0

@@ -9,15 +9,15 @@ first-order perturbation L with compactly supported coefficients:
     f(x)   = eps*V*v - eps*v_xx - 2*v_x_xi     (evaluated at (x, x/eps)).
 
 The identity is exact, which this module exposes as a per-point residual
-check; everything is built from the closed-form corrector evaluators, so the
-residual measures floating-point noise only.
+check; every coefficient comes from closed-form partials of the corrector,
+so the residual measures floating-point noise only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,16 +92,6 @@ def sinusoid(freq: float, phase: float = 0.0, amplitude: float = 1.0) -> TestFun
     return TestFunction(f"sin(w={w:g},ph={ph:g},A={A:g})", f, df, d2f)
 
 
-def constant(value: float = 1.0) -> TestFunction:
-    v = float(value)
-    return TestFunction(
-        f"const({v:g})",
-        lambda x: np.full(np.shape(x), v, dtype=float),
-        lambda x: np.zeros(np.shape(x)),
-        lambda x: np.zeros(np.shape(x)),
-    )
-
-
 def default_catalog() -> tuple[TestFunction, ...]:
     """Ten probes mixing Gaussian bumps, polynomial-weighted Gaussians and sinusoids."""
     return (
@@ -118,13 +108,25 @@ def default_catalog() -> tuple[TestFunction, ...]:
     )
 
 
+class GaugeCoefficients(NamedTuple):
+    """The gauge quantities along the fast diagonal, sampled at one set of points."""
+
+    q: np.ndarray  # 1 + eps^2 v
+    dq: np.ndarray  # q'
+    d2q: np.ndarray  # q''
+    f: np.ndarray  # eps*V*v - eps*v_xx - 2*v_x_xi
+    vprime: np.ndarray  # total derivative d/dx of v(x, x/eps): v_x + v_xi / eps
+    V: np.ndarray
+
+
 @dataclass(frozen=True)
 class GaugeData:
     """Gauge factor, its x-derivatives, and the first-order coefficient f.
 
-    All evaluators are vectorized in x and exact along the fast diagonal:
-    q' and q'' expand the total derivative d/dx of v(x, x/eps) through the
-    corrector's closed-form partials, and q'' reuses d2v/dxi2 = V.
+    ``coefficients`` samples them all in one walk over the corrector's modes,
+    exact along the fast diagonal: q' and q'' expand the total derivative
+    d/dx of v(x, x/eps) through the corrector's closed-form partials, and q''
+    reuses d2v/dxi2 = V.  The single-quantity methods are views of it.
     """
 
     eps: float
@@ -134,49 +136,39 @@ class GaugeData:
     def potential(self) -> TwoScaleFunction:
         return self.corrector.potential
 
-    def _fast(self, x):
-        return np.asarray(x, dtype=float)
+    def coefficients(self, x) -> GaugeCoefficients:
+        """q, q', q'', f, v' and V at the points x, from one walk over the corrector's modes."""
+        x = np.asarray(x, dtype=float)
+        eps = self.eps
+        # (dx, dxi) partials of the corrector v, with V = d2v/dxi2
+        partials = ((0, 2), (0, 0), (1, 0), (2, 0), (0, 1), (1, 1))
+        V, v, v_x, v_xx, v_xi, v_x_xi = self.corrector.v._mode_sums(x, x / eps, partials)
+        return GaugeCoefficients(
+            q=1.0 + eps**2 * v,
+            dq=eps**2 * v_x + eps * v_xi,
+            d2q=eps**2 * v_xx + 2.0 * eps * v_x_xi + V,
+            f=eps * V * v - eps * v_xx - 2.0 * v_x_xi,
+            vprime=v_x + v_xi / eps,
+            V=V,
+        )
 
     def V_fast(self, x):
-        x = self._fast(x)
-        return self.potential.eval(x, x / self.eps)
+        return self.coefficients(x).V
 
     def v_fast(self, x):
-        x = self._fast(x)
-        return self.corrector.value(x, x / self.eps)
-
-    def v_total_d1(self, x):
-        """Total derivative d/dx of v(x, x/eps): v_x + v_xi / eps."""
-        x = self._fast(x)
-        xi = x / self.eps
-        return self.corrector.d_x(x, xi) + self.corrector.d_xi(x, xi) / self.eps
+        return self.corrector.v.eval_fast(x, self.eps)
 
     def q_tilde(self, x):
-        return 1.0 + self.eps**2 * self.v_fast(x)
+        return self.coefficients(x).q
 
     def q_tilde_d1(self, x):
-        x = self._fast(x)
-        xi = x / self.eps
-        return self.eps**2 * self.corrector.d_x(x, xi) + self.eps * self.corrector.d_xi(x, xi)
+        return self.coefficients(x).dq
 
     def q_tilde_d2(self, x):
-        x = self._fast(x)
-        xi = x / self.eps
-        return (
-            self.eps**2 * self.corrector.d_xx(x, xi)
-            + 2.0 * self.eps * self.corrector.d_x_xi(x, xi)
-            + self.potential.eval(x, xi)
-        )
+        return self.coefficients(x).d2q
 
     def f_tilde(self, x):
-        """eps*V*v - eps*v_xx - 2*v_x_xi along the fast diagonal."""
-        x = self._fast(x)
-        xi = x / self.eps
-        return (
-            self.eps * self.potential.eval(x, xi) * self.corrector.value(x, xi)
-            - self.eps * self.corrector.d_xx(x, xi)
-            - 2.0 * self.corrector.d_x_xi(x, xi)
-        )
+        return self.coefficients(x).f
 
 
 def build_gauge(V: TwoScaleFunction, eps: float) -> GaugeData:
@@ -204,11 +196,27 @@ def _check_grid(g: GaugeData, grid: np.ndarray) -> np.ndarray:
     return grid
 
 
+def _apply_L(g: GaugeData, c: GaugeCoefficients, phi: TestFunction, grid: np.ndarray) -> np.ndarray:
+    return g.eps * (2.0 / c.q) * c.vprime * phi.df(grid) - c.f / c.q * phi.f(grid)
+
+
 def apply_L(g: GaugeData, phi: TestFunction, grid) -> np.ndarray:
     """Sample L[phi] on the grid; exactly zero outside the support hull."""
     grid = _check_grid(g, grid)
-    qt = g.q_tilde(grid)
-    return g.eps * (2.0 / qt) * g.v_total_d1(grid) * phi.df(grid) - g.f_tilde(grid) / qt * phi.f(grid)
+    return _apply_L(g, g.coefficients(grid), phi, grid)
+
+
+def _identity_residuals(g: GaugeData, catalog: Sequence[TestFunction], grid) -> list[float]:
+    """``identity_residual`` of every probe, with the gauge sampled on the grid once."""
+    grid = _check_grid(g, grid)
+    c = g.coefficients(grid)
+    out = []
+    for phi in catalog:
+        fv, dfv, d2fv = phi.f(grid), phi.df(grid), phi.d2f(grid)
+        lhs = -(c.d2q * fv + 2.0 * c.dq * dfv + c.q * d2fv) + c.V * c.q * fv
+        rhs = c.q * (-d2fv - g.eps * _apply_L(g, c, phi, grid))
+        out.append(float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(fv) + np.abs(d2fv)))))
+    return out
 
 
 def identity_residual(g: GaugeData, phi: TestFunction, grid) -> float:
@@ -218,13 +226,7 @@ def identity_residual(g: GaugeData, phi: TestFunction, grid) -> float:
     across probes.  The identity is algebraically exact, so anything beyond
     accumulated round-off indicates an implementation fault.
     """
-    grid = _check_grid(g, grid)
-    fv, dfv, d2fv = phi.f(grid), phi.df(grid), phi.d2f(grid)
-    qt = g.q_tilde(grid)
-    lhs = -(g.q_tilde_d2(grid) * fv + 2.0 * g.q_tilde_d1(grid) * dfv + qt * d2fv) + g.V_fast(grid) * qt * fv
-    rhs = qt * (-d2fv - g.eps * apply_L(g, phi, grid))
-    defect = np.abs(lhs - rhs) / (1.0 + np.abs(fv) + np.abs(d2fv))
-    return float(np.max(defect))
+    return _identity_residuals(g, (phi,), grid)[0]
 
 
 def l_bound_sample(
@@ -242,9 +244,11 @@ def l_bound_sample(
     nodes, weights = fast_panel_grid(g.potential.support_hull, g.eps, cfg)
     if nodes.size == 0:
         return 0.0
+    nodes = _check_grid(g, nodes)
+    c = g.coefficients(nodes)
     worst = 0.0
     for phi in catalog:
-        lv = apply_L(g, phi, nodes)
+        lv = _apply_L(g, c, phi, nodes)
         num = math.sqrt(float(np.sum(weights * np.abs(lv) ** 2)))
         den = math.sqrt(
             float(

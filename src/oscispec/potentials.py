@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -29,10 +30,22 @@ POLY = "poly"
 SMOOTH = "smooth"
 ZERO = "zero"
 
+# Points per pass of the mode walk: a block's temporaries stay in cache, which
+# made the walk about twice as fast as whole-array passes at 80k points.
+_BLOCK = 4096
+
 # exp(1 - 1/s) underflows to zero below this s; evaluating the rational
 # prefactors there would produce inf*0, so the cutoff is applied to value and
-# derivatives alike.
+# derivatives alike, and the bump is evaluated inside it only.
 _SMOOTH_CUT = 1.35e-3
+
+
+def _ipow(u: np.ndarray, p: int) -> np.ndarray:
+    """u**p for an integer p >= 0 by repeated products; numpy's power calls libm pow beyond squares."""
+    out = np.ones_like(u) if p == 0 else u
+    for _ in range(p - 1):
+        out = out * u
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,53 +88,48 @@ class SlowProfile:
         same shape.  ``order`` must be 0, 1 or 2 (higher derivatives of the
         bump envelopes are not closed-form tracked here).
         """
+        out = self.amplitude * self._shape(x, order)
+        return complex(out) if out.ndim == 0 else out
+
+    def _shape(self, x, order: int) -> np.ndarray:
+        """The profile over its amplitude, or one of its x-derivatives, as a real array shaped like x."""
         if order not in (0, 1, 2):
             raise ValueError("profile derivatives are tracked up to order 2 only")
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        out = np.zeros(arr.shape, dtype=complex)
         if self.kind == ZERO:
-            return complex(out[0]) if scalar else out.reshape(np.shape(x))
+            return np.zeros(arr.shape)
         a, b = self.support
         if self.kind == POLY:
             p = int(self.power)
-            inside = (arr >= a) & (arr <= b)
-            u = arr[inside] - a
-            w = b - arr[inside]
+            u = arr - a
+            w = b - arr
             if order == 0:
-                vals = u**p * w**p
+                vals = _ipow(u, p) * _ipow(w, p)
             elif order == 1:
-                vals = p * (u ** (p - 1) * w**p - u**p * w ** (p - 1))
+                vals = p * _ipow(u * w, p - 1) * (w - u)
+            elif p == 1:
+                vals = np.full(arr.shape, -2.0)
             else:
-                if p == 1:
-                    vals = -2.0 * np.ones_like(u)
-                else:
-                    vals = p * (
-                        (p - 1) * (u ** (p - 2) * w**p + u**p * w ** (p - 2))
-                        - 2.0 * p * u ** (p - 1) * w ** (p - 1)
-                    )
-            out[inside] = self.amplitude * vals
+                vals = p * _ipow(u * w, p - 2) * ((p - 1) * (u * u + w * w) - 2.0 * p * u * w)
+            return np.where((arr >= a) & (arr <= b), vals, 0.0)
+        half = 0.5 * (b - a)
+        t = (arr - 0.5 * (a + b)) / half
+        s = 1.0 - t * t
+        inside = s > _SMOOTH_CUT
+        ti = t[inside]
+        si = s[inside]
+        g = np.exp(1.0 - 1.0 / si)
+        if order == 0:
+            vals = g
+        elif order == 1:
+            vals = g * (-2.0 * ti / si**2) / half
         else:
-            half = 0.5 * (b - a)
-            t = (arr - 0.5 * (a + b)) / half
-            s = 1.0 - t * t
-            inside = s > _SMOOTH_CUT
-            ti = t[inside]
-            si = s[inside]
-            g = np.exp(1.0 - 1.0 / si)
-            if order == 0:
-                vals = g
-            elif order == 1:
-                vals = g * (-2.0 * ti / si**2) / half
-            else:
-                phi1 = -2.0 * ti / si**2
-                phi2 = -2.0 * (1.0 + 3.0 * ti * ti) / si**3
-                vals = g * (phi1 * phi1 + phi2) / half**2
-            out[inside] = self.amplitude * vals
-        if scalar:
-            return complex(out[0])
-        return out.reshape(np.broadcast(np.asarray(x)).shape)
+            phi1 = -2.0 * ti / si**2
+            phi2 = -2.0 * (1.0 + 3.0 * ti * ti) / si**3
+            vals = g * (phi1 * phi1 + phi2) / half**2
+        out = np.zeros(arr.shape)
+        out[inside] = vals
+        return out
 
     def scaled(self, factor: complex) -> "SlowProfile":
         if self.kind == ZERO:
@@ -212,7 +220,7 @@ class TwoScaleFunction:
     def has_zero_mean(self) -> bool:
         return 0 not in self.modes
 
-    @property
+    @cached_property
     def is_real(self) -> bool:
         """Structural check that c_{-n} is the complex conjugate envelope of c_n."""
         for n, prof in self.modes.items():
@@ -233,25 +241,63 @@ class TwoScaleFunction:
 
     # -- evaluation -----------------------------------------------------------
 
+    def _mode_sums(self, x, xi, terms) -> list[np.ndarray]:
+        """sum_n (2 pi i n)^dxi * c_n^(dx)(x) * exp(2 pi i n xi) for every (dx, dxi) in terms.
+
+        One walk over the modes per block of _BLOCK points, so that every
+        temporary stays in cache; within a block each phase and each envelope
+        shape and order are evaluated once.  For a real function the pair
+        (n, -n) folds into k Re(w c_n^(dx) e^{i theta}) with k = 2, valid
+        because every weight w(n) = (2 pi i n)^dxi satisfies
+        w(-n) = conj(w(n)); the mean mode has no partner and k = 1.  The sums
+        of a real function are float arrays built with cos and sin.  x and xi
+        broadcast against each other.
+        """
+        x, xi = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
+        shape, x, xi = x.shape, x.ravel(), xi.ravel()
+        real = self.is_real
+        sums = [np.zeros(x.size, dtype=float if real else complex) for _ in terms]
+        modes = [(n, prof) for n, prof in sorted(self.modes.items()) if n >= 0 or not real]
+        orders = sorted({dx for dx, _ in terms})
+        for lo in range(0, x.size, _BLOCK):
+            xb, xib = x[lo : lo + _BLOCK], xi[lo : lo + _BLOCK]
+            accs = [acc[lo : lo + _BLOCK] for acc in sums]
+            shapes: dict = {}  # envelope samples by shape and order: the modes of a pair share them
+            phases: dict = {}  # exp(i theta) by mode: -n takes the conjugate of n's
+            for n, prof in modes:
+                theta = TWO_PI * n * xib
+                cos = sin = None
+                for order in orders:
+                    key = (prof.kind, prof.support, prof.power, order)
+                    if key not in shapes:
+                        shapes[key] = prof._shape(xb, order)
+                    env = shapes[key]
+                    for acc, (dx, dxi) in zip(accs, terms):
+                        if dx != order:
+                            continue
+                        s = (TWO_PI * 1j * n) ** dxi * prof.amplitude if dxi else prof.amplitude
+                        if not real:
+                            if n not in phases:
+                                phases[n] = np.conj(phases[-n]) if -n in phases else np.exp(1j * theta)
+                            acc += (s * env) * phases[n]
+                        else:  # k Re(s e^{i theta}) = k s.re cos(theta) - k s.im sin(theta)
+                            k = 2.0 if n else 1.0
+                            if s.real:
+                                cos = np.cos(theta) if cos is None else cos
+                                acc += (k * s.real * env) * cos
+                            if s.imag:
+                                sin = np.sin(theta) if sin is None else sin
+                                acc -= (k * s.imag * env) * sin
+        return [acc.reshape(shape) for acc in sums]
+
     def eval(self, x, xi, dx: int = 0, dxi: int = 0):
         """Evaluate d^dx/dx^dx d^dxi/dxi^dxi u at (x, xi).
 
         x and xi broadcast against each other; outside the support hull the
-        result is exactly zero because every envelope is.
+        result is exactly zero because every envelope is.  Real functions
+        give float samples, others complex; scalar input gives a scalar.
         """
-        xarr = np.asarray(x, dtype=float)
-        xiarr = np.asarray(xi, dtype=float)
-        scalar = xarr.ndim == 0 and xiarr.ndim == 0
-        xb, xib = np.broadcast_arrays(np.atleast_1d(xarr), np.atleast_1d(xiarr))
-        out = np.zeros(xb.shape, dtype=complex)
-        for n in sorted(self.modes):
-            prof = self.modes[n]
-            envelope = prof.evaluate(xb, order=dx)
-            factor = (TWO_PI * 1j * n) ** dxi if dxi else 1.0
-            out = out + envelope * factor * np.exp(TWO_PI * 1j * n * xib)
-        if scalar:
-            return complex(out.reshape(-1)[0])
-        return out.reshape(np.broadcast(xarr, xiarr).shape)
+        return self._mode_sums(x, xi, ((dx, dxi),))[0][()]
 
     def eval_fast(self, x, eps: float):
         """Trace along the fast diagonal: u(x, x/eps)."""
@@ -297,30 +343,16 @@ def p_transform(u: TwoScaleFunction) -> TwoScaleFunction:
 
 @dataclass(frozen=True)
 class CorrectorBundle:
-    """Corrector v with d^2 v / dxi^2 = V, zero fast mean, and its derivatives.
+    """Corrector v with d^2 v / dxi^2 = V and zero fast mean.
 
-    All evaluators are exact mode-space expressions; no finite differencing.
-    The mixed and second slow derivatives require the envelope second
-    derivatives, which every profile kind provides in closed form.
+    Its partials are exact mode-space expressions, ``v.eval(x, xi, dx, dxi)``;
+    no finite differencing.  The mixed and second slow derivatives require the
+    envelope second derivatives, which every profile kind provides in closed
+    form.
     """
 
     potential: TwoScaleFunction
     v: TwoScaleFunction
-
-    def value(self, x, xi):
-        return self.v.eval(x, xi)
-
-    def d_xi(self, x, xi):
-        return self.v.eval(x, xi, dxi=1)
-
-    def d_x(self, x, xi):
-        return self.v.eval(x, xi, dx=1)
-
-    def d_xx(self, x, xi):
-        return self.v.eval(x, xi, dx=2)
-
-    def d_x_xi(self, x, xi):
-        return self.v.eval(x, xi, dx=1, dxi=1)
 
     def sup_abs(self) -> float:
         """Upper bound for sup |v| (sum of per-mode suprema)."""

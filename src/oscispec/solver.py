@@ -264,8 +264,8 @@ class _CoefficientGrid(_StageGrid):
     def __init__(self, V, eps: float, h: float):
         super().__init__(V.support_hull, eps, h)
         vals = np.asarray(V.eval_fast(self.xs, eps))
-        self.real = bool(getattr(V, "is_real", False))
-        self.a = _by_stage(vals.real if self.real else vals)
+        self.real = not np.iscomplexobj(vals)
+        self.a = _by_stage(vals)
 
 
 @dataclass(frozen=True)
@@ -713,13 +713,10 @@ class _GaugedGrid(_StageGrid):
         eps = g.eps
         h = step if step is not None else eps / cfg.points_per_fast_period
         super().__init__(g.potential.support_hull, eps, h)
-        qt = g.q_tilde(self.xs)
-        alpha = eps * g.f_tilde(self.xs) / qt
-        beta = -2.0 * eps**2 * g.v_total_d1(self.xs) / qt
-        self.real = bool(getattr(g.potential, "is_real", False))
-        if self.real:
-            alpha = alpha.real
-            beta = beta.real
+        c = g.coefficients(self.xs)
+        alpha = eps * c.f / c.q
+        beta = -2.0 * eps**2 * c.vprime / c.q
+        self.real = not np.iscomplexobj(alpha)
         self.a = _by_stage(alpha)
         self.b = _by_stage(beta)
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscispec.asymptotics import compute_k_eps
 from oscispec.gauge import (
     GaugeData,
+    _identity_residuals,
     apply_L,
     build_gauge,
     default_catalog,
@@ -13,7 +15,14 @@ from oscispec.gauge import (
     l_bound_sample,
     sinusoid,
 )
-from oscispec.potentials import TwoScaleFunction, build_corrector, poly_bump, smooth_bump
+from oscispec.potentials import (
+    TwoScaleFunction,
+    build_corrector,
+    canonical_potential,
+    combine,
+    poly_bump,
+    smooth_bump,
+)
 
 
 @pytest.fixture
@@ -131,3 +140,60 @@ def test_identity_holds_for_smooth_envelopes():
     grid = dense_grid(V, 0.04)
     for probe in default_catalog()[:4]:
         assert identity_residual(g, probe, grid) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "V",
+    [
+        canonical_potential(),
+        combine(
+            TwoScaleFunction.single_mode(1, poly_bump(30 + 10j, 3, (0.0, 1.5))),
+            TwoScaleFunction.single_mode(-2, poly_bump(5 - 2j, 2, (0.25, 1.0))),
+        ),
+        TwoScaleFunction.from_sine(2, smooth_bump(8.0, (-0.5, 0.5))),
+    ],
+    ids=["canonical", "complex", "smooth"],
+)
+@pytest.mark.parametrize("eps", [0.1, 0.02])
+def test_coefficients_match_the_per_quantity_formulas(V, eps):
+    # the acceptance criterion 8 potentials; each quantity is assembled from
+    # partials of v summed mode by mode, unfolded, in complex arithmetic
+    g = build_gauge(V, eps)
+    x = dense_grid(V, eps, pad=0.05)
+    xi = x / eps
+
+    def partial(u, dx, dxi):
+        return sum(
+            (2j * np.pi * n) ** dxi * prof.evaluate(x, dx) * np.exp(2j * np.pi * n * xi) for n, prof in u.modes.items()
+        )
+
+    v = g.corrector.v
+    Vs = partial(V, 0, 0)
+    v0, v_x, v_xx, v_xi, v_x_xi = (partial(v, dx, dxi) for dx, dxi in ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1)))
+    expect = {
+        "q": 1.0 + eps**2 * v0,
+        "dq": eps**2 * v_x + eps * v_xi,
+        "d2q": eps**2 * v_xx + 2.0 * eps * v_x_xi + Vs,
+        "f": eps * Vs * v0 - eps * v_xx - 2.0 * v_x_xi,
+        "vprime": v_x + v_xi / eps,
+        "V": Vs,
+    }
+    got = g.coefficients(x)
+    for name, ref in expect.items():
+        assert np.max(np.abs(getattr(got, name) - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+
+def test_catalog_residuals_equal_the_per_probe_residuals(gauge):
+    grid = dense_grid(gauge.potential, gauge.eps)
+    catalog = default_catalog()
+    assert _identity_residuals(gauge, catalog, grid) == [identity_residual(gauge, p, grid) for p in catalog]
+
+
+def test_k_eps_of_a_real_potential_has_exactly_real_moments():
+    V = combine(
+        TwoScaleFunction.from_cosine(1, poly_bump(40.0, 2, (-0.5, 1.0))),
+        TwoScaleFunction.from_sine(2, smooth_bump(15.0, (-0.5, 1.0))),
+    )
+    for eps in (0.1, 0.025):
+        rep = compute_k_eps(V, eps)
+        assert (rep.m1.imag, rep.m2.imag, rep.k_eps.imag) == (0.0, 0.0, 0.0)

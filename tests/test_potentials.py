@@ -223,3 +223,63 @@ def test_corrector_mixed_derivative_means_vanish(canonical):
 def test_scaled_multiplies_every_mode(canonical):
     doubled = canonical.scaled(2.0)
     assert doubled.eval_fast(XS, 0.1) == pytest.approx(2.0 * canonical.eval_fast(XS, 0.1))
+
+
+# ---------------------------------------------------------------- mode walk
+
+
+@st.composite
+def mode_sets(draw):
+    """1-3 harmonics in 1..5 drawn as in acceptance criterion 6, optionally
+    with a real mean mode or a pair of independent complex amplitudes."""
+    total = None
+    for n in draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)):
+        a = draw(st.floats(-1.0, 1.0))
+        b = a + draw(st.floats(0.3, 1.5))
+        if draw(st.booleans()):
+            power = draw(st.integers(2, 4))
+
+            def envelope(amp, power=power, a=a, b=b):
+                return poly_bump(amp, power, (a, b))
+        else:
+
+            def envelope(amp, a=a, b=b):
+                return smooth_bump(amp, (a, b))
+
+        amp = draw(st.floats(-50.0, 50.0).filter(lambda v: abs(v) > 1e-3))
+        form = draw(st.sampled_from(["cos", "sin", "pair"]))
+        if form == "pair":
+            other = complex(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
+            piece = TwoScaleFunction(modes={n: envelope(complex(amp, amp / 3)), -n: envelope(other)})
+        elif form == "cos":
+            piece = TwoScaleFunction.from_cosine(n, envelope(amp))
+        else:
+            piece = TwoScaleFunction.from_sine(n, envelope(amp))
+        total = piece if total is None else combine(total, piece, 1.0, 1.0)
+    if draw(st.booleans()):
+        total = combine(total, TwoScaleFunction.single_mode(0, smooth_bump(draw(st.floats(-20.0, 20.0)), (-0.5, 0.8))))
+    return total
+
+
+@given(u=mode_sets(), eps=st.floats(1e-3, 0.1))
+@settings(max_examples=60, deadline=None)
+def test_folded_trace_matches_the_unfolded_mode_sum(u, eps):
+    x0, x1 = u.support_hull
+    x = np.linspace(x0 - 0.1, x1 + 0.1, 1999)
+    xi = x / eps
+    reference = sum(prof.evaluate(x) * np.exp(2j * np.pi * n * xi) for n, prof in u.modes.items())
+    got = u.eval_fast(x, eps)
+    assert got.dtype == (np.float64 if u.is_real else np.complex128)
+    assert np.max(np.abs(got - reference)) <= 4e-16 * u.sup_abs() * len(u.modes)
+
+
+def test_mean_mode_counts_once():
+    mean = smooth_bump(3.0, (0.0, 1.0))
+    u = combine(TwoScaleFunction.single_mode(0, mean), TwoScaleFunction.from_cosine(2, poly_bump(5.0, 2, (0, 1))))
+    x = np.linspace(0.0, 1.0, 101)
+    assert u.is_real
+    assert np.array_equal(TwoScaleFunction.single_mode(0, mean).eval_fast(x, 0.1), mean.evaluate(x).real)
+    # the mode-2 pair averages out over whole periods of xi, the mean does not
+    xi = np.linspace(0.0, 1.0, 64, endpoint=False)
+    period_mean = u.eval(np.full_like(xi, 0.4), xi).mean()
+    assert period_mean == pytest.approx(mean.evaluate(0.4).real, rel=1e-14)
