@@ -17,17 +17,10 @@ from .asymptotics import (
     fit_k_eps_coefficients,
     predict_lambda,
 )
-from .averaging import (
-    DEFAULT_QUADRATURE,
-    DecayFit,
-    QuadratureConfig,
-    decay_order_fit,
-    oscillatory_integral,
-)
+from .averaging import DecayFit, decay_order_fit, oscillatory_integral
 from .config import ConfigError, ExperimentConfig, ModeSpec, load_config, parse_config
 from .gauge import GaugeData, TestFunction, build_gauge, default_catalog, identity_residual
 from .potentials import (
-    CorrectorBundle,
     SlowProfile,
     TwoScaleFunction,
     build_corrector,
@@ -56,8 +49,6 @@ __all__ = [
     "BoundStateResult",
     "ConfigError",
     "ConvergenceStudy",
-    "CorrectorBundle",
-    "DEFAULT_QUADRATURE",
     "DecayFit",
     "Existence",
     "ExperimentConfig",
@@ -65,7 +56,6 @@ __all__ = [
     "K2Report",
     "KEpsReport",
     "ModeSpec",
-    "QuadratureConfig",
     "ScanResult",
     "SlowProfile",
     "SolverConfig",

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import gauge as gauge_mod
 from .averaging import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
+    _NODES_PER_PANEL,
     _breakpoint_integral,
     _gauss_legendre,
     fast_panel_grid,
@@ -42,6 +41,8 @@ from .potentials import TwoScaleFunction
 _TINY = 1e-300
 # Hull-route panel rule, on purpose a different node set from the pair route's.
 _HULL_PANELS, _HULL_NODES = 48, 12
+# largest relative disagreement of the two k2 routes before the report is flagged
+_K2_AGREEMENT_TOL = 1e-10
 
 
 class Existence(enum.Enum):
@@ -77,7 +78,6 @@ class K2Report:
     agreement: float
     classification: Existence
     flagged: bool
-    tol: float
 
 
 def _mode_pairs(V: TwoScaleFunction) -> list:
@@ -98,7 +98,7 @@ def _pair_mean(V: TwoScaleFunction, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def compute_k2(V: TwoScaleFunction, tol: float = 1e-10) -> K2Report:
+def compute_k2(V: TwoScaleFunction) -> K2Report:
     """Evaluate k2 along two independent routes and cross-check them.
 
     Route one integrates the mode-space fast mean of (P[V])^2 over the support
@@ -106,7 +106,8 @@ def compute_k2(V: TwoScaleFunction, tol: float = 1e-10) -> K2Report:
     between consecutive envelope endpoints.  Route two assembles the same
     integral from per-pair envelope products: Beta closed form whenever a pair
     shares a poly shape, otherwise the 32 x 16 rule, so no node is shared with
-    route one.  Disagreement beyond ``tol`` flags the report but still returns it.
+    route one.  Disagreement beyond ``_K2_AGREEMENT_TOL`` flags the report but
+    still returns it.
     """
     if not V.has_zero_mean:
         raise ValueError("k2 is defined for zero-mean potentials only")
@@ -130,8 +131,7 @@ def compute_k2(V: TwoScaleFunction, tol: float = 1e-10) -> K2Report:
         by_closed_form=closed,
         agreement=agreement,
         classification=classify_existence(value, degeneracy_tol),
-        flagged=agreement > tol,
-        tol=tol,
+        flagged=agreement > _K2_AGREEMENT_TOL,
     )
 
 
@@ -145,21 +145,15 @@ def predict_lambda(k2: complex, eps: float) -> complex:
 
 @dataclass(frozen=True)
 class KEpsReport:
-    """Moments of the gauge perturbation at one eps, plus optional fit output."""
+    """Moments of the gauge perturbation at one eps."""
 
     eps: float
     m1: complex
     m2: complex
     k_eps: complex
-    c1: complex | None = None
-    c2: complex | None = None
 
 
-def compute_k_eps(
-    V: TwoScaleFunction,
-    eps: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> KEpsReport:
+def compute_k_eps(V: TwoScaleFunction, eps: float) -> KEpsReport:
     """Two moments of L: m1 = int L[1], m2 = int L[G] with the |x-t| kernel.
 
     L[1] reduces to -f/q.  G(x) = int |x-t| L[1](t) dt and its derivative
@@ -175,7 +169,7 @@ def compute_k_eps(
     """
     g = gauge_mod.build_gauge(V, eps)
     hull = V.support_hull
-    nodes, weights, edges = fast_panel_grid(hull, eps, cfg, with_edges=True)
+    nodes, weights, edges = fast_panel_grid(hull, eps, with_edges=True)
     if nodes.size == 0:
         return KEpsReport(eps=float(eps), m1=0j, m2=0j, k_eps=0j)
 
@@ -183,7 +177,7 @@ def compute_k_eps(
     l1 = -coef.f / coef.q
     m1 = complex(np.sum(weights * l1))
 
-    n_per = cfg.nodes_per_panel
+    n_per = _NODES_PER_PANEL
     n_panels = nodes.size // n_per
     contrib0 = (weights * l1).reshape(n_panels, n_per)
     contrib1 = (weights * nodes * l1).reshape(n_panels, n_per)

@@ -1,8 +1,8 @@
 """Quadrature of fast-oscillating integrands and averaging-decay diagnostics.
 
 The central object is a composite Gauss-Legendre rule whose panel width is
-locked to a fraction of the fast period.  With the default 8 panels per period
-and 6 nodes per panel the rule resolves the oscillation far below double
+locked to a fraction of the fast period.  With 8 panels per period and 6
+nodes per panel the rule resolves the oscillation far below double
 round-off, so the difference between the oscillatory integral of u(x, x/eps)
 and the integral of the fast mean is the genuine averaging remainder, not a
 quadrature artifact.
@@ -26,21 +26,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .potentials import POLY, ZERO, SlowProfile, TwoScaleFunction
+from .potentials import POLY, SlowProfile, TwoScaleFunction
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    panels_per_period: int = 8
-    nodes_per_panel: int = 6
-    max_panels: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.panels_per_period < 1 or self.nodes_per_panel < 2:
-            raise ValueError("quadrature config needs >= 1 panel per period and >= 2 nodes per panel")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# fast-period panel rule (see the module docstring); the panel budget guards against a tiny eps
+_PANELS_PER_PERIOD, _NODES_PER_PANEL = 8, 6
+_MAX_PANELS = 1_000_000
 
 # envelope-integral rule per breakpoint interval (see the module docstring)
 _PANELS, _NODES = 32, 16
@@ -61,13 +51,8 @@ def _panel_rule(lo: float, hi: float, n_panels: int, n_nodes: int) -> tuple[np.n
     return nodes, np.tile(half * gw, n_panels), edges
 
 
-def fast_panel_grid(
-    support: tuple[float, float],
-    eps: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    with_edges: bool = False,
-):
-    """Gauss-Legendre nodes and weights on panels no wider than eps/panels_per_period.
+def fast_panel_grid(support: tuple[float, float], eps: float, with_edges: bool = False):
+    """Gauss-Legendre nodes and weights on panels no wider than eps/8.
 
     Panels tile [a, b] exactly, so envelope-boundary kinks at the support
     endpoints never sit inside a panel.
@@ -79,19 +64,19 @@ def fast_panel_grid(
     if length <= 0:
         empty = np.zeros(0)
         return (empty, empty, np.zeros(1)) if with_edges else (empty, empty)
-    n_panels = max(1, math.ceil(length / (eps / cfg.panels_per_period)))
-    if n_panels > cfg.max_panels:
+    n_panels = max(1, math.ceil(length / (eps / _PANELS_PER_PERIOD)))
+    if n_panels > _MAX_PANELS:
         raise ValueError(
             f"resolution budget exceeded: {n_panels} panels needed for eps={eps:g} "
-            f"on [{a:g}, {b:g}] but max_panels={cfg.max_panels}"
+            f"on [{a:g}, {b:g}] but max_panels={_MAX_PANELS}"
         )
-    nodes, weights, edges = _panel_rule(a, b, n_panels, cfg.nodes_per_panel)
+    nodes, weights, edges = _panel_rule(a, b, n_panels, _NODES_PER_PANEL)
     return (nodes, weights, edges) if with_edges else (nodes, weights)
 
 
-def oscillatory_integral(u: TwoScaleFunction, eps: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
+def oscillatory_integral(u: TwoScaleFunction, eps: float) -> complex:
     """Integral of the fast trace x -> u(x, x/eps) over the support hull, on the fast-period panel grid."""
-    nodes, weights = fast_panel_grid(u.support_hull, eps, cfg)
+    nodes, weights = fast_panel_grid(u.support_hull, eps)
     return complex(np.sum(weights * u.eval_fast(nodes, eps)))
 
 
@@ -119,8 +104,6 @@ def profile_integral(profile: SlowProfile) -> complex:
     Poly bumps use the Beta closed form, with B expressed through exact
     integer factorials; smooth bumps use the breakpoint panel rule.
     """
-    if profile.kind == ZERO:
-        return 0j
     a, b = profile.support
     if profile.kind == POLY:
         return _poly_beta(profile.amplitude, int(profile.power), b - a)
@@ -134,8 +117,6 @@ def profile_product_integral(p1: SlowProfile, p2: SlowProfile) -> complex:
     power p1+p2; anything else uses the breakpoint panel rule (32 panels x
     16 Gauss-Legendre nodes) on the support intersection.
     """
-    if p1.kind == ZERO or p2.kind == ZERO:
-        return 0j
     lo = max(p1.support[0], p2.support[0])
     hi = min(p1.support[1], p2.support[1])
     if lo >= hi:
@@ -148,7 +129,7 @@ def profile_product_integral(p1: SlowProfile, p2: SlowProfile) -> complex:
 
 def averaged_integral(u: TwoScaleFunction) -> complex:
     """Integral of the fast mean of u over its support."""
-    return profile_integral(u.mean_profile())
+    return profile_integral(u.modes[0]) if 0 in u.modes else 0j
 
 
 @dataclass(frozen=True)
@@ -168,11 +149,7 @@ class DecayFit:
     used: tuple[bool, ...]
 
 
-def decay_order_fit(
-    u: TwoScaleFunction,
-    epsilons: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> DecayFit:
+def decay_order_fit(u: TwoScaleFunction, epsilons: Sequence[float]) -> DecayFit:
     """Measure how fast the oscillatory integral approaches the averaged one.
 
     Works for any u: the averaged part is subtracted, which reduces the
@@ -188,7 +165,7 @@ def decay_order_fit(
     limit = averaged_integral(u)
     errors = []
     for e in eps_list:
-        nodes, weights = fast_panel_grid(u.support_hull, e, cfg)
+        nodes, weights = fast_panel_grid(u.support_hull, e)
         vals = u.eval_fast(nodes, e)
         errors.append(abs(complex(np.sum(weights * vals)) - limit))
         if e == eps_list[0]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import asymptotics as asym
 from . import solver as slv
-from .averaging import DEFAULT_QUADRATURE, decay_order_fit
+from .averaging import decay_order_fit
 from .config import ConfigError, ExperimentConfig, load_config
 from .gauge import _identity_residuals, build_gauge, default_catalog
 
@@ -78,7 +78,7 @@ def _record_row(r: SweepRecord) -> str:
     return ",".join(cells)
 
 
-def emit_csv(records: Sequence[SweepRecord], destination=None, summary: SweepSummary | None = None) -> bytes:
+def emit_csv(records: Sequence[SweepRecord], summary: SweepSummary | None = None) -> bytes:
     """Render records (and an optional summary as # comments) to CSV bytes."""
     lines = [CSV_HEADER]
     lines.extend(_record_row(r) for r in records)
@@ -91,21 +91,15 @@ def emit_csv(records: Sequence[SweepRecord], destination=None, summary: SweepSum
         lines.append(
             "# ratio_spread=" + (_fmt(summary.ratio_spread) if summary.ratio_spread is not None else "")
         )
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    if destination is not None:
-        _write_bytes(destination, data)
-    return data
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _write_bytes(destination, data: bytes) -> None:
-    if hasattr(destination, "write"):
-        destination.write(data)
-        return
+def _write_bytes(path: str, data: bytes) -> None:
     try:
-        with open(destination, "wb") as fh:
+        with open(path, "wb") as fh:
             fh.write(data)
     except OSError as exc:
-        raise OSError(f"failed writing {destination}: {exc}") from exc
+        raise OSError(f"failed writing {path}: {exc}") from exc
 
 
 def _solve_record(
@@ -148,13 +142,9 @@ def _solve_record(
     )
 
 
-def run_sweep(
-    cfg: ExperimentConfig,
-    solver_cfg: slv.SolverConfig | None = None,
-) -> tuple[list[SweepRecord], SweepSummary]:
+def run_sweep(cfg: ExperimentConfig) -> tuple[list[SweepRecord], SweepSummary]:
     """One record per configured eps; k2 is computed once for the whole sweep."""
-    if solver_cfg is None:
-        solver_cfg = _solver_config(cfg)
+    solver_cfg = _solver_config(cfg)
     V = cfg.build_potential()
     rep = asym.compute_k2(V)
     verdict = str(rep.classification)
@@ -260,7 +250,7 @@ def _cmd_scan(cfg: ExperimentConfig) -> tuple[bytes, int]:
 
 def _cmd_lemma(cfg: ExperimentConfig) -> tuple[bytes, int]:
     u = cfg.build_potential()
-    fit = decay_order_fit(u, list(cfg.epsilons), DEFAULT_QUADRATURE)
+    fit = decay_order_fit(u, list(cfg.epsilons))
     rows = [(_fmt(e), _fmt(err)) for e, err in zip(fit.epsilons, fit.errors)]
     comments = [
         "# fitted_order=" + _fmt(fit.fitted_order),

@@ -17,6 +17,8 @@ means no n = 0 mode; the averaging table does not, so the check is a flag.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 from .potentials import (
@@ -111,6 +113,9 @@ def _parse_mode(value: str, lineno: int, require_zero_mean: bool, problems: list
         problems.append(f"line {lineno}: amplitude {amp_str!r} is not a number")
         ok = False
         amplitude = 0j
+    if not cmath.isfinite(amplitude):
+        problems.append(f"line {lineno}: amplitude must be finite, got {amp_str!r}")
+        ok = False
     power: int | None = None
     if len(parts) == 5:
         if kind == "smooth":
@@ -168,6 +173,9 @@ def parse_config(text: str, require_zero_mean: bool = True) -> ExperimentConfig:
                 a, b = float(parts[0]), float(parts[1])
             except ValueError:
                 problems.append(f"line {lineno}: support endpoints must be numbers")
+                continue
+            if not (math.isfinite(a) and math.isfinite(b)):
+                problems.append(f"line {lineno}: support endpoints must be finite, got {value!r}")
                 continue
             if not b > a:
                 problems.append(f"line {lineno}: support must satisfy left < right")

@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .averaging import DEFAULT_QUADRATURE, QuadratureConfig, fast_panel_grid
-from .potentials import CorrectorBundle, TwoScaleFunction, build_corrector
+from .averaging import fast_panel_grid
+from .potentials import TwoScaleFunction, build_corrector
 
 # Largest allowed eps^2 * sup|v|; beyond this the gauge factor is no longer
 # safely invertible.
@@ -121,20 +121,17 @@ class GaugeCoefficients(NamedTuple):
 
 @dataclass(frozen=True)
 class GaugeData:
-    """Gauge factor, its x-derivatives, and the first-order coefficient f.
+    """The potential, its corrector v and eps: what the gauge quantities are sampled from.
 
     ``coefficients`` samples them all in one walk over the corrector's modes,
     exact along the fast diagonal: q' and q'' expand the total derivative
     d/dx of v(x, x/eps) through the corrector's closed-form partials, and q''
-    reuses d2v/dxi2 = V.  The single-quantity methods are views of it.
+    reuses d2v/dxi2 = V.
     """
 
     eps: float
-    corrector: CorrectorBundle
-
-    @property
-    def potential(self) -> TwoScaleFunction:
-        return self.corrector.potential
+    potential: TwoScaleFunction
+    v: TwoScaleFunction
 
     def coefficients(self, x) -> GaugeCoefficients:
         """q, q', q'', f, v' and V at the points x, from one walk over the corrector's modes."""
@@ -142,7 +139,7 @@ class GaugeData:
         eps = self.eps
         # (dx, dxi) partials of the corrector v, with V = d2v/dxi2
         partials = ((0, 2), (0, 0), (1, 0), (2, 0), (0, 1), (1, 1))
-        V, v, v_x, v_xx, v_xi, v_x_xi = self.corrector.v._mode_sums(x, x / eps, partials)
+        V, v, v_x, v_xx, v_xi, v_x_xi = self.v._mode_sums(x, x / eps, partials)
         return GaugeCoefficients(
             q=1.0 + eps**2 * v,
             dq=eps**2 * v_x + eps * v_xi,
@@ -152,36 +149,18 @@ class GaugeData:
             V=V,
         )
 
-    def V_fast(self, x):
-        return self.coefficients(x).V
-
-    def v_fast(self, x):
-        return self.corrector.v.eval_fast(x, self.eps)
-
-    def q_tilde(self, x):
-        return self.coefficients(x).q
-
-    def q_tilde_d1(self, x):
-        return self.coefficients(x).dq
-
-    def q_tilde_d2(self, x):
-        return self.coefficients(x).d2q
-
-    def f_tilde(self, x):
-        return self.coefficients(x).f
-
 
 def build_gauge(V: TwoScaleFunction, eps: float) -> GaugeData:
     """Build the gauge data, rejecting eps too large for invertibility."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    corr = build_corrector(V)
-    if eps**2 * corr.sup_abs() >= _GAUGE_MARGIN:
+    v = build_corrector(V)
+    if eps**2 * v.sup_abs() >= _GAUGE_MARGIN:
         raise ValueError(
             "epsilon too large: eps^2 * sup|v| reaches "
-            f"{eps ** 2 * corr.sup_abs():.3g}, gauge factor not safely invertible"
+            f"{eps ** 2 * v.sup_abs():.3g}, gauge factor not safely invertible"
         )
-    return GaugeData(eps=float(eps), corrector=corr)
+    return GaugeData(eps=float(eps), potential=V, v=v)
 
 
 def _check_grid(g: GaugeData, grid: np.ndarray) -> np.ndarray:
@@ -229,11 +208,7 @@ def identity_residual(g: GaugeData, phi: TestFunction, grid) -> float:
     return _identity_residuals(g, (phi,), grid)[0]
 
 
-def l_bound_sample(
-    g: GaugeData,
-    catalog: Sequence[TestFunction] = (),
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def l_bound_sample(g: GaugeData, catalog: Sequence[TestFunction] = ()) -> float:
     """Largest ratio ||L[phi]||_L2 / ||phi||_W22(M) over the probe catalog.
 
     Both norms are discrete quadratures on the fast-period panel grid over the
@@ -241,7 +216,7 @@ def l_bound_sample(
     line norm.
     """
     catalog = tuple(catalog) or default_catalog()
-    nodes, weights = fast_panel_grid(g.potential.support_hull, g.eps, cfg)
+    nodes, weights = fast_panel_grid(g.potential.support_hull, g.eps)
     if nodes.size == 0:
         return 0.0
     nodes = _check_grid(g, nodes)

@@ -28,7 +28,6 @@ TWO_PI = 2.0 * math.pi
 
 POLY = "poly"
 SMOOTH = "smooth"
-ZERO = "zero"
 
 # Points per pass of the mode walk: a block's temporaries stay in cache, which
 # made the walk about twice as fast as whole-array passes at 80k points.
@@ -52,28 +51,25 @@ def _ipow(u: np.ndarray, p: int) -> np.ndarray:
 class SlowProfile:
     """Closed-form slow envelope with exact first and second derivatives.
 
-    Three kinds are supported:
+    Two kinds are supported:
 
     * ``poly``: amplitude * (x-a)^p * (b-x)^p on [a, b], p a positive integer.
       The envelope is (p-1) times continuously differentiable across the
       endpoints.
     * ``smooth``: amplitude * exp(1 - 1/(1-t^2)) with t the affine map of
       [a, b] onto [-1, 1].  All derivatives vanish at the endpoints.
-    * ``zero``: identically zero.
 
     Value and both derivatives evaluate to exactly 0.0 outside [a, b].
     """
 
     kind: str
-    amplitude: complex = 0j
-    support: tuple[float, float] = (0.0, 0.0)
+    amplitude: complex
+    support: tuple[float, float]
     power: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (POLY, SMOOTH, ZERO):
+        if self.kind not in (POLY, SMOOTH):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind == ZERO:
-            return
         a, b = self.support
         if not (a < b):
             raise ValueError("profile support must be a nonempty interval [a, b] with a < b")
@@ -96,8 +92,6 @@ class SlowProfile:
         if order not in (0, 1, 2):
             raise ValueError("profile derivatives are tracked up to order 2 only")
         arr = np.asarray(x, dtype=float)
-        if self.kind == ZERO:
-            return np.zeros(arr.shape)
         a, b = self.support
         if self.kind == POLY:
             p = int(self.power)
@@ -132,19 +126,13 @@ class SlowProfile:
         return out
 
     def scaled(self, factor: complex) -> "SlowProfile":
-        if self.kind == ZERO:
-            return self
         return dataclasses.replace(self, amplitude=self.amplitude * factor)
 
     def conjugated(self) -> "SlowProfile":
-        if self.kind == ZERO:
-            return self
         return dataclasses.replace(self, amplitude=complex(self.amplitude).conjugate())
 
     def sup_abs(self) -> float:
         """Exact supremum of |c(x)| over the line."""
-        if self.kind == ZERO:
-            return 0.0
         a, b = self.support
         if self.kind == POLY:
             p = int(self.power)
@@ -158,10 +146,6 @@ def poly_bump(amplitude: complex, power: int, support: tuple[float, float] = (0.
 
 def smooth_bump(amplitude: complex, support: tuple[float, float] = (0.0, 1.0)) -> SlowProfile:
     return SlowProfile(kind=SMOOTH, amplitude=complex(amplitude), support=(float(support[0]), float(support[1])))
-
-
-def zero_profile() -> SlowProfile:
-    return SlowProfile(kind=ZERO)
 
 
 @dataclass(frozen=True)
@@ -180,7 +164,7 @@ class TwoScaleFunction:
     def __post_init__(self) -> None:
         cleaned: dict[int, SlowProfile] = {}
         for n, prof in self.modes.items():
-            if prof.kind == ZERO or prof.amplitude == 0:
+            if prof.amplitude == 0:
                 continue
             cleaned[int(n)] = prof
         object.__setattr__(self, "modes", cleaned)
@@ -228,9 +212,6 @@ class TwoScaleFunction:
             if partner is None or partner != prof.conjugated():
                 return False
         return True
-
-    def mean_profile(self) -> SlowProfile:
-        return self.modes.get(0, zero_profile())
 
     def sup_abs(self) -> float:
         """Upper bound for sup |u| along any slice (sum of per-mode suprema)."""
@@ -341,36 +322,17 @@ def p_transform(u: TwoScaleFunction) -> TwoScaleFunction:
     )
 
 
-@dataclass(frozen=True)
-class CorrectorBundle:
-    """Corrector v with d^2 v / dxi^2 = V and zero fast mean.
-
-    Its partials are exact mode-space expressions, ``v.eval(x, xi, dx, dxi)``;
-    no finite differencing.  The mixed and second slow derivatives require the
-    envelope second derivatives, which every profile kind provides in closed
-    form.
-    """
-
-    potential: TwoScaleFunction
-    v: TwoScaleFunction
-
-    def sup_abs(self) -> float:
-        """Upper bound for sup |v| (sum of per-mode suprema)."""
-        return self.v.sup_abs()
-
-
-def build_corrector(V: TwoScaleFunction) -> CorrectorBundle:
-    """Solve d^2 v / dxi^2 = V with periodicity and zero fast mean.
+def build_corrector(V: TwoScaleFunction) -> TwoScaleFunction:
+    """The corrector v: d^2 v / dxi^2 = V with periodicity and zero fast mean.
 
     Mode space: envelope n of v is -c_n / (4 pi^2 n^2).  The fast derivative
-    of v is exactly the zero-mean antiderivative of V.
+    of v is exactly the zero-mean antiderivative of V, and every partial of v
+    is an exact mode-space expression, ``v.eval(x, xi, dx, dxi)``: the
+    envelopes carry closed-form derivatives up to order 2.
     """
     if not V.has_zero_mean:
         raise ValueError("corrector requires a zero-mean potential")
-    v = TwoScaleFunction(
-        modes={n: prof.scaled(-1.0 / (TWO_PI**2 * n * n)) for n, prof in V.modes.items()}
-    )
-    return CorrectorBundle(potential=V, v=v)
+    return TwoScaleFunction(modes={n: prof.scaled(-1.0 / (TWO_PI**2 * n * n)) for n, prof in V.modes.items()})
 
 
 def canonical_potential(

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import Optional, Sequence
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -62,24 +62,28 @@ _BRENT_XTOL = 1e-17
 _BRENT_RTOL = 8.9e-16
 _BRENT_MAXITER = 200
 
+# an admissible root has Re kappa above this floor
+_KAPPA_FLOOR = 1e-9
+_SCAN_WINDOW = (1e-6, 0.5)
+_MAX_BRACKET_EXPANSIONS = 48
+_NEWTON_MAX_ITER = 60
+# min_mismatch_on_disk: radius over |eps^2 k2|, radial and angular sample counts
+_DISK_RADIUS_FACTOR, _DISK_RADII, _DISK_ANGLES = 2.0, 10, 16
+# eigenfunction: largest relative derivative defect of a root at the right edge
+_MATCH_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The solver's one setting: the step is h = eps / points_per_fast_period."""
+
     points_per_fast_period: int = 40
-    root_tol: float = 1e-13
-    kappa_floor: float = 1e-9
-    scan_window: tuple[float, float] = (1e-6, 0.5)
-    max_bracket_expansions: int = 48
-    newton_max_iter: int = 60
+    # |F| at or below this counts as a root
+    root_tol: ClassVar[float] = 1e-13
 
     def __post_init__(self) -> None:
         if self.points_per_fast_period < 20:
             raise ValueError("points_per_fast_period must be at least 20")
-        if self.root_tol <= 0 or self.kappa_floor < 0:
-            raise ValueError("root_tol must be positive and kappa_floor nonnegative")
-        lo, hi = self.scan_window
-        if not (0 < lo < hi):
-            raise ValueError("scan window must satisfy 0 < low < high")
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -294,10 +298,9 @@ def transfer_matrix(V, eps: float, lam: complex, h: float) -> TransferMatrix:
     return TransferMatrix(matrix=m, x0=grid.x0, x1=grid.x1, lam=complex(lam))
 
 
-def mismatch(V, eps: float, kappa, cfg: SolverConfig = DEFAULT_SOLVER, step: float | None = None) -> complex:
+def mismatch(V, eps: float, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> complex:
     """Tail-matching defect F(kappa); zero exactly on bound states."""
-    h = step if step is not None else eps / cfg.points_per_fast_period
-    return _CoefficientGrid(V, eps, h).mismatch(kappa)
+    return _CoefficientGrid(V, eps, eps / cfg.points_per_fast_period).mismatch(kappa)
 
 
 @dataclass(frozen=True)
@@ -355,13 +358,7 @@ def _brent(f, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, floa
     raise RuntimeError(f"Brent failed to converge after {_BRENT_MAXITER} iterations")
 
 
-def _real_root(
-    grid: _CoefficientGrid,
-    lo: float,
-    hi: float,
-    cap: float,
-    cfg: SolverConfig,
-) -> Optional[tuple[float, float, int]]:
+def _real_root(grid: _CoefficientGrid, lo: float, hi: float, cap: float) -> Optional[tuple[float, float, int]]:
     """Brent root of the real mismatch on [lo, hi], widened up to hi = cap; None without a sign change."""
 
     def f(k: float) -> float:
@@ -371,10 +368,10 @@ def _real_root(
     fhi = f(hi)
     evals = 2
     expansions = 0
-    while flo * fhi > 0 and expansions < cfg.max_bracket_expansions:
+    while flo * fhi > 0 and expansions < _MAX_BRACKET_EXPANSIONS:
         grew = False
-        if lo > cfg.kappa_floor * 2:
-            lo = max(lo / 2.0, cfg.kappa_floor)
+        if lo > _KAPPA_FLOOR * 2:
+            lo = max(lo / 2.0, _KAPPA_FLOOR)
             flo = f(lo)
             evals += 1
             grew = True
@@ -400,16 +397,16 @@ def _real_root(
     return root, residual, evals + its
 
 
-def _newton_root(grid: _CoefficientGrid, start: complex, cfg: SolverConfig) -> Optional[tuple[complex, float, int]]:
+def _newton_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[complex, float, int]]:
     """Damped Newton on the analytic mismatch; derivative by centered difference."""
     kappa = complex(start)
-    if kappa.real <= cfg.kappa_floor:
+    if kappa.real <= _KAPPA_FLOOR:
         return None
     f = grid.mismatch(kappa)
-    for it in range(1, cfg.newton_max_iter + 1):
-        if abs(f) <= cfg.root_tol:
+    for it in range(1, _NEWTON_MAX_ITER + 1):
+        if abs(f) <= SolverConfig.root_tol:
             return kappa, abs(f), it
-        delta = 1e-7 * max(abs(kappa), 10.0 * cfg.kappa_floor)
+        delta = 1e-7 * max(abs(kappa), 10.0 * _KAPPA_FLOOR)
         right = kappa + delta
         left = kappa - delta
         if left.real <= 0:
@@ -423,7 +420,7 @@ def _newton_root(grid: _CoefficientGrid, start: complex, cfg: SolverConfig) -> O
         damp = 1.0
         for _ in range(9):
             cand = kappa - damp * step
-            if cand.real > cfg.kappa_floor:
+            if cand.real > _KAPPA_FLOOR:
                 fc = grid.mismatch(cand)
                 if abs(fc) < abs(f):
                     kappa, f = cand, fc
@@ -431,8 +428,8 @@ def _newton_root(grid: _CoefficientGrid, start: complex, cfg: SolverConfig) -> O
             damp *= 0.5
         else:
             return None
-    if abs(f) <= cfg.root_tol:
-        return kappa, abs(f), cfg.newton_max_iter
+    if abs(f) <= SolverConfig.root_tol:
+        return kappa, abs(f), _NEWTON_MAX_ITER
     return None
 
 
@@ -442,7 +439,6 @@ def find_bound_state(
     k2_hint: complex | None = None,
     cfg: SolverConfig = DEFAULT_SOLVER,
     bracket: tuple[float, float] | None = None,
-    step: float | None = None,
 ) -> Optional[BoundStateResult]:
     """Locate the bound state emerging near the spectral edge, or report absence.
 
@@ -457,7 +453,7 @@ def find_bound_state(
     outcome when Re k2 < 0, and the disk scan in ``min_mismatch_on_disk``
     provides the corroborating evidence.
     """
-    h = step if step is not None else eps / cfg.points_per_fast_period
+    h = eps / cfg.points_per_fast_period
     # every real bound state has kappa^2 <= sup|V|: real brackets widen no further
     cap = math.sqrt(V.sup_abs())
     # sample the grid only after every early exit: it is most of a short call's cost
@@ -474,16 +470,16 @@ def find_bound_state(
         seed = eps * eps * k2
         if getattr(V, "is_real", False) and abs(k2.imag) <= 1e-10 * max(abs(k2), 1.0):
             kappa0 = seed.real
-            if kappa0 <= cfg.kappa_floor:
+            if kappa0 <= _KAPPA_FLOOR:
                 return None
             hi = min(10.0 * kappa0, cap)
             search, args = _real_root, (min(kappa0 / 10.0, 0.5 * hi), hi, cap)
         else:
-            start = seed if seed.real > cfg.kappa_floor else complex(abs(seed))
-            if abs(start) <= cfg.kappa_floor:
+            start = seed if seed.real > _KAPPA_FLOOR else complex(abs(seed))
+            if abs(start) <= _KAPPA_FLOOR:
                 return None
             search, args = _newton_root, (start,)
-    hit = search(_CoefficientGrid(V, eps, h), *args, cfg)
+    hit = search(_CoefficientGrid(V, eps, h), *args)
     if hit is None:
         return None
     root, residual, its = hit
@@ -494,7 +490,7 @@ def find_bound_state(
         mismatch_residual=residual,
         iterations=its,
         step=h,
-        converged=residual <= cfg.root_tol and kappa.real > cfg.kappa_floor,
+        converged=residual <= SolverConfig.root_tol and kappa.real > _KAPPA_FLOOR,
     )
 
 
@@ -524,7 +520,7 @@ def scan_roots(
         raise ValueError("root scan requires a real potential")
     if samples < 2:
         raise ValueError("need at least two samples")
-    lo, hi = window if window is not None else cfg.scan_window
+    lo, hi = window if window is not None else _SCAN_WINDOW
     if not (0 < lo < hi):
         raise ValueError("scan window must satisfy 0 < low < high")
     h = eps / cfg.points_per_fast_period
@@ -555,9 +551,6 @@ def min_mismatch_on_disk(
     eps: float,
     k2_hint: complex | None = None,
     cfg: SolverConfig = DEFAULT_SOLVER,
-    radius_factor: float = 2.0,
-    n_radial: int = 10,
-    n_angular: int = 16,
 ) -> float:
     """Minimum |F| over a sampled disk around eps^2 * k2 cut to Re kappa > 0.
 
@@ -567,19 +560,19 @@ def min_mismatch_on_disk(
     """
     k2 = k2_hint if k2_hint is not None else asym.compute_k2(V).value
     center = eps * eps * complex(k2)
-    radius = radius_factor * max(abs(center), 10.0 * cfg.kappa_floor)
+    radius = _DISK_RADIUS_FACTOR * max(abs(center), 10.0 * _KAPPA_FLOOR)
     h = eps / cfg.points_per_fast_period
     grid = _CoefficientGrid(V, eps, h)
-    radii = radius * np.linspace(0.0, 1.0, n_radial + 1)[1:]
-    angles = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
+    radii = radius * np.linspace(0.0, 1.0, _DISK_RADII + 1)[1:]
+    angles = np.linspace(0.0, 2.0 * math.pi, _DISK_ANGLES, endpoint=False)
     candidates = [center]
     for r in radii:
         for th in angles:
             candidates.append(center + r * complex(math.cos(th), math.sin(th)))
-    admissible = [k for k in candidates if k.real > cfg.kappa_floor]
+    admissible = [k for k in candidates if k.real > _KAPPA_FLOOR]
     best = float(np.min(np.abs(grid.mismatch(np.array(admissible))))) if admissible else math.inf
     if not math.isfinite(best):
-        raise ValueError("no admissible sample in the half-plane disk; enlarge the radius")
+        raise ValueError("no admissible sample in the half-plane disk")
     return best
 
 
@@ -596,18 +589,16 @@ def eigenfunction(
     eps: float,
     kappa,
     cfg: SolverConfig = DEFAULT_SOLVER,
-    step: float | None = None,
-    pad: float | None = None,
-    match_tol: float = 1e-6,
 ) -> EigenfunctionSamples:
     """Sampled normalized bound state for a root kappa of the mismatch.
 
     Interior samples come from the propagation; both tails are exact
     exponentials, so the L2 normalization integrates them to infinity in
-    closed form.  A kappa that is not a root leaves a derivative defect at
-    the right edge and is rejected loudly.
+    closed form, and each is sampled over half the hull length.  A kappa that
+    is not a root leaves a derivative defect at the right edge and is
+    rejected loudly.
     """
-    h = step if step is not None else eps / cfg.points_per_fast_period
+    h = eps / cfg.points_per_fast_period
     grid = _CoefficientGrid(V, eps, h)
     kc = complex(kappa)
     if kc.real <= 0:
@@ -621,14 +612,13 @@ def eigenfunction(
 
     u1, w1 = us[-1], ws[-1]
     defect = abs(w1 + kc * u1) / (abs(kc) * abs(u1) + abs(w1) + 1e-300)
-    if defect > match_tol:
+    if defect > _MATCH_TOL:
         raise ValueError(
             f"kappa is not a root of the mismatch: relative derivative defect {defect:.3e} "
             "at the right support edge"
         )
 
-    if pad is None:
-        pad = 0.5 * (grid.x1 - grid.x0)
+    pad = 0.5 * (grid.x1 - grid.x0)
     n_tail = max(2, int(math.ceil(pad / h)))
     ts = np.linspace(-pad, 0.0, n_tail + 1)
     left_x = grid.x0 + ts[:-1]
@@ -658,32 +648,26 @@ class ConvergenceStudy:
 def convergence_study(
     V,
     eps: float,
-    h_sequence: Sequence[float] | None = None,
     cfg: SolverConfig = DEFAULT_SOLVER,
     k2_hint: complex | None = None,
     bracket: tuple[float, float] | None = None,
 ) -> ConvergenceStudy:
     """Refine the step, re-solve, and extract the observed order and a safe value.
 
-    The sequence must halve (default: three levels down from the configured
-    step).  With a fourth-order one-step method the eigenvalue differences
-    contract by 16 per level; the extrapolated value and its error bar follow
-    the standard fine-minus-coarse estimate.
+    Solves at p, 2p and 4p points per fast period, p the configured density,
+    so the step halves between levels.  With a fourth-order one-step method
+    the eigenvalue differences contract by 16 per level; the extrapolated
+    value and its error bar follow the standard fine-minus-coarse estimate.
     """
-    if h_sequence is None:
-        h0 = eps / cfg.points_per_fast_period
-        h_sequence = [h0, h0 / 2.0, h0 / 4.0]
-    hs = [float(h) for h in h_sequence]
-    if len(hs) < 3:
-        raise ValueError("need at least three steps")
-    for a, b in zip(hs, hs[1:]):
-        if abs(a / b - 2.0) > 1e-12:
-            raise ValueError("steps must halve between levels")
+    hs: list[float] = []
     lams: list[complex] = []
-    for h in hs:
-        res = find_bound_state(V, eps, k2_hint=k2_hint, cfg=cfg, bracket=bracket, step=h)
+    for k in range(3):
+        level = SolverConfig(cfg.points_per_fast_period * 2**k)
+        res = find_bound_state(V, eps, k2_hint=k2_hint, cfg=level, bracket=bracket)
         if res is None or not res.converged:
+            h = eps / level.points_per_fast_period
             raise ValueError(f"solver failed to converge during the step study at h={h:g}")
+        hs.append(res.step)
         lams.append(res.eigenvalue)
     diffs = [abs(a - b) for a, b in zip(lams, lams[1:])]
     if diffs[-1] == 0 or diffs[-2] == 0:
@@ -709,10 +693,9 @@ class _GaugedGrid(_StageGrid):
     eigenvalue invariant.
     """
 
-    def __init__(self, g: GaugeData, cfg: SolverConfig = DEFAULT_SOLVER, step: float | None = None):
+    def __init__(self, g: GaugeData, cfg: SolverConfig = DEFAULT_SOLVER):
         eps = g.eps
-        h = step if step is not None else eps / cfg.points_per_fast_period
-        super().__init__(g.potential.support_hull, eps, h)
+        super().__init__(g.potential.support_hull, eps, eps / cfg.points_per_fast_period)
         c = g.coefficients(self.xs)
         alpha = eps * c.f / c.q
         beta = -2.0 * eps**2 * c.vprime / c.q
@@ -721,11 +704,6 @@ class _GaugedGrid(_StageGrid):
         self.b = _by_stage(beta)
 
 
-def gauged_mismatch(
-    g: GaugeData,
-    kappa,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-    step: float | None = None,
-) -> complex:
+def gauged_mismatch(g: GaugeData, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> complex:
     """Tail-matching defect of the gauge-conjugated operator at kappa."""
-    return _GaugedGrid(g, cfg=cfg, step=step).mismatch(kappa)
+    return _GaugedGrid(g, cfg).mismatch(kappa)

@@ -14,7 +14,7 @@ import pytest
 from scipy import optimize
 
 from oscispec.asymptotics import Existence, compute_k2, compute_k_eps, fit_k_eps_coefficients
-from oscispec.averaging import DEFAULT_QUADRATURE, decay_order_fit
+from oscispec.averaging import decay_order_fit
 from oscispec.cli import main, run_sweep
 from oscispec.config import parse_config
 from oscispec.gauge import build_gauge, default_catalog, identity_residual
@@ -171,7 +171,7 @@ def test_criterion_06_real_potentials_give_positive_k2(announce):
 def test_criterion_07_averaging_decay_order(announce):
     u = TwoScaleFunction.from_cosine(1, smooth_bump(1.0, (0.0, 1.0)))
     epsilons = [0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125]
-    fit = decay_order_fit(u, epsilons, DEFAULT_QUADRATURE)
+    fit = decay_order_fit(u, epsilons)
     ok = fit.fitted_order >= 3.5
     announce(
         7,

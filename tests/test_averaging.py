@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate
 
 from oscispec.averaging import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
+    _PANELS_PER_PERIOD,
+    _panel_rule,
     averaged_integral,
     decay_order_fit,
     fast_panel_grid,
@@ -25,23 +25,22 @@ def scipy_reference_integral(u, eps):
 
 
 def test_panel_grid_weights_sum_to_length():
-    nodes, weights = fast_panel_grid((0.0, 1.0), 0.05, DEFAULT_QUADRATURE)
+    nodes, weights = fast_panel_grid((0.0, 1.0), 0.05)
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
     assert nodes.min() > 0.0 and nodes.max() < 1.0
     # panels lock to the fast period: at least panels_per_period per period
-    assert len(nodes) >= DEFAULT_QUADRATURE.panels_per_period / 0.05 * 0.999
+    assert len(nodes) >= _PANELS_PER_PERIOD / 0.05 * 0.999
 
 
 def test_panel_grid_budget_guard():
-    tiny = QuadratureConfig(panels_per_period=8, nodes_per_panel=6, max_panels=10)
     with pytest.raises(ValueError, match="resolution budget exceeded"):
-        fast_panel_grid((0.0, 1.0), 1e-4, tiny)
+        fast_panel_grid((0.0, 1.0), 1e-6)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.037])
 def test_oscillatory_integral_matches_adaptive_reference(eps):
     u = TwoScaleFunction.from_cosine(1, poly_bump(100.0, 2, (0.0, 1.0)))
-    mine = oscillatory_integral(u, eps, DEFAULT_QUADRATURE)
+    mine = oscillatory_integral(u, eps)
     ref = scipy_reference_integral(u, eps)
     assert mine == pytest.approx(ref, abs=5e-11)
 
@@ -100,14 +99,14 @@ def test_averaged_integral_keeps_only_the_mean_mode():
 def test_decay_fit_requires_three_decreasing_epsilons():
     u = TwoScaleFunction.from_cosine(1, smooth_bump(1.0, (0.0, 1.0)))
     with pytest.raises(ValueError):
-        decay_order_fit(u, [0.1, 0.05], DEFAULT_QUADRATURE)
+        decay_order_fit(u, [0.1, 0.05])
     with pytest.raises(ValueError):
-        decay_order_fit(u, [0.05, 0.1, 0.2], DEFAULT_QUADRATURE)
+        decay_order_fit(u, [0.05, 0.1, 0.2])
 
 
 def test_decay_order_smooth_envelope_superpolynomial():
     u = TwoScaleFunction.from_cosine(1, smooth_bump(1.0, (0.0, 1.0)))
-    fit = decay_order_fit(u, [0.1, 0.05, 0.025, 0.0125], DEFAULT_QUADRATURE)
+    fit = decay_order_fit(u, [0.1, 0.05, 0.025, 0.0125])
     assert fit.fitted_order > 5.0
     assert not fit.floor_flag
     assert np.all(np.diff(fit.errors) < 0)
@@ -117,13 +116,13 @@ def test_decay_order_polynomial_envelope_is_boundary_limited():
     # squared-parabola amplitude has a jump in its second derivative at the
     # support edges, which caps the remainder decay near order three
     u = TwoScaleFunction.from_cosine(1, poly_bump(1.0, 2, (0.0, 1.0)))
-    fit = decay_order_fit(u, [0.09, 0.063, 0.0441, 0.03087, 0.021609], DEFAULT_QUADRATURE)
+    fit = decay_order_fit(u, [0.09, 0.063, 0.0441, 0.03087, 0.021609])
     assert 2.3 < fit.fitted_order < 3.5
 
 
 def test_decay_fit_flags_the_double_precision_floor():
     u = TwoScaleFunction.from_cosine(1, smooth_bump(1.0, (0.0, 1.0)))
-    fit = decay_order_fit(u, [0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125], DEFAULT_QUADRATURE)
+    fit = decay_order_fit(u, [0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125])
     assert fit.floor_flag
     assert fit.used[-1] is np.False_ or fit.used[-1] is False
     assert fit.fitted_order > 5.0
@@ -137,22 +136,15 @@ def test_decay_fit_subtracts_the_averaged_limit():
         1.0,
         1.0,
     )
-    fit = decay_order_fit(u, [0.1, 0.05, 0.025], DEFAULT_QUADRATURE)
+    fit = decay_order_fit(u, [0.1, 0.05, 0.025])
     assert fit.fitted_order > 4.0
 
 
 def test_quadrature_panel_doubling_is_converged():
     u = TwoScaleFunction.from_cosine(1, poly_bump(100.0, 2, (0.0, 1.0)))
-    coarse = oscillatory_integral(u, 0.01, DEFAULT_QUADRATURE)
-    fine = oscillatory_integral(
-        u, 0.01, QuadratureConfig(panels_per_period=16, nodes_per_panel=6, max_panels=10**6)
-    )
+    coarse = oscillatory_integral(u, 0.01)
+    nodes, weights, _ = _panel_rule(0.0, 1.0, 1600, 6)  # 16 panels per period at eps = 0.01
+    fine = complex(np.sum(weights * u.eval_fast(nodes, 0.01)))
     scale = abs(fine) + 1.0
     assert abs(coarse - fine) / scale < 1e-11
 
-
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(panels_per_period=0, nodes_per_panel=6, max_panels=100)
-    with pytest.raises(ValueError):
-        QuadratureConfig(panels_per_period=8, nodes_per_panel=1, max_panels=100)

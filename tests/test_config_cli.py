@@ -239,6 +239,16 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
     assert "zero mean" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("line", ["mode = cos 1 poly {} 2", "support = 0 {}"], ids=["amplitude", "support"])
+def test_cli_non_finite_number_exits_two(tmp_path, capsys, line, value):
+    text = "mode = cos 1 poly 100 2\n" if line.startswith("support") else ""
+    cfgp = write_cfg(tmp_path, text + line.format(value) + "\neps = 0.1\n")
+    code = main(["sweep", "--config", cfgp])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_cli_missing_config_exits_two(tmp_path, capsys):
     code = main(["k2", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2

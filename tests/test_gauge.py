@@ -37,7 +37,7 @@ def dense_grid(V, eps, pad=0.0):
 
 def test_gauge_factor_is_a_small_perturbation_of_one(gauge):
     grid = dense_grid(gauge.potential, gauge.eps)
-    q = gauge.q_tilde(grid)
+    q = gauge.coefficients(grid).q
     assert np.max(np.abs(q - 1.0)) < 0.5
     assert np.max(np.abs(q - 1.0)) > 0.0
 
@@ -52,25 +52,27 @@ def test_gauge_refuses_large_eps(canonical):
 def test_first_derivative_matches_finite_differences(gauge):
     xs = np.linspace(0.11, 0.93, 17)
     h = 1e-6
-    fd = (gauge.q_tilde(xs + h) - gauge.q_tilde(xs - h)) / (2 * h)
-    assert gauge.q_tilde_d1(xs) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    fd = (gauge.coefficients(xs + h).q - gauge.coefficients(xs - h).q) / (2 * h)
+    assert gauge.coefficients(xs).dq == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def test_second_derivative_matches_finite_differences(gauge):
     xs = np.linspace(0.11, 0.93, 17)
     h = 1e-4
-    fd = (gauge.q_tilde(xs + h) - 2 * gauge.q_tilde(xs) + gauge.q_tilde(xs - h)) / h**2
+    c = gauge.coefficients
+    fd = (c(xs + h).q - 2 * c(xs).q + c(xs - h).q) / h**2
     # the trace oscillates at the fast scale, so the difference quotient is
     # only good to a few digits; the point is catching wiring mistakes
-    assert gauge.q_tilde_d2(xs) == pytest.approx(fd, rel=2e-3, abs=1e-4)
+    assert gauge.coefficients(xs).d2q == pytest.approx(fd, rel=2e-3, abs=1e-4)
 
 
 def test_f_tilde_closes_the_second_order_identity(gauge):
-    # eps * f = V q - q'' pointwise, with every term evaluated independently
+    # eps * f = V q - q'' pointwise
     xs = np.linspace(0.0, 1.0, 811)
     eps = gauge.eps
-    lhs = eps * gauge.f_tilde(xs)
-    rhs = gauge.V_fast(xs) * gauge.q_tilde(xs) - gauge.q_tilde_d2(xs)
+    c = gauge.coefficients(xs)
+    lhs = eps * c.f
+    rhs = c.V * c.q - c.d2q
     assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
@@ -121,9 +123,11 @@ def test_l_bound_sample_is_stable_across_eps(canonical):
 def test_gauge_data_carries_corrector(canonical):
     g = build_gauge(canonical, 0.08)
     assert isinstance(g, GaugeData)
-    ref = build_corrector(canonical)
+    v = build_corrector(canonical)
     xs = np.array([0.2, 0.5, 0.9])
-    assert g.v_fast(xs) == pytest.approx(ref.v.eval_fast(xs, 0.08))
+    assert g.potential is canonical
+    assert g.v.eval_fast(xs, 0.08) == pytest.approx(v.eval_fast(xs, 0.08))
+    assert g.coefficients(xs).q == pytest.approx(1.0 + 0.08**2 * v.eval_fast(xs, 0.08))
 
 
 def test_identity_holds_for_complex_potentials():
@@ -167,7 +171,7 @@ def test_coefficients_match_the_per_quantity_formulas(V, eps):
             (2j * np.pi * n) ** dxi * prof.evaluate(x, dx) * np.exp(2j * np.pi * n * xi) for n, prof in u.modes.items()
         )
 
-    v = g.corrector.v
+    v = g.v
     Vs = partial(V, 0, 0)
     v0, v_x, v_xx, v_xi, v_x_xi = (partial(v, dx, dxi) for dx, dxi in ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1)))
     expect = {

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscispec.potentials import (
-    CorrectorBundle,
     SlowProfile,
     TwoScaleFunction,
     build_corrector,
@@ -104,7 +103,7 @@ def test_mean_over_period_matches_trapezoid_oracle():
         1.0,
         1.0,
     )
-    m = u.mean_profile()
+    m = u.modes[0]
     for x in [0.1, 0.5, 0.83]:
         assert m.evaluate(x) == pytest.approx(trapezoid_period_mean(u, x), abs=1e-8)
     assert not u.has_zero_mean
@@ -187,35 +186,35 @@ def test_p_transform_is_the_zero_mean_antiderivative(canonical):
 
 
 def test_corrector_second_xi_derivative_recovers_potential(canonical):
-    bundle = build_corrector(canonical)
-    assert isinstance(bundle, CorrectorBundle)
+    v = build_corrector(canonical)
+    assert isinstance(v, TwoScaleFunction)
     xi = np.linspace(0, 1, 7)
-    got = bundle.v.eval(XS[:, None], xi[None, :], dxi=2)
+    got = v.eval(XS[:, None], xi[None, :], dxi=2)
     assert got == pytest.approx(canonical.eval(XS[:, None], xi[None, :]), abs=1e-12)
 
 
 def test_corrector_xi_slope_equals_p_transform(canonical):
-    bundle = build_corrector(canonical)
+    v = build_corrector(canonical)
     pv = p_transform(canonical)
     xi = 0.4
-    assert bundle.v.eval(XS, xi, dxi=1) == pytest.approx(pv.eval(XS, xi), abs=1e-12)
+    assert v.eval(XS, xi, dxi=1) == pytest.approx(pv.eval(XS, xi), abs=1e-12)
 
 
 def test_corrector_mean_vanishes_at_random_points(canonical):
-    bundle = build_corrector(canonical)
+    v = build_corrector(canonical)
     rng = np.random.default_rng(7)
     for x in rng.uniform(-0.5, 1.5, size=20):
-        assert abs(trapezoid_period_mean(bundle.v, x)) < 1e-12
+        assert abs(trapezoid_period_mean(v, x)) < 1e-12
 
 
 def test_corrector_mixed_derivative_means_vanish(canonical):
     # period means of v_xx and of v_x,xi are zero because differentiation in x
     # cannot create a zero mode
-    bundle = build_corrector(canonical)
+    v = build_corrector(canonical)
     for x in [0.2, 0.6]:
         xi = np.linspace(0.0, 1.0, 2049)
-        vxx = bundle.v.eval(np.full_like(xi, x), xi, dx=2)
-        vxxi = bundle.v.eval(np.full_like(xi, x), xi, dx=1, dxi=1)
+        vxx = v.eval(np.full_like(xi, x), xi, dx=2)
+        vxxi = v.eval(np.full_like(xi, x), xi, dx=1, dxi=1)
         assert abs(np.trapezoid(vxx, xi)) < 1e-10
         assert abs(np.trapezoid(vxxi, xi)) < 1e-10
 

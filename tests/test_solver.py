@@ -126,6 +126,17 @@ def test_eigenvalue_tracks_the_fourth_power_prediction(canonical, canonical_k2):
         assert res.eigenvalue.real == pytest.approx(pred.real, rel=0.2)
 
 
+def test_convergence_study_halves_the_configured_step(canonical, canonical_k2):
+    eps = 0.1
+    st = convergence_study(canonical, eps, k2_hint=canonical_k2.value)
+    assert st.steps == (eps / 40, eps / 80, eps / 160)
+    direct = [
+        find_bound_state(canonical, eps, k2_hint=canonical_k2.value, cfg=SolverConfig(points_per_fast_period=p))
+        for p in (40, 80, 160)
+    ]
+    assert st.eigenvalues == tuple(res.eigenvalue for res in direct)
+
+
 def test_convergence_study_sees_fourth_order(canonical, canonical_k2):
     st = convergence_study(canonical, 0.1, k2_hint=canonical_k2.value)
     assert 3.7 < st.observed_order < 4.3
@@ -255,7 +266,7 @@ def test_mismatch_rejects_wrong_half_plane(canonical):
 
 def test_step_guard(canonical):
     with pytest.raises(ValueError, match="step too large"):
-        mismatch(canonical, 0.1, 0.01, step=0.1 / 10)
+        transfer_matrix(canonical, 0.1, -1e-4, h=0.1 / 10)
 
 
 def test_bracket_validation(canonical):
@@ -290,8 +301,6 @@ def test_scan_rejects_complex_potentials(canonical):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(points_per_fast_period=10)
-    with pytest.raises(ValueError):
-        SolverConfig(scan_window=(0.5, 0.1))
 
 
 # ---------------------------------------------------------------- eigenfunction
@@ -318,9 +327,3 @@ def test_eigenfunction_rejects_non_roots(canonical, canonical_k2):
     with pytest.raises(ValueError, match="not a root"):
         eigenfunction(canonical, 0.1, res.kappa * 1.5)
 
-
-def test_convergence_study_rejects_non_halving_steps(canonical, canonical_k2):
-    with pytest.raises(ValueError, match="halve"):
-        convergence_study(
-            canonical, 0.1, h_sequence=[1e-3, 5e-4, 3e-4], k2_hint=canonical_k2.value
-        )
