@@ -24,6 +24,7 @@ from . import solver as slv
 from .averaging import decay_order_fit
 from .config import ConfigError, ExperimentConfig, load_config
 from .gauge import _identity_residuals, build_gauge, default_catalog
+from .potentials import MIN_POINTS_PER_PERIOD
 
 CSV_HEADER = (
     "eps,k2_re,k2_im,lambda_pred_re,lambda_pred_im,"
@@ -61,37 +62,42 @@ class SweepSummary:
     ratio_spread: Optional[float]
 
 
-def _record_row(r: SweepRecord) -> str:
-    cells = [
+def _opt(x: Optional[float]) -> str:
+    return _fmt(x) if x is not None else ""
+
+
+def _csv(header: str, rows, comments: Sequence[str] = ()) -> bytes:
+    """The one CSV format: a header, comma-joined rows, # comments, LF endings and a trailing newline."""
+    return ("\n".join([header, *(",".join(row) for row in rows), *comments]) + "\n").encode("utf-8")
+
+
+def _record_row(r: SweepRecord) -> list[str]:
+    lam = r.lambda_num
+    return [
         _fmt(r.eps),
         _fmt(r.k2.real),
         _fmt(r.k2.imag),
         _fmt(r.lambda_pred.real),
         _fmt(r.lambda_pred.imag),
-        _fmt(r.lambda_num.real) if r.lambda_num is not None else "",
-        _fmt(r.lambda_num.imag) if r.lambda_num is not None else "",
-        _fmt(r.rel_err) if r.rel_err is not None else "",
-        _fmt(r.remainder_ratio) if r.remainder_ratio is not None else "",
+        _opt(lam.real if lam is not None else None),
+        _opt(lam.imag if lam is not None else None),
+        _opt(r.rel_err),
+        _opt(r.remainder_ratio),
         r.verdict,
         ("1" if r.converged else "0") if r.converged is not None else "",
     ]
-    return ",".join(cells)
 
 
 def emit_csv(records: Sequence[SweepRecord], summary: SweepSummary | None = None) -> bytes:
     """Render records (and an optional summary as # comments) to CSV bytes."""
-    lines = [CSV_HEADER]
-    lines.extend(_record_row(r) for r in records)
+    comments = []
     if summary is not None:
-        lines.append("# slope=" + (_fmt(summary.slope) if summary.slope is not None else ""))
-        lines.append(
-            "# mean_remainder_ratio="
-            + (_fmt(summary.mean_remainder_ratio) if summary.mean_remainder_ratio is not None else "")
-        )
-        lines.append(
-            "# ratio_spread=" + (_fmt(summary.ratio_spread) if summary.ratio_spread is not None else "")
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        comments = [
+            "# slope=" + _opt(summary.slope),
+            "# mean_remainder_ratio=" + _opt(summary.mean_remainder_ratio),
+            "# ratio_spread=" + _opt(summary.ratio_spread),
+        ]
+    return _csv(CSV_HEADER, map(_record_row, records), comments)
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -173,13 +179,6 @@ def _solver_config(cfg: ExperimentConfig) -> slv.SolverConfig:
     return slv.SolverConfig(points_per_fast_period=cfg.points_per_period)
 
 
-def _table(header: str, rows: list[tuple[str, str]], comments: list[str]) -> bytes:
-    lines = [header]
-    lines.extend(f"{a},{b}" for a, b in rows)
-    lines.extend(comments)
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
 def _cmd_k2(cfg: ExperimentConfig) -> tuple[bytes, int]:
     rep = asym.compute_k2(cfg.build_potential())
     rows = [
@@ -193,7 +192,7 @@ def _cmd_k2(cfg: ExperimentConfig) -> tuple[bytes, int]:
         ("classification", str(rep.classification)),
         ("flagged", "1" if rep.flagged else "0"),
     ]
-    return _table("quantity,value", rows, []), 0
+    return _csv("quantity,value", rows), 0
 
 
 def _cmd_predict(cfg: ExperimentConfig) -> tuple[bytes, int]:
@@ -245,7 +244,7 @@ def _cmd_scan(cfg: ExperimentConfig) -> tuple[bytes, int]:
         "# window_high=" + _fmt(result.window[1]),
         f"# samples={result.samples}",
     ]
-    return _table("kappa,eigenvalue", rows, comments), 0
+    return _csv("kappa,eigenvalue", rows, comments), 0
 
 
 def _cmd_lemma(cfg: ExperimentConfig) -> tuple[bytes, int]:
@@ -258,7 +257,7 @@ def _cmd_lemma(cfg: ExperimentConfig) -> tuple[bytes, int]:
         f"# floor_limited={1 if fit.floor_flag else 0}",
         f"# points_used={fit.used}",
     ]
-    return _table("eps,remainder", rows, comments), 0
+    return _csv("eps,remainder", rows, comments), 0
 
 
 def _cmd_gauge_check(cfg: ExperimentConfig) -> tuple[bytes, int]:
@@ -273,28 +272,16 @@ def _cmd_gauge_check(cfg: ExperimentConfig) -> tuple[bytes, int]:
         for probe, res in zip(catalog, _identity_residuals(g, catalog, grid)):
             worst = max(worst, res)
             rows.append((f"eps={eps:.6g}:{probe.label}", _fmt(res)))
-    return _table("probe,residual", rows, ["# max_residual=" + _fmt(worst)]), 0
+    return _csv("probe,residual", rows, ["# max_residual=" + _fmt(worst)]), 0
 
 
 def _cmd_keps(cfg: ExperimentConfig) -> tuple[bytes, int]:
     V = cfg.build_potential()
     reports = [asym.compute_k_eps(V, eps) for eps in cfg.epsilons]
-    header = "eps,m1_re,m1_im,m2_re,m2_im,keps_re,keps_im"
-    lines = [header]
-    for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.eps),
-                    _fmt(r.m1.real),
-                    _fmt(r.m1.imag),
-                    _fmt(r.m2.real),
-                    _fmt(r.m2.imag),
-                    _fmt(r.k_eps.real),
-                    _fmt(r.k_eps.imag),
-                ]
-            )
-        )
+    rows = [
+        [_fmt(v) for v in (r.eps, r.m1.real, r.m1.imag, r.m2.real, r.m2.imag, r.k_eps.real, r.k_eps.imag)]
+        for r in reports
+    ]
     comments = []
     if len(reports) >= 3:
         c1, c2 = asym.fit_k_eps_coefficients(reports)
@@ -307,7 +294,7 @@ def _cmd_keps(cfg: ExperimentConfig) -> tuple[bytes, int]:
             "# k2_re=" + _fmt(rep2.value.real),
             "# k2_im=" + _fmt(rep2.value.imag),
         ]
-    return ("\n".join(lines + comments) + "\n").encode("utf-8"), 0
+    return _csv("eps,m1_re,m1_im,m2_re,m2_im,keps_re,keps_im", rows, comments), 0
 
 
 # name -> (help text, command); a command maps the config to (output bytes, exit code)
@@ -347,8 +334,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, require_zero_mean=args.command in _THEOREM_COMMANDS)
         if args.points_per_period is not None:
-            if args.points_per_period < 20:
-                raise ConfigError(["--points-per-period must be at least 20"])
+            if args.points_per_period < MIN_POINTS_PER_PERIOD:
+                raise ConfigError([f"--points-per-period must be at least {MIN_POINTS_PER_PERIOD}"])
             cfg = replace(cfg, points_per_period=args.points_per_period)
         data, code = _COMMANDS[args.command][1](cfg)
     except (ConfigError, OSError, ValueError) as exc:

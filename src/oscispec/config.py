@@ -21,12 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .potentials import (
-    TwoScaleFunction,
-    combine,
-    poly_bump,
-    smooth_bump,
-)
+from .potentials import MIN_POINTS_PER_PERIOD, TwoScaleFunction, combine, poly_bump, smooth_bump
 
 
 class ConfigError(ValueError):
@@ -211,8 +206,8 @@ def parse_config(text: str, require_zero_mean: bool = True) -> ExperimentConfig:
             except ValueError:
                 problems.append(f"line {lineno}: points_per_period must be an integer")
                 continue
-            if ppp < 20:
-                problems.append(f"line {lineno}: points_per_period must be at least 20, got {ppp}")
+            if ppp < MIN_POINTS_PER_PERIOD:
+                problems.append(f"line {lineno}: points_per_period must be at least {MIN_POINTS_PER_PERIOD}, got {ppp}")
         else:
             problems.append(f"line {lineno}: unknown key {key!r}")
 

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .averaging import fast_panel_grid
-from .potentials import TwoScaleFunction, build_corrector
+from .potentials import MIN_POINTS_PER_PERIOD, TwoScaleFunction, build_corrector
 
 # Largest allowed eps^2 * sup|v|; beyond this the gauge factor is no longer
 # safely invertible.
@@ -168,9 +168,10 @@ def _check_grid(g: GaugeData, grid: np.ndarray) -> np.ndarray:
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-D array with at least two points")
     step = float(np.max(np.diff(grid)))
-    if step > g.eps / 20.0 * (1.0 + 1e-12):
+    floor = g.eps / MIN_POINTS_PER_PERIOD
+    if step > floor * (1.0 + 1e-12):
         raise ValueError(
-            f"grid under-resolves the fast scale: step {step:.3g} exceeds eps/20 = {g.eps / 20:.3g}"
+            f"grid under-resolves the fast scale: step {step:.3g} exceeds eps/{MIN_POINTS_PER_PERIOD} = {floor:.3g}"
         )
     return grid
 

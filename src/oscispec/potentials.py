@@ -16,6 +16,7 @@ function if the physical period differs.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -25,6 +26,9 @@ from typing import Mapping
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+# Fewest samples per fast period: the resolution floor of every grid and step.
+MIN_POINTS_PER_PERIOD = 20
 
 POLY = "poly"
 SMOOTH = "smooth"
@@ -71,6 +75,8 @@ class SlowProfile:
         if self.kind not in (POLY, SMOOTH):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         a, b = self.support
+        if not (math.isfinite(a) and math.isfinite(b) and cmath.isfinite(self.amplitude)):
+            raise ValueError("profile support endpoints and amplitude must be finite")
         if not (a < b):
             raise ValueError("profile support must be a nonempty interval [a, b] with a < b")
         if self.kind == POLY:
@@ -84,45 +90,51 @@ class SlowProfile:
         same shape.  ``order`` must be 0, 1 or 2 (higher derivatives of the
         bump envelopes are not closed-form tracked here).
         """
-        out = self.amplitude * self._shape(x, order)
+        out = self.amplitude * self._shapes(x, (order,))[order]
         return complex(out) if out.ndim == 0 else out
 
-    def _shape(self, x, order: int) -> np.ndarray:
-        """The profile over its amplitude, or one of its x-derivatives, as a real array shaped like x."""
-        if order not in (0, 1, 2):
+    def _shapes(self, x, orders) -> dict[int, np.ndarray]:
+        """The profile over its amplitude and its x-derivatives of the given orders, as real arrays shaped like x.
+
+        The orders share one mask, and a smooth bump's one exp.
+        """
+        if not set(orders) <= {0, 1, 2}:
             raise ValueError("profile derivatives are tracked up to order 2 only")
         arr = np.asarray(x, dtype=float)
         a, b = self.support
+        out = {}
         if self.kind == POLY:
             p = int(self.power)
-            u = arr - a
-            w = b - arr
-            if order == 0:
-                vals = _ipow(u, p) * _ipow(w, p)
-            elif order == 1:
-                vals = p * _ipow(u * w, p - 1) * (w - u)
-            elif p == 1:
-                vals = np.full(arr.shape, -2.0)
-            else:
-                vals = p * _ipow(u * w, p - 2) * ((p - 1) * (u * u + w * w) - 2.0 * p * u * w)
-            return np.where((arr >= a) & (arr <= b), vals, 0.0)
+            u, w = arr - a, b - arr
+            inside = (arr >= a) & (arr <= b)
+            for order in orders:
+                if order == 0:
+                    vals = _ipow(u, p) * _ipow(w, p)
+                elif order == 1:
+                    vals = p * _ipow(u * w, p - 1) * (w - u)
+                elif p == 1:
+                    vals = np.full(arr.shape, -2.0)
+                else:
+                    vals = p * _ipow(u * w, p - 2) * ((p - 1) * (u * u + w * w) - 2.0 * p * u * w)
+                out[order] = np.where(inside, vals, 0.0)
+            return out
         half = 0.5 * (b - a)
         t = (arr - 0.5 * (a + b)) / half
         s = 1.0 - t * t
         inside = s > _SMOOTH_CUT
-        ti = t[inside]
-        si = s[inside]
+        ti, si = t[inside], s[inside]
         g = np.exp(1.0 - 1.0 / si)
-        if order == 0:
-            vals = g
-        elif order == 1:
-            vals = g * (-2.0 * ti / si**2) / half
-        else:
-            phi1 = -2.0 * ti / si**2
-            phi2 = -2.0 * (1.0 + 3.0 * ti * ti) / si**3
-            vals = g * (phi1 * phi1 + phi2) / half**2
-        out = np.zeros(arr.shape)
-        out[inside] = vals
+        phi1 = -2.0 * ti / si**2 if any(orders) else None  # d/dt of log g
+        for order in orders:
+            if order == 0:
+                vals = g
+            elif order == 1:
+                vals = g * phi1 / half
+            else:
+                phi2 = -2.0 * (1.0 + 3.0 * ti * ti) / si**3
+                vals = g * (phi1 * phi1 + phi2) / half**2
+            out[order] = np.zeros(arr.shape)
+            out[order][inside] = vals
         return out
 
     def scaled(self, factor: complex) -> "SlowProfile":
@@ -162,19 +174,10 @@ class TwoScaleFunction:
     support_hull: tuple[float, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        cleaned: dict[int, SlowProfile] = {}
-        for n, prof in self.modes.items():
-            if prof.amplitude == 0:
-                continue
-            cleaned[int(n)] = prof
+        cleaned = {int(n): prof for n, prof in self.modes.items() if prof.amplitude != 0}
         object.__setattr__(self, "modes", cleaned)
-        if cleaned:
-            hull = (
-                min(p.support[0] for p in cleaned.values()),
-                max(p.support[1] for p in cleaned.values()),
-            )
-        else:
-            hull = (0.0, 0.0)
+        supports = [p.support for p in cleaned.values()]
+        hull = (min(a for a, _ in supports), max(b for _, b in supports)) if supports else (0.0, 0.0)
         object.__setattr__(self, "support_hull", hull)
 
     # -- construction helpers -------------------------------------------------
@@ -207,11 +210,7 @@ class TwoScaleFunction:
     @cached_property
     def is_real(self) -> bool:
         """Structural check that c_{-n} is the complex conjugate envelope of c_n."""
-        for n, prof in self.modes.items():
-            partner = self.modes.get(-n)
-            if partner is None or partner != prof.conjugated():
-                return False
-        return True
+        return all(self.modes.get(-n) == prof.conjugated() for n, prof in self.modes.items())
 
     def sup_abs(self) -> float:
         """Upper bound for sup |u| along any slice (sum of per-mode suprema)."""
@@ -225,50 +224,44 @@ class TwoScaleFunction:
     def _mode_sums(self, x, xi, terms) -> list[np.ndarray]:
         """sum_n (2 pi i n)^dxi * c_n^(dx)(x) * exp(2 pi i n xi) for every (dx, dxi) in terms.
 
-        One walk over the modes per block of _BLOCK points, so that every
-        temporary stays in cache; within a block each phase and each envelope
-        shape and order are evaluated once.  For a real function the pair
-        (n, -n) folds into k Re(w c_n^(dx) e^{i theta}) with k = 2, valid
-        because every weight w(n) = (2 pi i n)^dxi satisfies
-        w(-n) = conj(w(n)); the mean mode has no partner and k = 1.  The sums
-        of a real function are float arrays built with cos and sin.  x and xi
-        broadcast against each other.
+        With theta = 2 pi |n| xi, s e^{i theta} + s' e^{-i theta} =
+        (s + s') cos(theta) + i (s - s') sin(theta) for any s and s', so the
+        weights are first summed into one cos and one sin factor per term,
+        keyed by |n| and envelope shape (the mean mode has no sin factor).
+        The walk then only samples, a block of _BLOCK points at a time to
+        keep temporaries in cache: each shape once for all orders, cos and
+        sin once per |n|.  A real function has c_{-n} = conj(c_n) and
+        w(-n) = conj(w(n)), so its factors are exactly real and its sums are
+        float arrays.  x and xi broadcast against each other.
         """
         x, xi = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
         shape, x, xi = x.shape, x.ravel(), xi.ravel()
-        real = self.is_real
-        sums = [np.zeros(x.size, dtype=float if real else complex) for _ in terms]
-        modes = [(n, prof) for n, prof in sorted(self.modes.items()) if n >= 0 or not real]
+        entries: dict = {}  # (|n|, envelope shape) -> (profile, [cos factor, sin factor] per term)
+        for n, prof in sorted(self.modes.items(), key=lambda item: abs(item[0])):
+            key = (abs(n), (prof.kind, prof.support, prof.power))
+            _, factors = entries.setdefault(key, (prof, [[0j, 0j] for _ in terms]))
+            for pair, (_, dxi) in zip(factors, terms):
+                s = (TWO_PI * 1j * n) ** dxi * prof.amplitude if dxi else prof.amplitude
+                pair[0] += s
+                pair[1] += 1j * ((n > 0) - (n < 0)) * s  # exp(2 pi i n xi) = cos(theta) + i sign(n) sin(theta)
+        if self.is_real:
+            entries = {key: (prof, [[f.real for f in pair] for pair in factors]) for key, (prof, factors) in entries.items()}
         orders = sorted({dx for dx, _ in terms})
+        sums = [np.zeros(x.size, dtype=float if self.is_real else complex) for _ in terms]
         for lo in range(0, x.size, _BLOCK):
             xb, xib = x[lo : lo + _BLOCK], xi[lo : lo + _BLOCK]
             accs = [acc[lo : lo + _BLOCK] for acc in sums]
-            shapes: dict = {}  # envelope samples by shape and order: the modes of a pair share them
-            phases: dict = {}  # exp(i theta) by mode: -n takes the conjugate of n's
-            for n, prof in modes:
-                theta = TWO_PI * n * xib
-                cos = sin = None
-                for order in orders:
-                    key = (prof.kind, prof.support, prof.power, order)
-                    if key not in shapes:
-                        shapes[key] = prof._shape(xb, order)
-                    env = shapes[key]
-                    for acc, (dx, dxi) in zip(accs, terms):
-                        if dx != order:
-                            continue
-                        s = (TWO_PI * 1j * n) ** dxi * prof.amplitude if dxi else prof.amplitude
-                        if not real:
-                            if n not in phases:
-                                phases[n] = np.conj(phases[-n]) if -n in phases else np.exp(1j * theta)
-                            acc += (s * env) * phases[n]
-                        else:  # k Re(s e^{i theta}) = k s.re cos(theta) - k s.im sin(theta)
-                            k = 2.0 if n else 1.0
-                            if s.real:
-                                cos = np.cos(theta) if cos is None else cos
-                                acc += (k * s.real * env) * cos
-                            if s.imag:
-                                sin = np.sin(theta) if sin is None else sin
-                                acc -= (k * s.imag * env) * sin
+            envs: dict = {}  # every order of an envelope shape: the modes of a pair share them
+            waves: dict = {}  # cos and sin of theta by |n|
+            for (m, env_key), (prof, factors) in entries.items():
+                if env_key not in envs:
+                    envs[env_key] = prof._shapes(xb, orders)
+                for acc, (dx, _), pair in zip(accs, terms, factors):
+                    for f, wave in zip(pair, (np.cos, np.sin)):
+                        if f:
+                            if (m, wave) not in waves:
+                                waves[m, wave] = wave(TWO_PI * m * xib)
+                            acc += (f * envs[env_key][dx]) * waves[m, wave]
         return [acc.reshape(shape) for acc in sums]
 
     def eval(self, x, xi, dx: int = 0, dxi: int = 0):

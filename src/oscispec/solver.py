@@ -54,6 +54,7 @@ import numpy as np
 
 from . import asymptotics as asym
 from .gauge import GaugeData
+from .potentials import MIN_POINTS_PER_PERIOD
 
 _STEP_SLACK = 1.0 + 1e-9
 
@@ -82,8 +83,8 @@ class SolverConfig:
     root_tol: ClassVar[float] = 1e-13
 
     def __post_init__(self) -> None:
-        if self.points_per_fast_period < 20:
-            raise ValueError("points_per_fast_period must be at least 20")
+        if self.points_per_fast_period < MIN_POINTS_PER_PERIOD:
+            raise ValueError(f"points_per_fast_period must be at least {MIN_POINTS_PER_PERIOD}")
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -138,8 +139,9 @@ class _StageGrid:
     def __init__(self, hull: tuple[float, float], eps: float, h: float):
         if eps <= 0 or h <= 0:
             raise ValueError("eps and h must be positive")
-        if h > eps / 20.0 * _STEP_SLACK:
-            raise ValueError(f"step too large for the fast scale: h={h:g} exceeds eps/20={eps / 20:g}")
+        h_max = eps / MIN_POINTS_PER_PERIOD
+        if h > h_max * _STEP_SLACK:
+            raise ValueError(f"step too large for the fast scale: h={h:g} exceeds eps/{MIN_POINTS_PER_PERIOD}={h_max:g}")
         x0, x1 = hull
         length = x1 - x0
         self.h = float(h)

@@ -263,6 +263,13 @@ def test_cli_points_per_period_override_changes_the_solve(tmp_path):
     assert coarse.split(b",")[:5] == fine.split(b",")[:5]
 
 
+def test_cli_points_per_period_below_the_floor_exits_two(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, CANONICAL_TEXT)
+    code, out = run_cli(tmp_path, "k2", "--config", cfgp, "--points-per-period", "19")
+    assert (code, out) == (2, b"")
+    assert "--points-per-period must be at least 20" in capsys.readouterr().err
+
+
 def test_cli_scan_counts_one_root(tmp_path):
     cfgp = write_cfg(tmp_path, CANONICAL_TEXT)
     code, out = run_cli(tmp_path, "scan", "--config", cfgp)

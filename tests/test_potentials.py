@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,28 @@ def test_profile_validation():
         SlowProfile(kind="poly", amplitude=1.0, support=(1.0, 0.0), power=2)
     with pytest.raises(ValueError):
         poly_bump(1.0, 0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("kind", ["poly", "smooth"])
+@pytest.mark.parametrize("field", ["amplitude", "left", "right"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_profile_rejects_non_finite_input(kind, field, bad):
+    fields = {"amplitude": 100.0, "left": 0.0, "right": 1.0} | {field: bad}
+    with pytest.raises(ValueError, match="finite"):
+        SlowProfile(
+            kind=kind,
+            amplitude=complex(fields["amplitude"]),
+            support=(fields["left"], fields["right"]),
+            power=2 if kind == "poly" else None,
+        )
+
+
+@pytest.mark.parametrize("profile", [poly_bump(1.5, p, (-0.3, 0.8)) for p in (1, 2, 3, 4)] + [smooth_bump(1.5, (-0.3, 0.8))])
+def test_all_orders_at_once_equal_single_orders_bit_for_bit(profile):
+    x = np.linspace(-0.5, 1.0, 3001)
+    together = profile._shapes(x, (0, 1, 2))
+    for order in (0, 1, 2):
+        assert np.array_equal(together[order], profile._shapes(x, (order,))[order])
 
 
 # ---------------------------------------------------------------- two-scale
@@ -230,7 +254,9 @@ def test_scaled_multiplies_every_mode(canonical):
 @st.composite
 def mode_sets(draw):
     """1-3 harmonics in 1..5 drawn as in acceptance criterion 6, optionally
-    with a real mean mode or a pair of independent complex amplitudes."""
+    with a real or complex mean mode.  A harmonic is a cosine, a sine, a pair
+    of independent complex amplitudes, such a pair whose two envelopes differ
+    in kind or support, or a single unpaired mode."""
     total = None
     for n in draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)):
         a = draw(st.floats(-1.0, 1.0))
@@ -246,18 +272,26 @@ def mode_sets(draw):
                 return smooth_bump(amp, (a, b))
 
         amp = draw(st.floats(-50.0, 50.0).filter(lambda v: abs(v) > 1e-3))
-        form = draw(st.sampled_from(["cos", "sin", "pair"]))
-        if form == "pair":
+        form = draw(st.sampled_from(["cos", "sin", "pair", "mismatched", "single"]))
+        if form in ("pair", "mismatched"):
             other = complex(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
-            piece = TwoScaleFunction(modes={n: envelope(complex(amp, amp / 3)), -n: envelope(other)})
+            partner = envelope(other) if form == "pair" else smooth_bump(other, (a - 0.2, b))
+            piece = TwoScaleFunction(modes={n: envelope(complex(amp, amp / 3)), -n: partner})
+        elif form == "single":
+            piece = TwoScaleFunction.single_mode(draw(st.sampled_from([n, -n])), envelope(complex(amp, amp / 3)))
         elif form == "cos":
             piece = TwoScaleFunction.from_cosine(n, envelope(amp))
         else:
             piece = TwoScaleFunction.from_sine(n, envelope(amp))
         total = piece if total is None else combine(total, piece, 1.0, 1.0)
-    if draw(st.booleans()):
-        total = combine(total, TwoScaleFunction.single_mode(0, smooth_bump(draw(st.floats(-20.0, 20.0)), (-0.5, 0.8))))
+    mean = draw(st.sampled_from(["none", "real", "complex"]))
+    if mean != "none":
+        amp = complex(draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0)) if mean == "complex" else 0.0)
+        total = combine(total, TwoScaleFunction.single_mode(0, smooth_bump(amp, (-0.5, 0.8))))
     return total
+
+
+GAUGE_PARTIALS = ((0, 2), (0, 0), (1, 0), (2, 0), (0, 1), (1, 1))
 
 
 @given(u=mode_sets(), eps=st.floats(1e-3, 0.1))
@@ -270,6 +304,22 @@ def test_folded_trace_matches_the_unfolded_mode_sum(u, eps):
     got = u.eval_fast(x, eps)
     assert got.dtype == (np.float64 if u.is_real else np.complex128)
     assert np.max(np.abs(got - reference)) <= 4e-16 * u.sup_abs() * len(u.modes)
+
+
+@given(u=mode_sets(), eps=st.floats(1e-3, 0.1))
+@settings(max_examples=40, deadline=None)
+def test_folded_partials_match_the_unfolded_mode_sum(u, eps):
+    # every partial the gauge samples; the scale of mode n in partial (dx, dxi)
+    # is the largest sample of |(2 pi n)^dxi c_n^(dx)|, which is sup_abs() for the trace
+    x0, x1 = u.support_hull
+    x = np.linspace(x0 - 0.1, x1 + 0.1, 1999)
+    xi = x / eps
+    for (dx, dxi), got in zip(GAUGE_PARTIALS, u._mode_sums(x, xi, GAUGE_PARTIALS)):
+        terms = [(2j * np.pi * n) ** dxi * prof.evaluate(x, dx) for n, prof in u.modes.items()]
+        reference = sum(t * np.exp(2j * np.pi * n * xi) for n, t in zip(u.modes, terms))
+        scale = sum(np.max(np.abs(t)) for t in terms)
+        assert got.dtype == (np.float64 if u.is_real else np.complex128)
+        assert np.max(np.abs(got - reference)) <= 4e-16 * scale * len(u.modes)
 
 
 def test_mean_mode_counts_once():
