@@ -26,11 +26,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .potentials import POLY, SlowProfile, TwoScaleFunction
+from .potentials import POLY, SlowProfile, TwoScaleFunction, check_grid_size
 
-# fast-period panel rule (see the module docstring); the panel budget guards against a tiny eps
+# fast-period panel rule (see the module docstring)
 _PANELS_PER_PERIOD, _NODES_PER_PANEL = 8, 6
-_MAX_PANELS = 1_000_000
 
 # envelope-integral rule per breakpoint interval (see the module docstring)
 _PANELS, _NODES = 32, 16
@@ -65,11 +64,7 @@ def fast_panel_grid(support: tuple[float, float], eps: float, with_edges: bool =
         empty = np.zeros(0)
         return (empty, empty, np.zeros(1)) if with_edges else (empty, empty)
     n_panels = max(1, math.ceil(length / (eps / _PANELS_PER_PERIOD)))
-    if n_panels > _MAX_PANELS:
-        raise ValueError(
-            f"resolution budget exceeded: {n_panels} panels needed for eps={eps:g} "
-            f"on [{a:g}, {b:g}] but max_panels={_MAX_PANELS}"
-        )
+    check_grid_size(n_panels, "panels", eps, support)
     nodes, weights, edges = _panel_rule(a, b, n_panels, _NODES_PER_PANEL)
     return (nodes, weights, edges) if with_edges else (nodes, weights)
 

@@ -24,7 +24,7 @@ from . import solver as slv
 from .averaging import decay_order_fit
 from .config import ConfigError, ExperimentConfig, load_config
 from .gauge import _identity_residuals, build_gauge, default_catalog
-from .potentials import MIN_POINTS_PER_PERIOD
+from .potentials import MIN_POINTS_PER_PERIOD, check_grid_size
 
 CSV_HEADER = (
     "eps,k2_re,k2_im,lambda_pred_re,lambda_pred_im,"
@@ -268,6 +268,7 @@ def _cmd_gauge_check(cfg: ExperimentConfig) -> tuple[bytes, int]:
     for eps in cfg.epsilons:
         g = build_gauge(V, eps)
         x0, x1 = V.support_hull
+        check_grid_size(int((x1 - x0) * 40.0 / eps) + 1, "points", eps, (x0, x1))
         grid = np.arange(x0, x1 + eps / 80.0, eps / 40.0)
         for probe, res in zip(catalog, _identity_residuals(g, catalog, grid)):
             worst = max(worst, res)

@@ -29,6 +29,16 @@ TWO_PI = 2.0 * math.pi
 
 # Fewest samples per fast period: the resolution floor of every grid and step.
 MIN_POINTS_PER_PERIOD = 20
+# Most steps, panels or points of one eps-scaled grid: a tiny eps fails before anything is allocated.
+MAX_GRID_SIZE = 1_000_000
+
+
+def check_grid_size(n: int, unit: str, eps: float, support: tuple[float, float]) -> None:
+    """Reject an eps-scaled grid of n steps, panels or points above MAX_GRID_SIZE."""
+    if n > MAX_GRID_SIZE:
+        where = f"eps={eps:g} on [{support[0]:g}, {support[1]:g}]"
+        raise ValueError(f"resolution budget exceeded: {n} {unit} needed for {where} but max_{unit}={MAX_GRID_SIZE}")
+
 
 POLY = "poly"
 SMOOTH = "smooth"

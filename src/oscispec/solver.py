@@ -36,7 +36,9 @@ by the type of kappa alone:
 
 Roots of the real mismatch are polished with Brent's method (``_brent``),
 complex roots with damped Newton.  Every real bound state has
-kappa^2 <= sup|V|, so bracket searches stop at sqrt(sup|V|).
+kappa^2 <= sup|V|, so bracket searches stop at sqrt(sup|V|).  Absence is
+certified by counting: F is entire in kappa, so ``min_mismatch_on_disk``
+counts the roots in a disk by the winding of F along its boundary.
 
 This module never consumes the asymptotic machinery beyond an optional
 initial guess, which is what makes it a genuine cross-check of the
@@ -54,7 +56,7 @@ import numpy as np
 
 from . import asymptotics as asym
 from .gauge import GaugeData
-from .potentials import MIN_POINTS_PER_PERIOD
+from .potentials import MIN_POINTS_PER_PERIOD, check_grid_size
 
 _STEP_SLACK = 1.0 + 1e-9
 
@@ -68,8 +70,8 @@ _KAPPA_FLOOR = 1e-9
 _SCAN_WINDOW = (1e-6, 0.5)
 _MAX_BRACKET_EXPANSIONS = 48
 _NEWTON_MAX_ITER = 60
-# min_mismatch_on_disk: radius over |eps^2 k2|, radial and angular sample counts
-_DISK_RADIUS_FACTOR, _DISK_RADII, _DISK_ANGLES = 2.0, 10, 16
+# min_mismatch_on_disk: radius over |eps^2 k2|; boundary samples, doubled up to the cap
+_DISK_RADIUS_FACTOR, _CONTOUR_POINTS, _CONTOUR_MAX_POINTS = 2.0, 64, 1024
 # eigenfunction: largest relative derivative defect of a root at the right edge
 _MATCH_TOL = 1e-6
 
@@ -147,6 +149,7 @@ class _StageGrid:
         self.h = float(h)
         self.x0, self.x1 = float(x0), float(x1)
         n_full = int(math.floor(length / h + 1e-9))
+        check_grid_size(n_full, "steps", eps, hull)
         h_last = length - n_full * h
         if h_last < 1e-12 * max(1.0, length):
             h_last = 0.0
@@ -279,9 +282,6 @@ class TransferMatrix:
     """Fundamental solution matrix of u'' = (V - lambda) u across [x0, x1]."""
 
     matrix: np.ndarray
-    x0: float
-    x1: float
-    lam: complex
 
     def det(self) -> complex:
         m = self.matrix
@@ -297,7 +297,7 @@ def transfer_matrix(V, eps: float, lam: complex, h: float) -> TransferMatrix:
     grid = _CoefficientGrid(V, eps, h)
     lam = float(np.real(lam)) if grid.real and np.imag(lam) == 0 else complex(lam)
     m = np.array(_compose(_step_maps(grid, lam)), dtype=complex)
-    return TransferMatrix(matrix=m, x0=grid.x0, x1=grid.x1, lam=complex(lam))
+    return TransferMatrix(matrix=m)
 
 
 def mismatch(V, eps: float, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> complex:
@@ -366,10 +366,8 @@ def _real_root(grid: _CoefficientGrid, lo: float, hi: float, cap: float) -> Opti
     def f(k: float) -> float:
         return grid.mismatch(k).real
 
-    flo = f(lo)
-    fhi = f(hi)
-    evals = 2
-    expansions = 0
+    flo, fhi = f(lo), f(hi)
+    evals, expansions = 2, 0
     while flo * fhi > 0 and expansions < _MAX_BRACKET_EXPANSIONS:
         grew = False
         if lo > _KAPPA_FLOOR * 2:
@@ -384,8 +382,6 @@ def _real_root(grid: _CoefficientGrid, lo: float, hi: float, cap: float) -> Opti
             grew = True
         expansions += 1
         if not grew:
-            break
-        if flo * fhi <= 0:
             break
     if flo * fhi > 0:
         return None
@@ -409,13 +405,11 @@ def _newton_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[compl
         if abs(f) <= SolverConfig.root_tol:
             return kappa, abs(f), it
         delta = 1e-7 * max(abs(kappa), 10.0 * _KAPPA_FLOOR)
-        right = kappa + delta
         left = kappa - delta
-        if left.real <= 0:
-            left = kappa  # one-sided near the boundary of the half-plane
-            deriv = (grid.mismatch(right) - f) / delta
+        if left.real <= 0:  # one-sided near the boundary of the half-plane
+            deriv = (grid.mismatch(kappa + delta) - f) / delta
         else:
-            deriv = (grid.mismatch(right) - grid.mismatch(left)) / (2.0 * delta)
+            deriv = (grid.mismatch(kappa + delta) - grid.mismatch(left)) / (2.0 * delta)
         if deriv == 0:
             return None
         step = f / deriv
@@ -452,8 +446,8 @@ def find_bound_state(
 
     Returns None when no admissible root (Re kappa > kappa_floor, |F| within
     root_tol) is found; absence of the small eigenvalue is the expected
-    outcome when Re k2 < 0, and the disk scan in ``min_mismatch_on_disk``
-    provides the corroborating evidence.
+    outcome when Re k2 < 0, and ``min_mismatch_on_disk`` certifies it by
+    counting the roots in a disk around the seed (zero of them).
     """
     h = eps / cfg.points_per_fast_period
     # every real bound state has kappa^2 <= sup|V|: real brackets widen no further
@@ -465,12 +459,11 @@ def find_bound_state(
             raise ValueError("bracket must satisfy 0 < low < high")
         search, args = _real_root, (lo, hi, cap)
     else:
-        if not getattr(V, "has_zero_mean", False):
+        if not V.has_zero_mean:
             raise ValueError("provide an explicit bracket for potentials with a mean component")
-        k2 = k2_hint if k2_hint is not None else asym.compute_k2(V).value
-        k2 = complex(k2)
+        k2 = complex(k2_hint if k2_hint is not None else asym.compute_k2(V).value)
         seed = eps * eps * k2
-        if getattr(V, "is_real", False) and abs(k2.imag) <= 1e-10 * max(abs(k2), 1.0):
+        if V.is_real and abs(k2.imag) <= 1e-10 * max(abs(k2), 1.0):
             kappa0 = seed.real
             if kappa0 <= _KAPPA_FLOOR:
                 return None
@@ -518,15 +511,14 @@ def scan_roots(
     scan rejects anything else.  The count is exact for simple roots separated
     by more than the sample spacing.
     """
-    if not getattr(V, "is_real", False):
+    if not V.is_real:
         raise ValueError("root scan requires a real potential")
     if samples < 2:
         raise ValueError("need at least two samples")
     lo, hi = window if window is not None else _SCAN_WINDOW
     if not (0 < lo < hi):
         raise ValueError("scan window must satisfy 0 < low < high")
-    h = eps / cfg.points_per_fast_period
-    grid = _CoefficientGrid(V, eps, h)
+    grid = _CoefficientGrid(V, eps, eps / cfg.points_per_fast_period)
     ks = np.linspace(lo, hi, samples).tolist()
     fs = grid.mismatch(np.array(ks)).tolist()
     roots: list[float] = []
@@ -554,35 +546,37 @@ def min_mismatch_on_disk(
     k2_hint: complex | None = None,
     cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> float:
-    """Minimum |F| over a sampled disk around eps^2 * k2 cut to Re kappa > 0.
+    """Minimum |F| over the disk around eps^2 * k2 cut to Re kappa >= kappa_floor; 0.0 with a root inside.
 
-    A would-be root inside the disk forces this minimum toward zero, so a
-    floor well above root_tol is positive evidence of absence.  Heuristic by
-    construction: a certificate of no sign change, not a proof.
+    F is entire in kappa, so the winding of F along the boundary of the cut
+    disk counts its roots inside (argument principle; Delves & Lyness, Math.
+    Comp. 21, 1967): the sum of the wrapped phase steps between samples over
+    2 pi, exact once every step is below pi/2.  With no root inside, |F| is
+    smallest on the boundary (minimum modulus principle), so the least
+    boundary sample is the floor.
     """
-    k2 = k2_hint if k2_hint is not None else asym.compute_k2(V).value
-    center = eps * eps * complex(k2)
+    center = eps * eps * complex(k2_hint if k2_hint is not None else asym.compute_k2(V).value)
+    # the circle reaches past the cut: center.real + radius >= |center| > 0
     radius = _DISK_RADIUS_FACTOR * max(abs(center), 10.0 * _KAPPA_FLOOR)
-    h = eps / cfg.points_per_fast_period
-    grid = _CoefficientGrid(V, eps, h)
-    radii = radius * np.linspace(0.0, 1.0, _DISK_RADII + 1)[1:]
-    angles = np.linspace(0.0, 2.0 * math.pi, _DISK_ANGLES, endpoint=False)
-    candidates = [center]
-    for r in radii:
-        for th in angles:
-            candidates.append(center + r * complex(math.cos(th), math.sin(th)))
-    admissible = [k for k in candidates if k.real > _KAPPA_FLOOR]
-    best = float(np.min(np.abs(grid.mismatch(np.array(admissible))))) if admissible else math.inf
-    if not math.isfinite(best):
-        raise ValueError("no admissible sample in the half-plane disk")
-    return best
+    grid = _CoefficientGrid(V, eps, eps / cfg.points_per_fast_period)
+    n = _CONTOUR_POINTS
+    while n <= _CONTOUR_MAX_POINTS:
+        # the circle, every point left of the cut moved onto it: the boundary of the cut disk
+        z = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
+        f = grid.mismatch(np.where(z.real > _KAPPA_FLOOR, z, _KAPPA_FLOOR + 1j * z.imag))
+        if np.any(f == 0):
+            return 0.0
+        steps = np.angle(np.roll(f, -1) / f)
+        if np.all(np.abs(steps) < 0.5 * math.pi):
+            return 0.0 if round(np.sum(steps) / (2.0 * math.pi)) != 0 else float(np.min(np.abs(f)))
+        n *= 2
+    raise ValueError(f"cannot count the roots in the disk: a phase step of F reaches pi/2 at {n // 2} points")
 
 
 @dataclass(frozen=True)
 class EigenfunctionSamples:
     x: np.ndarray
     values: np.ndarray
-    kappa: complex
     match_defect: float
 
 
@@ -635,7 +629,7 @@ def eigenfunction(
 
     x_all = np.concatenate([left_x, xs, right_x])
     u_all = np.concatenate([left_u, us, right_u]).astype(complex) / norm
-    return EigenfunctionSamples(x=x_all, values=u_all, kappa=kc, match_defect=float(defect))
+    return EigenfunctionSamples(x=x_all, values=u_all, match_defect=float(defect))
 
 
 @dataclass(frozen=True)
@@ -672,10 +666,7 @@ def convergence_study(
         hs.append(res.step)
         lams.append(res.eigenvalue)
     diffs = [abs(a - b) for a, b in zip(lams, lams[1:])]
-    if diffs[-1] == 0 or diffs[-2] == 0:
-        order = float("nan")
-    else:
-        order = math.log2(diffs[-2] / diffs[-1])
+    order = float("nan") if diffs[-1] == 0 or diffs[-2] == 0 else math.log2(diffs[-2] / diffs[-1])
     extrapolated = lams[-1] + (lams[-1] - lams[-2]) / 15.0
     return ConvergenceStudy(
         steps=tuple(hs),

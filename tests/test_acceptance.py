@@ -129,7 +129,10 @@ def test_criterion_05_absence_for_imaginary_rotation(announce):
         floor = min_mismatch_on_disk(iV, eps, k2_hint=rep.value)
         newton_clean = newton_clean and found is None
         disk_clean = disk_clean and floor > 10 * DEFAULT_SOLVER.root_tol
-        details.append(f"eps={eps}: root={'none' if found is None else 'FOUND'} disk|F|min={floor:.1e}")
+        # a positive floor is a root count of 0 in the disk; a root inside gives 0.0
+        count = "0 roots" if floor > 0 else "a root"
+        root = "none" if found is None else "FOUND"
+        details.append(f"eps={eps}: root={root} disk: {count} inside, |F|min={floor:.1e}")
     ok = absent and newton_clean and disk_clean
     announce(5, ok, "; ".join(details) + " (need Absent, no root, disk floor > 1e-12)")
 

@@ -1,8 +1,8 @@
 """The library calls the benchmark harness (benchmarks/workloads.py) makes, in its argument shapes.
 
-The default test run does not collect benchmarks/, so an API trim that broke
-the harness would otherwise pass here.  One call per entry point, on the
-canonical potential at eps 0.1.
+The harness's own tests (benchmarks/test_bench.py) check its bookkeeping and
+checkers but run no workload, so an API trim that broke the harness would
+otherwise pass.  One call per entry point, on the canonical potential at eps 0.1.
 """
 
 from pathlib import Path

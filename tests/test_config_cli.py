@@ -270,6 +270,15 @@ def test_cli_points_per_period_below_the_floor_exits_two(tmp_path, capsys):
     assert "--points-per-period must be at least 20" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["scan", "gauge-check", "keps"])
+def test_cli_grid_past_the_resolution_budget_exits_two(tmp_path, capsys, command):
+    # eps = 1e-12 asks for about 4e13 steps or points: refused before anything is allocated
+    cfgp = write_cfg(tmp_path, "mode = cos 1 poly 100 2\nsupport = 0 1\neps = 1e-12\n")
+    code, out = run_cli(tmp_path, command, "--config", cfgp)
+    assert (code, out) == (2, b"")
+    assert "resolution budget exceeded" in capsys.readouterr().err
+
+
 def test_cli_scan_counts_one_root(tmp_path):
     cfgp = write_cfg(tmp_path, CANONICAL_TEXT)
     code, out = run_cli(tmp_path, "scan", "--config", cfgp)

@@ -1,3 +1,4 @@
+import cmath
 import gc
 import math
 import weakref
@@ -9,6 +10,7 @@ import pytest
 from scipy import optimize
 
 from oscispec import solver
+from oscispec.asymptotics import Existence, compute_k2, predict_lambda
 from oscispec.config import load_config
 from oscispec.gauge import build_gauge
 from oscispec.potentials import TwoScaleFunction, canonical_potential, poly_bump
@@ -155,6 +157,54 @@ def test_imaginary_potential_has_no_admissible_root(canonical, canonical_k2):
     assert floor > 10 * DEFAULT_SOLVER.root_tol
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
+@pytest.mark.parametrize("name", ["canonical_rotated", "canonical", "two_mode"])
+def test_emerging_root_is_found_and_counted_in_the_disk(name, eps):
+    # canonical * e^{0.3i}: k2 = 0.0830+0.0568i, so Newton has a complex root to find
+    if name == "canonical_rotated":
+        V = canonical_potential().scaled(cmath.exp(0.3j))
+    else:
+        V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
+    rep = compute_k2(V)
+    assert rep.classification is Existence.EXISTS
+    res = find_bound_state(V, eps, k2_hint=rep.value)
+    assert res is not None and res.converged
+    assert (res.kappa.imag == 0.0) if V.is_real else (res.kappa.imag > 0.0 and res.iterations <= 5)
+    ratio = res.eigenvalue / predict_lambda(rep.value, eps)
+    assert abs(ratio.real - 1.0) < 0.2 and abs(ratio.imag) < 0.05
+    # the root lies in the disk around eps^2 k2: the boundary winds once around it
+    assert min_mismatch_on_disk(V, eps, k2_hint=rep.value) == 0.0
+
+
+def test_disk_floor_samples_only_the_boundary_of_the_cut_disk(canonical, canonical_k2, monkeypatch):
+    seen = []
+    lanes = _CoefficientGrid.mismatch
+
+    def record(grid, kappa):
+        seen.append(np.asarray(kappa))
+        return lanes(grid, kappa)
+
+    monkeypatch.setattr(_CoefficientGrid, "mismatch", record)
+    k2 = -canonical_k2.value  # the i-rotation's k2: the disk straddles the cut
+    min_mismatch_on_disk(canonical.scaled(1j), 0.1, k2_hint=k2)
+    z = np.concatenate(seen)
+    center = 0.1**2 * k2
+    on_circle = np.isclose(np.abs(z - center), 2.0 * abs(center), rtol=1e-12, atol=0.0)
+    on_cut = z.real == solver._KAPPA_FLOOR
+    assert on_circle.any() and on_cut.any() and np.all(on_circle | on_cut)
+
+
+def test_disk_count_refines_a_coarse_contour_up_to_its_cap(canonical, canonical_k2, monkeypatch):
+    # a winding of 1 over 4 samples forces a phase step of at least pi/2: the count must refine
+    monkeypatch.setattr(solver, "_CONTOUR_POINTS", 4)
+    assert min_mismatch_on_disk(canonical, 0.1, k2_hint=canonical_k2.value) == 0.0
+    iV = canonical.scaled(1j)
+    assert min_mismatch_on_disk(iV, 0.1, k2_hint=-canonical_k2.value) > 10 * DEFAULT_SOLVER.root_tol
+    monkeypatch.setattr(solver, "_CONTOUR_MAX_POINTS", 4)
+    with pytest.raises(ValueError, match="cannot count"):
+        min_mismatch_on_disk(canonical, 0.1, k2_hint=canonical_k2.value)
+
+
 def test_gauged_formulation_finds_the_same_root(canonical, canonical_k2):
     cfg = SolverConfig(points_per_fast_period=80)
     res = find_bound_state(canonical, 0.1, k2_hint=canonical_k2.value, cfg=cfg)
@@ -267,6 +317,12 @@ def test_mismatch_rejects_wrong_half_plane(canonical):
 def test_step_guard(canonical):
     with pytest.raises(ValueError, match="step too large"):
         transfer_matrix(canonical, 0.1, -1e-4, h=0.1 / 10)
+
+
+def test_grid_past_the_resolution_budget_is_refused(canonical):
+    # eps = 1e-12 asks for 4e13 steps: refused before any array is allocated
+    with pytest.raises(ValueError, match="resolution budget exceeded"):
+        scan_roots(canonical, 1e-12)
 
 
 def test_bracket_validation(canonical):
