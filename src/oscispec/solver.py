@@ -20,19 +20,29 @@ at the RK4 stage points as contiguous (start, middle, end) arrays, sampled
 once and reused for every kappa.  For H, a = V and b = 0 (``None``); the
 gauge-conjugated operator has b = -2 eps^2 v'/q.
 
-One RK4 step body (``_rk4_step``), plain arithmetic, runs two ways, chosen
-by the type of kappa alone:
+One RK4 step body (``_rk4_step``), plain arithmetic, and one pairwise tree.
+A step of the linear ODE is a 2x2 matrix: ``_step_maps`` runs the body once
+over all steps (one numpy lane per step) on the basis columns, and
+``_pair`` multiplies neighbouring maps, later step on the left.  Pairwise
+products keep round-off growth at O(log n) (Higham, SIAM J. Sci. Comput. 14,
+1993).  The tree serves three ways:
 
-* One kappa: a step of the linear ODE is a 2x2 matrix.  ``_step_maps`` runs
-  the body once over all steps (one numpy lane per step) on the basis
-  columns, and ``_compose`` multiplies the maps pairwise, later step on the
-  left, in log2(n) numpy passes; pairwise products keep round-off growth at
-  O(log n) (Higham, SIAM J. Sci. Comput. 14, 1993).  Root finding,
-  ``transfer_matrix`` and the gauged mismatch take this path.
-* A numpy array of kappas: ``_rk4`` walks the steps with one lane per kappa
-  (``scan_roots``, ``min_mismatch_on_disk``; ``eigenfunction`` keeps every
-  step).  Each step is already a numpy pass over the lanes, and composing
-  maps per lane measured slower than stepping them.
+* ``_compose`` climbs it to the transfer matrix alone, in log2(n) numpy
+  passes that keep no levels.  Root finding, ``transfer_matrix`` and the
+  gauged mismatch take this path.
+* ``_prefixes`` keeps the levels and sweeps back down (Blelloch, "Prefix sums
+  and their applications", CMU-CS-90-190, 1990) to every partial product
+  P_k = M_k ... M_0: u at every step end, for ``eigenfunction`` and for the
+  Sturm count below.
+* A numpy array of kappas (``min_mismatch_on_disk``) is composed on a
+  (kappa, step) array, a few kappas at a time so that each chunk holds about
+  ``_BATCH_ELEMENTS`` step maps.
+
+For a real potential, the number N(kappa) of eigenvalues below -kappa^2 is
+the number of zeros of the left-decaying solution on the whole line
+(oscillation theorem; Simon, "Sturm oscillation and comparison theorems",
+2005), read off the prefixes by ``_CoefficientGrid.count_below``.
+``scan_roots`` counts the roots in its window as N(low) - N(high), exactly.
 
 Roots of the real mismatch are polished with Brent's method (``_brent``),
 complex roots with damped Newton.  Every real bound state has
@@ -49,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -74,6 +83,10 @@ _NEWTON_MAX_ITER = 60
 _DISK_RADIUS_FACTOR, _CONTOUR_POINTS, _CONTOUR_MAX_POINTS = 2.0, 64, 1024
 # eigenfunction: largest relative derivative defect of a root at the right edge
 _MATCH_TOL = 1e-6
+# step maps per chunk when composing an array of kappas: bounds a batch's working set
+_BATCH_ELEMENTS = 4096
+# Sturm count: h sqrt(sup|V|) below pi leaves at most one zero of u in a step (Sturm comparison)
+_STURM_STEP_PHASE = math.pi
 
 
 @dataclass(frozen=True)
@@ -160,18 +173,23 @@ class _StageGrid:
         self.xs = xs
 
     def mismatch(self, kappa):
-        """F(kappa) at one kappa (composed step maps), or lane by lane over a numpy array of kappas."""
+        """F(kappa) at one kappa, or at each kappa of a 1-D numpy array."""
         if not np.all(np.real(kappa) > 0):
             raise ValueError("not in the physical half-plane: Re kappa must be positive")
         if isinstance(kappa, np.ndarray):
             real = self.real and not np.iscomplexobj(kappa)
             kappa = kappa.astype(float if real else complex)
-            u, w = _rk4(self, 1.0 if real else 1.0 + 0j, kappa, -kappa * kappa)
+            t = np.empty((4, kappa.size), dtype=kappa.dtype)
+            chunk = max(1, _BATCH_ELEMENTS // max(1, self.steps.size))
+            for start in range(0, kappa.size, chunk):
+                k = kappa[start : start + chunk]
+                t[:, start : start + chunk] = _compose(_step_maps(self, -(k * k)[:, None]))
+            t00, t01, t10, t11 = t
         else:
             real = self.real and np.imag(kappa) == 0
             kappa = float(np.real(kappa)) if real else complex(kappa)
-            (t00, t01), (t10, t11) = _compose(_step_maps(self, -kappa * kappa))
-            u, w = t00 + t01 * kappa, t10 + t11 * kappa
+            t00, t01, t10, t11 = (x.item() for x in _compose(_step_maps(self, -kappa * kappa)))
+        u, w = t00 + t01 * kappa, t10 + t11 * kappa
         return w + kappa * u
 
 
@@ -184,7 +202,7 @@ def _slope(a, b, u, w):
     """w' = a u + b w, or a u where the first-order term vanishes (b is None).
 
     H passes None rather than zeros: zero b terms would add four products and
-    four sums to every step of a many-lane scan.
+    four sums to every step map.
     """
     return a * u if b is None else a * u + b * w
 
@@ -194,8 +212,7 @@ def _rk4_step(h, u, w, a, b):
 
     ``a`` holds a - lam at the start, middle and end of the step; ``b`` the
     same for b, or None for H.  Pure arithmetic: h, u, w and the entries of
-    a and b may be Python scalars or numpy arrays, one lane per step or per
-    kappa.
+    a and b may be Python scalars or numpy arrays that broadcast together.
     """
     a0, a1, a2 = a
     b0, b1, b2 = b if b is not None else (None, None, None)
@@ -218,26 +235,12 @@ def _rk4_step(h, u, w, a, b):
     return u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u), w + sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
 
 
-def _rk4(grid: _StageGrid, u, w, lam, trail=None):
-    """RK4 across the grid from (u, w) at x0, step after step.
-
-    u, w and lam may be Python scalars or numpy arrays of one lane per kappa.
-    ``trail``, when given, receives (u, w) after every step.
-    """
-    a = zip(*(x.tolist() for x in grid.a))
-    b = zip(*(x.tolist() for x in grid.b)) if grid.b is not None else repeat(None)
-    for h, (a0, a1, a2), bk in zip(grid.steps.tolist(), a, b):
-        u, w = _rk4_step(h, u, w, (a0 - lam, a1 - lam, a2 - lam), bk)
-        if trail is not None:
-            trail.append((u, w))
-    return u, w
-
-
 def _step_maps(grid: _StageGrid, lam):
     """The 2x2 RK4 map of every step at spectral value lam, one numpy lane per step.
 
     Returns the entry arrays (m00, m01, m10, m11); column j of a step's map
-    is one ``_rk4_step`` from the basis vector e_j.
+    is one ``_rk4_step`` from the basis vector e_j.  An array lam of shape
+    (k, 1) gives (k, steps) arrays, one row per spectral value.
     """
     a = [x - lam for x in grid.a]
     m00, m10 = _rk4_step(grid.steps, 1.0, 0.0, a, grid.b)
@@ -245,22 +248,61 @@ def _step_maps(grid: _StageGrid, lam):
     return m00, m01, m10, m11
 
 
-def _compose(m):
-    """Transfer matrix M[n-1] ... M[1] M[0] of the step maps, as ((t00, t01), (t10, t11)).
+def _product(left, right):
+    """Entries of the 2x2 products left @ right, elementwise over the entry arrays."""
+    la, lb, lc, ld = left
+    ea, eb, ec, ed = right
+    return la * ea + lb * ec, la * eb + lb * ed, lc * ea + ld * ec, lc * eb + ld * ed
 
-    Each pass multiplies neighbouring maps, the later one on the left; an odd
-    last map waits for the next pass.
+
+def _pair(m):
+    """One level of the pairwise tree along the last axis: map 2j+1 times map 2j, an odd last map carried."""
+    size = m[0].shape[-1]
+    n = size - size % 2
+    pairs = _product([x[..., 1:n:2] for x in m], [x[..., 0:n:2] for x in m])
+    return pairs if n == size else tuple(np.concatenate((p, x[..., n:]), axis=-1) for p, x in zip(pairs, m))
+
+
+def _compose(m):
+    """Transfer matrix M[n-1] ... M[1] M[0] of the step maps, as the entries (t00, t01, t10, t11).
+
+    The maps run along the last axis; the entries keep the leading axes.
     """
-    if m[0].size == 0:
-        return (1.0, 0.0), (0.0, 1.0)
-    while m[0].size > 1:
-        n = m[0].size - m[0].size % 2
-        ea, eb, ec, ed = (x[0:n:2] for x in m)
-        la, lb, lc, ld = (x[1:n:2] for x in m)
-        pairs = (la * ea + lb * ec, la * eb + lb * ed, lc * ea + ld * ec, lc * eb + ld * ed)
-        m = pairs if n == m[0].size else tuple(np.append(p, x[n:]) for p, x in zip(pairs, m))
-    t00, t01, t10, t11 = (x.item() for x in m)
-    return (t00, t01), (t10, t11)
+    if m[0].shape[-1] == 0:
+        one, zero = np.ones(m[0].shape[:-1]), np.zeros(m[0].shape[:-1])
+        return one, zero, zero, one
+    while m[0].shape[-1] > 1:
+        m = _pair(m)
+    return tuple(x[..., 0] for x in m)
+
+
+def _prefixes(m):
+    """The identity and every partial product M[k] ... M[0] of the 1-D step maps, as entry arrays.
+
+    Entry k + 1 carries the state at x0 across step k.  The up-sweep keeps
+    each level of ``_compose``'s tree; the down-sweep then gives each
+    level's prefixes from those of the level above: an odd position, or a
+    carried last map, closes the same product as its parent, and an even
+    position 2j > 0 is map 2j times the parent prefix j - 1.  So the last
+    entry is ``_compose``'s total, bit for bit.
+    """
+    levels = [m]
+    while levels[-1][0].size > 1:
+        levels.append(_pair(levels[-1]))
+    p = levels.pop()
+    for m in reversed(levels):
+        size = m[0].size
+        n = size - size % 2
+        evens = _product([x[2:n:2] for x in m], [q[: n // 2 - 1] for q in p])
+        level = tuple(np.empty_like(x) for x in m)
+        for out, x, q, e in zip(level, m, p, evens):
+            out[0] = x[0]
+            out[1:n:2] = q[: n // 2]
+            out[2:n:2] = e
+            if n < size:
+                out[-1] = q[-1]
+        p = level
+    return tuple(np.append(i, x) for i, x in zip((1.0, 0.0, 0.0, 1.0), p))
 
 
 class _CoefficientGrid(_StageGrid):
@@ -275,6 +317,30 @@ class _CoefficientGrid(_StageGrid):
         vals = np.asarray(V.eval_fast(self.xs, eps))
         self.real = not np.iscomplexobj(vals)
         self.a = _by_stage(vals)
+        self.sup_abs = V.sup_abs()
+
+    def count_below(self, kappa: float) -> tuple[int, float]:
+        """(N(kappa), F(kappa)): the number of eigenvalues below -kappa^2, and the mismatch.
+
+        For a real potential and kappa > 0 only.  N counts the zeros of the
+        solution with left tail data (1, kappa) (oscillation theorem): none in
+        the left tail; on the hull, the sign changes of u over the step ends,
+        exact zeros skipped; in the right tail u1 cosh(kappa t) + (w1/kappa)
+        sinh(kappa t), one zero exactly when F and u1 have opposite signs
+        (u1 w1 < 0 and |kappa u1| < |w1|).  F is ``mismatch(kappa)`` bit for bit.
+        """
+        phase = self.h * math.sqrt(self.sup_abs)
+        if not phase < _STURM_STEP_PHASE:
+            raise ValueError(
+                f"step too large to count zeros: h sqrt(sup|V|) = {phase:.3g} must stay below pi"
+            )
+        kappa = float(kappa)
+        p00, p01, p10, p11 = _prefixes(_step_maps(self, -kappa * kappa))
+        u = p00 + p01 * kappa
+        f = float(p10[-1] + p11[-1] * kappa + kappa * u[-1])
+        signs = np.sign(np.append(u, f))
+        signs = signs[signs != 0]
+        return int(np.count_nonzero(signs[1:] != signs[:-1])), f
 
 
 @dataclass(frozen=True)
@@ -296,7 +362,7 @@ def transfer_matrix(V, eps: float, lam: complex, h: float) -> TransferMatrix:
     """
     grid = _CoefficientGrid(V, eps, h)
     lam = float(np.real(lam)) if grid.real and np.imag(lam) == 0 else complex(lam)
-    m = np.array(_compose(_step_maps(grid, lam)), dtype=complex)
+    m = np.array(_compose(_step_maps(grid, lam)), dtype=complex).reshape(2, 2)
     return TransferMatrix(matrix=m)
 
 
@@ -505,11 +571,15 @@ def scan_roots(
     samples: int = 2000,
     cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> ScanResult:
-    """Count sign changes of the real mismatch over a kappa window and polish them.
+    """Count the bound states with kappa in (low, high] exactly, and locate each.
 
-    Only real potentials have a real-valued mismatch along real kappa, so the
-    scan rejects anything else.  The count is exact for simple roots separated
-    by more than the sample spacing.
+    The count is N(low) - N(high), N from the Sturm oscillation count
+    (``_CoefficientGrid.count_below``), so only real potentials qualify, and
+    the step must satisfy h sqrt(sup|V|) < pi.  Bisection on N over the
+    ``samples`` evenly spaced kappas isolates each root to one sample
+    interval, and further bisection inside it to one root per bracket;
+    Brent's method then polishes each root on its bracket.  A root exactly at
+    a sample is returned as is.
     """
     if not V.is_real:
         raise ValueError("root scan requires a real potential")
@@ -520,17 +590,27 @@ def scan_roots(
         raise ValueError("scan window must satisfy 0 < low < high")
     grid = _CoefficientGrid(V, eps, eps / cfg.points_per_fast_period)
     ks = np.linspace(lo, hi, samples).tolist()
-    fs = grid.mismatch(np.array(ks)).tolist()
     roots: list[float] = []
-    for i in range(samples - 1):
-        if fs[i] == 0.0:
-            roots.append(ks[i])
+    # brackets (a, b) holding N(a) - N(b) roots, with (N, F) at both ends and,
+    # while they span more than one sample interval, the sample indices of a and b
+    stack = [(ks[0], ks[-1], grid.count_below(ks[0]), grid.count_below(ks[-1]), 0, samples - 1)]
+    while stack:
+        a, b, (na, fa), (nb, fb), i, j = stack.pop()
+        if na <= nb:
             continue
-        if fs[i] * fs[i + 1] < 0:
-            root, _, _ = _brent(grid.mismatch, ks[i], ks[i + 1], fs[i], fs[i + 1])
-            roots.append(root)
-    if fs[-1] == 0.0:
-        roots.append(ks[-1])
+        if na - nb == 1 and j - i <= 1:
+            roots.append(b if fb == 0.0 else _brent(grid.mismatch, a, b, fa, fb)[0])
+            continue
+        if j - i > 1:
+            m = (i + j) // 2
+            c, left, right = ks[m], (i, m), (m, j)
+        else:
+            c, left, right = 0.5 * (a + b), (i, j), (i, j)
+            if not a < c < b:
+                raise RuntimeError(f"cannot separate {na - nb} roots of the mismatch at kappa={a!r}")
+        mid = grid.count_below(c)
+        stack.append((c, b, mid, (nb, fb), *right))
+        stack.append((a, c, (na, fa), mid, *left))
     return ScanResult(
         count=len(roots),
         kappas=tuple(roots),
@@ -601,12 +681,10 @@ def eigenfunction(
         raise ValueError("not in the physical half-plane: Re kappa must be positive")
     real = grid.real and kc.imag == 0
     k0 = kc.real if real else kc
-    trail = [(1.0, k0) if real else (1.0 + 0j, k0)]
-    _rk4(grid, *trail[0], -k0 * k0, trail)
-    xs = np.array(list(accumulate(grid.steps.tolist(), initial=grid.x0)))
-    us, ws = np.array(trail).T
-
-    u1, w1 = us[-1], ws[-1]
+    p00, p01, p10, p11 = _prefixes(_step_maps(grid, -k0 * k0))
+    xs = np.cumsum(np.append(grid.x0, grid.steps))
+    us = p00 + p01 * k0
+    u1, w1 = us[-1], p10[-1] + p11[-1] * k0
     defect = abs(w1 + kc * u1) / (abs(kc) * abs(u1) + abs(w1) + 1e-300)
     if defect > _MATCH_TOL:
         raise ValueError(

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven numbered criteria, one test and one verdict line each.
+"""Acceptance gate: numbered criteria (1-11 and 13), one test and one verdict line each.
 
 Every test prints `criterion NN: PASS/FAIL - detail` directly to the
 terminal (bypassing capture), then asserts.  Criteria are evaluated at
@@ -8,15 +8,17 @@ the implementation under test.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import optimize
 
+from oscispec import solver
 from oscispec.asymptotics import Existence, compute_k2, compute_k_eps, fit_k_eps_coefficients
 from oscispec.averaging import decay_order_fit
 from oscispec.cli import main, run_sweep
-from oscispec.config import parse_config
+from oscispec.config import load_config, parse_config
 from oscispec.gauge import build_gauge, default_catalog, identity_residual
 from oscispec.potentials import (
     TwoScaleFunction,
@@ -43,6 +45,8 @@ points_per_period = 40
 """
 
 CANONICAL_K2 = 1e4 / (10080 * math.pi**2)
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -292,4 +296,28 @@ def test_criterion_11_numerical_hygiene(announce, tmp_path):
         ok,
         f"max |det T - 1| {worst_det:.1e} (<=1e-10); lambda drift under doubling at 320/period "
         f"{drift:.1e} (<=1e-8); sweep CSV byte-identical={csv_ok}",
+    )
+
+
+def test_criterion_13_exactly_one_bound_state(announce):
+    # N(kappa) counts the eigenvalues below -kappa^2 (Sturm oscillation): one above the
+    # kappa floor, and it is the one the solver found
+    details = []
+    ok = True
+    for name in ("canonical", "two_mode"):
+        cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
+        V = cfg.build_potential()
+        for eps in cfg.epsilons:
+            res = find_bound_state(V, eps, cfg=SolverConfig(points_per_fast_period=cfg.points_per_period))
+            grid = solver._CoefficientGrid(V, eps, eps / cfg.points_per_period)
+            kappa = res.kappa.real
+            probes = (solver._KAPPA_FLOOR, kappa * (1 - 1e-6), kappa * (1 + 1e-6))
+            counts = [grid.count_below(k)[0] for k in probes]
+            good = res.converged and counts == [1, 1, 0]
+            ok = ok and good
+            details.append(f"{name} eps={eps:g}:{''.join(map(str, counts))}{'' if good else '!'}")
+    announce(
+        13,
+        ok,
+        f"N(kappa_floor), N(kappa_num(1-1e-6)), N(kappa_num(1+1e-6)) [{', '.join(details)}] (each 110)",
     )

@@ -1,6 +1,7 @@
 import cmath
 import gc
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,7 +21,9 @@ from oscispec.solver import (
     SquareWell,
     _brent,
     _CoefficientGrid,
-    _rk4,
+    _compose,
+    _prefixes,
+    _rk4_step,
     _step_maps,
     convergence_study,
     eigenfunction,
@@ -218,6 +221,13 @@ def test_gauged_formulation_finds_the_same_root(canonical, canonical_k2):
     assert root == pytest.approx(kap, rel=1e-5)
 
 
+def march(grid, u, w, lam):
+    """RK4 across the grid from (u, w) at x0, one ``_rk4_step`` at a time: the step-by-step reference."""
+    for h, a0, a1, a2 in zip(grid.steps.tolist(), *(x.tolist() for x in grid.a)):
+        u, w = _rk4_step(h, u, w, (a0 - lam, a1 - lam, a2 - lam), None)
+    return u, w
+
+
 def shipped_grid(name, eps=0.1):
     cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
     V = cfg.build_potential()
@@ -228,8 +238,10 @@ def shipped_grid(name, eps=0.1):
 def test_mismatch_lanes_match_one_kappa_at_a_time(name):
     _, _, grid = shipped_grid(name)
     ks = np.linspace(1e-6, 0.5, 41)
-    # one kappa composes step maps, lanes step sequentially: the rounding differs,
-    # so compare norm-wise (lanes near a zero of F lose relative digits to cancellation)
+    # an array of kappas is composed on (kappa, step) arrays: real kappas give one kappa's
+    # bits, complex products may round differently, so compare those norm-wise
+    # (values near a zero of F lose relative digits to cancellation)
+    assert grid.mismatch(ks).tobytes() == np.array([grid.mismatch(k) for k in ks.tolist()]).tobytes()
     for kappas in (ks, ks * np.exp(0.6j)):
         scalar = np.array([grid.mismatch(k) for k in kappas.tolist()])
         assert np.max(np.abs(grid.mismatch(kappas) - scalar)) <= 1e-14 * np.max(np.abs(scalar))
@@ -244,7 +256,7 @@ def test_step_map_columns_are_one_rk4_step_from_the_basis(name, lam):
     for k in range(grid.steps.size):
         one_step = SimpleNamespace(steps=grid.steps[k : k + 1], a=[x[k : k + 1] for x in grid.a], b=None)
         # two lanes: the basis columns (1, 0) and (0, 1)
-        u, w = _rk4(one_step, np.array([1.0, 0.0], dtype=dtype), np.array([0.0, 1.0], dtype=dtype), lam)
+        u, w = march(one_step, np.array([1.0, 0.0], dtype=dtype), np.array([0.0, 1.0], dtype=dtype), lam)
         assert u.tobytes() == np.array([m00[k], m01[k]]).tobytes()
         assert w.tobytes() == np.array([m10[k], m11[k]]).tobytes()
 
@@ -256,7 +268,7 @@ def test_composed_mismatch_matches_an_extended_precision_march(name):
     for kappa in (res.kappa.real, 0.5 * res.kappa.real, 2.0 * res.kappa.real):
         # the same RK4 scheme on the same samples, stepped one step at a time in long double
         k = np.array([kappa], dtype=np.longdouble)
-        u, w = _rk4(grid, np.ones(1, dtype=np.longdouble), k, -k * k)
+        u, w = march(grid, np.ones(1, dtype=np.longdouble), k, -k * k)
         reference = (w + k * u)[0]
         assert abs(np.longdouble(grid.mismatch(kappa)) - reference) <= 2e-15
 
@@ -292,6 +304,41 @@ def test_brent_reproduces_scipy_brentq_on_the_square_well_oracle(depth, bracket)
         assert root.hex() == ref.hex()
         assert its == info.iterations
         assert froot == g(root)
+
+
+@pytest.mark.parametrize("depth, states", [(2.0, 1), (30.0, 2), (100.0, 4), (400.0, 7)])
+def test_sturm_count_matches_the_square_well_oracle(depth, states):
+    # a well of depth D on (0, 1) holds ceil(sqrt(D) / pi) bound states, each with kappa < sqrt(D)
+    assert states == math.ceil(math.sqrt(depth) / math.pi)
+    well = SquareWell(depth=depth)
+    grid = _CoefficientGrid(well, 0.1, 0.1 / 40)
+    assert grid.count_below(solver._KAPPA_FLOOR)[0] == states
+    scan = scan_roots(well, 0.1, window=(1e-9, math.sqrt(depth)))
+    assert scan.count == states
+    assert list(scan.kappas) == sorted(set(scan.kappas))
+    for kappa in scan.kappas:
+        assert abs(grid.mismatch(kappa)) <= 1e-12 * abs(grid.mismatch(1.01 * kappa))
+
+
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+def test_scan_finds_the_one_root_at_eps_1e_3(name):
+    # the root sits near 1e-7, far below the first sample interval's right end
+    V, cfg, _ = shipped_grid(name)
+    scan = scan_roots(V, 1e-3, window=(1e-9, 0.5))
+    res = find_bound_state(V, 1e-3, cfg=SolverConfig(points_per_fast_period=cfg.points_per_period))
+    assert scan.count == 1
+    assert scan.kappas[0] == pytest.approx(res.kappa.real, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+def test_prefixes_end_in_the_composed_transfer_matrix(name):
+    _, _, grid = shipped_grid(name)
+    for lam in (-1e-3, -0.01 + 0.004j):
+        maps = _step_maps(grid, lam)
+        prefixes = _prefixes(maps)
+        assert prefixes[0].size == grid.steps.size + 1
+        assert [p[0] for p in prefixes] == [1.0, 0.0, 0.0, 1.0]
+        assert [p[-1].tobytes() for p in prefixes] == [t.tobytes() for t in _compose(maps)]
 
 
 def test_bracket_reaches_past_kappa_one_on_a_deep_potential():
@@ -352,6 +399,28 @@ def test_early_exits_build_no_coefficient_grid(monkeypatch):
 def test_scan_rejects_complex_potentials(canonical):
     with pytest.raises(ValueError, match="real"):
         scan_roots(canonical.scaled(1j), 0.1)
+
+
+def test_scan_refuses_a_step_that_may_hold_two_zeros():
+    # sup|V| = 1e8 / 16 at h = 0.1 / 40: h sqrt(sup|V|) = 6.25, so a step may hold two zeros of u
+    with pytest.raises(ValueError, match=r"h sqrt\(sup\|V\|\) = 6.25 must stay below pi"):
+        scan_roots(canonical_potential(amplitude=1e8), 0.1)
+
+
+def test_a_batch_of_kappas_peaks_like_one_kappa():
+    # 4000 steps at eps 1e-3: the batch is composed a kappa at a time, so its peak memory is one kappa's
+    grid = _CoefficientGrid(SquareWell(depth=30.0, support=(0.0, 0.1)), 1e-3, 1e-3 / 40)
+    kappas = 0.01 + 0.005 * np.exp(2j * np.pi * (np.arange(1024) + 0.5) / 1024)
+    tracemalloc.start()
+    try:
+        grid.mismatch(complex(kappas[0]))
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        grid.mismatch(kappas)
+        batch = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch <= 2 * one
 
 
 def test_solver_config_validation():
