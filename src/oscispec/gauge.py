@@ -15,13 +15,11 @@ so the residual measures floating-point noise only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .averaging import fast_panel_grid
 from .potentials import MIN_POINTS_PER_PERIOD, TwoScaleFunction, build_corrector
 
 # Largest allowed eps^2 * sup|v|; beyond this the gauge factor is no longer
@@ -177,13 +175,8 @@ def _check_grid(g: GaugeData, grid: np.ndarray) -> np.ndarray:
 
 
 def _apply_L(g: GaugeData, c: GaugeCoefficients, phi: TestFunction, grid: np.ndarray) -> np.ndarray:
+    """L[phi] on the grid, from the gauge coefficients c sampled there."""
     return g.eps * (2.0 / c.q) * c.vprime * phi.df(grid) - c.f / c.q * phi.f(grid)
-
-
-def apply_L(g: GaugeData, phi: TestFunction, grid) -> np.ndarray:
-    """Sample L[phi] on the grid; exactly zero outside the support hull."""
-    grid = _check_grid(g, grid)
-    return _apply_L(g, g.coefficients(grid), phi, grid)
 
 
 def _identity_residuals(g: GaugeData, catalog: Sequence[TestFunction], grid) -> list[float]:
@@ -207,33 +200,3 @@ def identity_residual(g: GaugeData, phi: TestFunction, grid) -> float:
     accumulated round-off indicates an implementation fault.
     """
     return _identity_residuals(g, (phi,), grid)[0]
-
-
-def l_bound_sample(g: GaugeData, catalog: Sequence[TestFunction] = ()) -> float:
-    """Largest ratio ||L[phi]||_L2 / ||phi||_W22(M) over the probe catalog.
-
-    Both norms are discrete quadratures on the fast-period panel grid over the
-    support hull M; L[phi] vanishes off M so the L2 norm over M is the full
-    line norm.
-    """
-    catalog = tuple(catalog) or default_catalog()
-    nodes, weights = fast_panel_grid(g.potential.support_hull, g.eps)
-    if nodes.size == 0:
-        return 0.0
-    nodes = _check_grid(g, nodes)
-    c = g.coefficients(nodes)
-    worst = 0.0
-    for phi in catalog:
-        lv = _apply_L(g, c, phi, nodes)
-        num = math.sqrt(float(np.sum(weights * np.abs(lv) ** 2)))
-        den = math.sqrt(
-            float(
-                np.sum(
-                    weights
-                    * (np.abs(phi.f(nodes)) ** 2 + np.abs(phi.df(nodes)) ** 2 + np.abs(phi.d2f(nodes)) ** 2)
-                )
-            )
-        )
-        if den > 0:
-            worst = max(worst, num / den)
-    return worst

@@ -45,7 +45,7 @@ the number of zeros of the left-decaying solution on the whole line
 ``scan_roots`` counts the roots in its window as N(low) - N(high), exactly.
 
 Roots of the real mismatch are polished with Brent's method (``_brent``),
-complex roots with damped Newton.  Every real bound state has
+complex roots with damped secant steps.  Every real bound state has
 kappa^2 <= sup|V|, so bracket searches stop at sqrt(sup|V|).  Absence is
 certified by counting: F is entire in kappa, so ``min_mismatch_on_disk``
 counts the roots in a disk by the winding of F along its boundary.
@@ -76,9 +76,8 @@ _BRENT_MAXITER = 200
 
 # an admissible root has Re kappa above this floor
 _KAPPA_FLOOR = 1e-9
-_SCAN_WINDOW = (1e-6, 0.5)
 _MAX_BRACKET_EXPANSIONS = 48
-_NEWTON_MAX_ITER = 60
+_SECANT_MAX_ITER = 60
 # min_mismatch_on_disk: radius over |eps^2 k2|; boundary samples, doubled up to the cap
 _DISK_RADIUS_FACTOR, _CONTOUR_POINTS, _CONTOUR_MAX_POINTS = 2.0, 64, 1024
 # eigenfunction: largest relative derivative defect of a root at the right edge
@@ -461,37 +460,32 @@ def _real_root(grid: _CoefficientGrid, lo: float, hi: float, cap: float) -> Opti
     return root, residual, evals + its
 
 
-def _newton_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[complex, float, int]]:
-    """Damped Newton on the analytic mismatch; derivative by centered difference."""
-    kappa = complex(start)
-    if kappa.real <= _KAPPA_FLOOR:
-        return None
-    f = grid.mismatch(kappa)
-    for it in range(1, _NEWTON_MAX_ITER + 1):
+def _secant_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[complex, float, int]]:
+    """Damped secant on the analytic mismatch: the slope through the last two iterates.
+
+    The first slope comes from kappa (1 + 1e-7), which stays in the
+    half-plane.  Each step is halved up to 9 times until |F| falls while
+    Re kappa stays above the floor; otherwise there is no root to report.
+    """
+    prev, kappa = start * (1.0 + 1e-7), start
+    f_prev, f = grid.mismatch(prev), grid.mismatch(kappa)
+    for it in range(1, _SECANT_MAX_ITER + 1):
         if abs(f) <= SolverConfig.root_tol:
             return kappa, abs(f), it
-        delta = 1e-7 * max(abs(kappa), 10.0 * _KAPPA_FLOOR)
-        left = kappa - delta
-        if left.real <= 0:  # one-sided near the boundary of the half-plane
-            deriv = (grid.mismatch(kappa + delta) - f) / delta
-        else:
-            deriv = (grid.mismatch(kappa + delta) - grid.mismatch(left)) / (2.0 * delta)
-        if deriv == 0:
-            return None
-        step = f / deriv
+        step = f * (kappa - prev) / (f - f_prev)
         damp = 1.0
         for _ in range(9):
             cand = kappa - damp * step
             if cand.real > _KAPPA_FLOOR:
                 fc = grid.mismatch(cand)
                 if abs(fc) < abs(f):
-                    kappa, f = cand, fc
+                    prev, f_prev, kappa, f = kappa, f, cand, fc
                     break
             damp *= 0.5
         else:
             return None
     if abs(f) <= SolverConfig.root_tol:
-        return kappa, abs(f), _NEWTON_MAX_ITER
+        return kappa, abs(f), _SECANT_MAX_ITER
     return None
 
 
@@ -506,9 +500,9 @@ def find_bound_state(
 
     Real potentials use a bracketed Brent search seeded at kappa = eps^2 * k2
     (expanding geometrically when the initial bracket misses the sign change).
-    Complex potentials use damped Newton from the same seed.  ``bracket``
-    overrides the seeding entirely, which is also the route for potentials
-    with a mean component (no asymptotic seed exists for them).
+    Complex potentials use damped secant steps from the same seed.
+    ``bracket`` overrides the seeding entirely, which is also the route for
+    potentials with a mean component (no asymptotic seed exists for them).
 
     Returns None when no admissible root (Re kappa > kappa_floor, |F| within
     root_tol) is found; absence of the small eigenvalue is the expected
@@ -539,7 +533,7 @@ def find_bound_state(
             start = seed if seed.real > _KAPPA_FLOOR else complex(abs(seed))
             if abs(start) <= _KAPPA_FLOOR:
                 return None
-            search, args = _newton_root, (start,)
+            search, args = _secant_root, (start,)
     hit = search(_CoefficientGrid(V, eps, h), *args)
     if hit is None:
         return None
@@ -573,19 +567,20 @@ def scan_roots(
 ) -> ScanResult:
     """Count the bound states with kappa in (low, high] exactly, and locate each.
 
-    The count is N(low) - N(high), N from the Sturm oscillation count
-    (``_CoefficientGrid.count_below``), so only real potentials qualify, and
-    the step must satisfy h sqrt(sup|V|) < pi.  Bisection on N over the
-    ``samples`` evenly spaced kappas isolates each root to one sample
-    interval, and further bisection inside it to one root per bracket;
-    Brent's method then polishes each root on its bracket.  A root exactly at
-    a sample is returned as is.
+    The window defaults to (kappa_floor, sqrt(sup|V|)], which holds every
+    admissible real bound state.  The count is N(low) - N(high), N from the
+    Sturm oscillation count (``_CoefficientGrid.count_below``), so only real
+    potentials qualify, and the step must satisfy h sqrt(sup|V|) < pi.
+    Bisection on N over the ``samples`` evenly spaced kappas isolates each
+    root to one sample interval, and further bisection inside it to one root
+    per bracket; Brent's method then polishes each root on its bracket.  A
+    root exactly at a sample is returned as is.
     """
     if not V.is_real:
         raise ValueError("root scan requires a real potential")
     if samples < 2:
         raise ValueError("need at least two samples")
-    lo, hi = window if window is not None else _SCAN_WINDOW
+    lo, hi = window if window is not None else (_KAPPA_FLOOR, math.sqrt(V.sup_abs()))
     if not (0 < lo < hi):
         raise ValueError("scan window must satisfy 0 < low < high")
     grid = _CoefficientGrid(V, eps, eps / cfg.points_per_fast_period)

@@ -163,7 +163,7 @@ def test_imaginary_potential_has_no_admissible_root(canonical, canonical_k2):
 @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
 @pytest.mark.parametrize("name", ["canonical_rotated", "canonical", "two_mode"])
 def test_emerging_root_is_found_and_counted_in_the_disk(name, eps):
-    # canonical * e^{0.3i}: k2 = 0.0830+0.0568i, so Newton has a complex root to find
+    # canonical * e^{0.3i}: k2 = 0.0830+0.0568i, so the secant has a complex root to find
     if name == "canonical_rotated":
         V = canonical_potential().scaled(cmath.exp(0.3j))
     else:
@@ -177,6 +177,20 @@ def test_emerging_root_is_found_and_counted_in_the_disk(name, eps):
     assert abs(ratio.real - 1.0) < 0.2 and abs(ratio.imag) < 0.05
     # the root lies in the disk around eps^2 k2: the boundary winds once around it
     assert min_mismatch_on_disk(V, eps, k2_hint=rep.value) == 0.0
+
+
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+@pytest.mark.parametrize("theta", [0.3, 0.8, 1.2, math.pi / 2])
+def test_secant_verdict_agrees_with_the_disk_count(name, theta):
+    # the secant reports a root exactly when the winding count finds one in the cut disk
+    V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential().scaled(cmath.exp(1j * theta))
+    k2 = compute_k2(V).value
+    for eps in (0.1, 0.05, 0.025):
+        res = find_bound_state(V, eps, k2_hint=k2)
+        floor = min_mismatch_on_disk(V, eps, k2_hint=k2)
+        assert (res is None) == (floor > 0.0), (eps, res, floor)
+        if res is not None:
+            assert res.converged and res.iterations <= 5
 
 
 def test_disk_floor_samples_only_the_boundary_of_the_cut_disk(canonical, canonical_k2, monkeypatch):
@@ -322,10 +336,12 @@ def test_sturm_count_matches_the_square_well_oracle(depth, states):
 
 @pytest.mark.parametrize("name", ["canonical", "two_mode"])
 def test_scan_finds_the_one_root_at_eps_1e_3(name):
-    # the root sits near 1e-7, far below the first sample interval's right end
+    # the root sits near 1e-7, far below the first sample interval's right end;
+    # the default window starts at the kappa floor, below it
     V, cfg, _ = shipped_grid(name)
-    scan = scan_roots(V, 1e-3, window=(1e-9, 0.5))
+    scan = scan_roots(V, 1e-3)
     res = find_bound_state(V, 1e-3, cfg=SolverConfig(points_per_fast_period=cfg.points_per_period))
+    assert scan.window == (solver._KAPPA_FLOOR, math.sqrt(V.sup_abs()))
     assert scan.count == 1
     assert scan.kappas[0] == pytest.approx(res.kappa.real, rel=1e-9)
 
