@@ -100,14 +100,6 @@ def emit_csv(records: Sequence[SweepRecord], summary: SweepSummary | None = None
     return _csv(CSV_HEADER, map(_record_row, records), comments)
 
 
-def _write_bytes(path: str, data: bytes) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise OSError(f"failed writing {path}: {exc}") from exc
-
-
 def _solve_record(
     V,
     eps: float,
@@ -123,7 +115,8 @@ def _solve_record(
     converged: Optional[bool] = None
     try:
         res = slv.find_bound_state(V, eps, k2_hint=k2, cfg=solver_cfg)
-    except (ValueError, RuntimeError):  # what find_bound_state raises; anything else is a bug
+    except (ValueError, RuntimeError) as exc:  # what find_bound_state raises; anything else is a bug
+        print(f"eps={eps:g}: {exc}", file=sys.stderr)
         res = None
         converged = False
     else:
@@ -339,19 +332,15 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ConfigError([f"--points-per-period must be at least {MIN_POINTS_PER_PERIOD}"])
             cfg = replace(cfg, points_per_period=args.points_per_period)
         data, code = _COMMANDS[args.command][1](cfg)
+        if args.out is None:
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+        else:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.out is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        try:
-            _write_bytes(args.out, data)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     return code
 
 

@@ -25,7 +25,7 @@ A step of the linear ODE is a 2x2 matrix: ``_step_maps`` runs the body once
 over all steps (one numpy lane per step) on the basis columns, and
 ``_pair`` multiplies neighbouring maps, later step on the left.  Pairwise
 products keep round-off growth at O(log n) (Higham, SIAM J. Sci. Comput. 14,
-1993).  The tree serves three ways:
+1993).  The tree serves two ways:
 
 * ``_compose`` climbs it to the transfer matrix alone, in log2(n) numpy
   passes that keep no levels.  Root finding, ``transfer_matrix`` and the
@@ -34,9 +34,6 @@ products keep round-off growth at O(log n) (Higham, SIAM J. Sci. Comput. 14,
   and their applications", CMU-CS-90-190, 1990) to every partial product
   P_k = M_k ... M_0: u at every step end, for ``eigenfunction`` and for the
   Sturm count below.
-* A numpy array of kappas (``min_mismatch_on_disk``) is composed on a
-  (kappa, step) array, a few kappas at a time so that each chunk holds about
-  ``_BATCH_ELEMENTS`` step maps.
 
 For a real potential, the number N(kappa) of eigenvalues below -kappa^2 is
 the number of zeros of the left-decaying solution on the whole line
@@ -48,7 +45,8 @@ Roots of the real mismatch are polished with Brent's method (``_brent``),
 complex roots with damped secant steps.  Every real bound state has
 kappa^2 <= sup|V|, so bracket searches stop at sqrt(sup|V|).  Absence is
 certified by counting: F is entire in kappa, so ``min_mismatch_on_disk``
-counts the roots in a disk by the winding of F along its boundary.
+counts the roots in a disk by the winding of F along its boundary, sampled
+one kappa at a time.
 
 This module never consumes the asymptotic machinery beyond an optional
 initial guess, which is what makes it a genuine cross-check of the
@@ -79,11 +77,9 @@ _KAPPA_FLOOR = 1e-9
 _MAX_BRACKET_EXPANSIONS = 48
 _SECANT_MAX_ITER = 60
 # min_mismatch_on_disk: radius over |eps^2 k2|; boundary samples, doubled up to the cap
-_DISK_RADIUS_FACTOR, _CONTOUR_POINTS, _CONTOUR_MAX_POINTS = 2.0, 64, 1024
+_DISK_RADIUS_FACTOR, _CONTOUR_POINTS, _CONTOUR_MAX_POINTS = 2.0, 16, 1024
 # eigenfunction: largest relative derivative defect of a root at the right edge
 _MATCH_TOL = 1e-6
-# step maps per chunk when composing an array of kappas: bounds a batch's working set
-_BATCH_ELEMENTS = 4096
 # Sturm count: h sqrt(sup|V|) below pi leaves at most one zero of u in a step (Sturm comparison)
 _STURM_STEP_PHASE = math.pi
 
@@ -172,22 +168,12 @@ class _StageGrid:
         self.xs = xs
 
     def mismatch(self, kappa):
-        """F(kappa) at one kappa, or at each kappa of a 1-D numpy array."""
-        if not np.all(np.real(kappa) > 0):
+        """F(kappa) at one kappa: a float for a real grid and real kappa, else a complex."""
+        if not np.real(kappa) > 0:
             raise ValueError("not in the physical half-plane: Re kappa must be positive")
-        if isinstance(kappa, np.ndarray):
-            real = self.real and not np.iscomplexobj(kappa)
-            kappa = kappa.astype(float if real else complex)
-            t = np.empty((4, kappa.size), dtype=kappa.dtype)
-            chunk = max(1, _BATCH_ELEMENTS // max(1, self.steps.size))
-            for start in range(0, kappa.size, chunk):
-                k = kappa[start : start + chunk]
-                t[:, start : start + chunk] = _compose(_step_maps(self, -(k * k)[:, None]))
-            t00, t01, t10, t11 = t
-        else:
-            real = self.real and np.imag(kappa) == 0
-            kappa = float(np.real(kappa)) if real else complex(kappa)
-            t00, t01, t10, t11 = (x.item() for x in _compose(_step_maps(self, -kappa * kappa)))
+        real = self.real and np.imag(kappa) == 0
+        kappa = float(np.real(kappa)) if real else complex(kappa)
+        t00, t01, t10, t11 = (x.item() for x in _compose(_step_maps(self, -kappa * kappa)))
         u, w = t00 + t01 * kappa, t10 + t11 * kappa
         return w + kappa * u
 
@@ -237,9 +223,8 @@ def _rk4_step(h, u, w, a, b):
 def _step_maps(grid: _StageGrid, lam):
     """The 2x2 RK4 map of every step at spectral value lam, one numpy lane per step.
 
-    Returns the entry arrays (m00, m01, m10, m11); column j of a step's map
-    is one ``_rk4_step`` from the basis vector e_j.  An array lam of shape
-    (k, 1) gives (k, steps) arrays, one row per spectral value.
+    Returns the entry arrays (m00, m01, m10, m11), one entry per step;
+    column j of a step's map is one ``_rk4_step`` from the basis vector e_j.
     """
     a = [x - lam for x in grid.a]
     m00, m10 = _rk4_step(grid.steps, 1.0, 0.0, a, grid.b)
@@ -255,24 +240,20 @@ def _product(left, right):
 
 
 def _pair(m):
-    """One level of the pairwise tree along the last axis: map 2j+1 times map 2j, an odd last map carried."""
-    size = m[0].shape[-1]
+    """One level of the pairwise tree: map 2j+1 times map 2j, an odd last map carried."""
+    size = m[0].size
     n = size - size % 2
-    pairs = _product([x[..., 1:n:2] for x in m], [x[..., 0:n:2] for x in m])
-    return pairs if n == size else tuple(np.concatenate((p, x[..., n:]), axis=-1) for p, x in zip(pairs, m))
+    pairs = _product([x[1:n:2] for x in m], [x[0:n:2] for x in m])
+    return pairs if n == size else tuple(np.concatenate((p, x[n:])) for p, x in zip(pairs, m))
 
 
 def _compose(m):
-    """Transfer matrix M[n-1] ... M[1] M[0] of the step maps, as the entries (t00, t01, t10, t11).
-
-    The maps run along the last axis; the entries keep the leading axes.
-    """
-    if m[0].shape[-1] == 0:
-        one, zero = np.ones(m[0].shape[:-1]), np.zeros(m[0].shape[:-1])
-        return one, zero, zero, one
-    while m[0].shape[-1] > 1:
+    """Transfer matrix M[n-1] ... M[1] M[0] of the 1-D step maps, as the entries (t00, t01, t10, t11)."""
+    if m[0].size == 0:
+        return np.float64(1.0), np.float64(0.0), np.float64(0.0), np.float64(1.0)
+    while m[0].size > 1:
         m = _pair(m)
-    return tuple(x[..., 0] for x in m)
+    return tuple(x[0] for x in m)
 
 
 def _prefixes(m):
@@ -525,10 +506,11 @@ def find_bound_state(
         seed = eps * eps * k2
         if V.is_real and abs(k2.imag) <= 1e-10 * max(abs(k2), 1.0):
             kappa0 = seed.real
-            if kappa0 <= _KAPPA_FLOOR:
+            if kappa0 <= 0:
                 return None
-            hi = min(10.0 * kappa0, cap)
-            search, args = _real_root, (min(kappa0 / 10.0, 0.5 * hi), hi, cap)
+            # a seed at or below the floor still brackets from just above it
+            hi = max(min(10.0 * kappa0, cap), 2.0 * _KAPPA_FLOOR)
+            search, args = _real_root, (max(min(kappa0 / 10.0, 0.5 * hi), _KAPPA_FLOOR), hi, cap)
         else:
             start = seed if seed.real > _KAPPA_FLOOR else complex(abs(seed))
             if abs(start) <= _KAPPA_FLOOR:
@@ -638,7 +620,8 @@ def min_mismatch_on_disk(
     while n <= _CONTOUR_MAX_POINTS:
         # the circle, every point left of the cut moved onto it: the boundary of the cut disk
         z = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
-        f = grid.mismatch(np.where(z.real > _KAPPA_FLOOR, z, _KAPPA_FLOOR + 1j * z.imag))
+        z = np.where(z.real > _KAPPA_FLOOR, z, _KAPPA_FLOOR + 1j * z.imag)
+        f = np.array([grid.mismatch(k) for k in z.tolist()], dtype=complex)
         if np.any(f == 0):
             return 0.0
         steps = np.angle(np.roll(f, -1) / f)
@@ -677,7 +660,8 @@ def eigenfunction(
     real = grid.real and kc.imag == 0
     k0 = kc.real if real else kc
     p00, p01, p10, p11 = _prefixes(_step_maps(grid, -k0 * k0))
-    xs = np.cumsum(np.append(grid.x0, grid.steps))
+    # the even stage points are the step ends, x1 included after a partial step
+    xs = grid.xs[::2]
     us = p00 + p01 * k0
     u1, w1 = us[-1], p10[-1] + p11[-1] * k0
     defect = abs(w1 + kc * u1) / (abs(kc) * abs(u1) + abs(w1) + 1e-300)

@@ -172,7 +172,7 @@ def test_run_sweep_absent_branch():
     assert summary.slope is None
 
 
-def test_solve_record_reports_solver_errors_and_lets_bugs_through(monkeypatch):
+def test_solve_record_reports_solver_errors_and_lets_bugs_through(monkeypatch, capsys):
     V = canonical_potential()
     k2 = compute_k2(V).value
 
@@ -185,6 +185,7 @@ def test_solve_record_reports_solver_errors_and_lets_bugs_through(monkeypatch):
     monkeypatch.setattr(solver, "find_bound_state", raising(ValueError("no admissible root")))
     record = _solve_record(V, 0.1, k2, "Exists", True, solver.DEFAULT_SOLVER)
     assert record.converged is False and record.lambda_num is None
+    assert capsys.readouterr().err == "eps=0.1: no admissible root\n"
     monkeypatch.setattr(solver, "find_bound_state", raising(TypeError("a programming error")))
     with pytest.raises(TypeError, match="programming error"):
         _solve_record(V, 0.1, k2, "Exists", True, solver.DEFAULT_SOLVER)
@@ -277,6 +278,27 @@ def test_cli_grid_past_the_resolution_budget_exits_two(tmp_path, capsys, command
     code, out = run_cli(tmp_path, command, "--config", cfgp)
     assert (code, out) == (2, b"")
     assert "resolution budget exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, code", [("sweep", 0), ("solve", 3)])
+def test_cli_solve_past_the_resolution_budget_says_why_on_stderr(tmp_path, capsys, command, code):
+    # the seed eps^2 k2 lies below the kappa floor, so the search samples a grid, which is refused
+    cfgp = write_cfg(tmp_path, "mode = cos 1 poly 100 2\nsupport = 0 1\neps = 1e-12\n")
+    got, out = run_cli(tmp_path, command, "--config", cfgp)
+    assert got == code
+    assert b"Exists," in out
+    assert capsys.readouterr().err.startswith("eps=1e-12: resolution budget exceeded: 40000000000000 steps")
+
+
+def test_cli_out_under_a_missing_directory_exits_two(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, CANONICAL_TEXT)
+    target = tmp_path / "missing" / "out.csv"
+    code = main(["k2", "--config", cfgp, "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert str(target) in captured.err
+    assert captured.out == ""
+    assert not target.exists()
 
 
 def test_cli_scan_counts_one_root(tmp_path):

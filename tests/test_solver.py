@@ -195,16 +195,16 @@ def test_secant_verdict_agrees_with_the_disk_count(name, theta):
 
 def test_disk_floor_samples_only_the_boundary_of_the_cut_disk(canonical, canonical_k2, monkeypatch):
     seen = []
-    lanes = _CoefficientGrid.mismatch
+    one_kappa = _CoefficientGrid.mismatch
 
     def record(grid, kappa):
-        seen.append(np.asarray(kappa))
-        return lanes(grid, kappa)
+        seen.append(kappa)
+        return one_kappa(grid, kappa)
 
     monkeypatch.setattr(_CoefficientGrid, "mismatch", record)
     k2 = -canonical_k2.value  # the i-rotation's k2: the disk straddles the cut
     min_mismatch_on_disk(canonical.scaled(1j), 0.1, k2_hint=k2)
-    z = np.concatenate(seen)
+    z = np.array(seen, dtype=complex)
     center = 0.1**2 * k2
     on_circle = np.isclose(np.abs(z - center), 2.0 * abs(center), rtol=1e-12, atol=0.0)
     on_cut = z.real == solver._KAPPA_FLOOR
@@ -220,6 +220,21 @@ def test_disk_count_refines_a_coarse_contour_up_to_its_cap(canonical, canonical_
     monkeypatch.setattr(solver, "_CONTOUR_MAX_POINTS", 4)
     with pytest.raises(ValueError, match="cannot count"):
         min_mismatch_on_disk(canonical, 0.1, k2_hint=canonical_k2.value)
+
+
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+@pytest.mark.parametrize("rotation", [cmath.exp(0.3j), 1j], ids=["e^0.3i", "i"])
+def test_disk_count_does_not_depend_on_the_starting_contour(name, rotation, monkeypatch):
+    # 16 points are every fourth of 64, so a count that needs no refinement floors no lower
+    V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential().scaled(rotation)
+    k2 = compute_k2(V).value
+    epsilons = (0.1, 0.05)
+    floors = [min_mismatch_on_disk(V, eps, k2_hint=k2) for eps in epsilons]
+    monkeypatch.setattr(solver, "_CONTOUR_POINTS", 64)
+    for eps, floor in zip(epsilons, floors):
+        fine = min_mismatch_on_disk(V, eps, k2_hint=k2)
+        assert (floor == 0.0) == (fine == 0.0), (eps, floor, fine)
+        assert floor >= fine * (1.0 - 1e-14)
 
 
 def test_gauged_formulation_finds_the_same_root(canonical, canonical_k2):
@@ -246,19 +261,6 @@ def shipped_grid(name, eps=0.1):
     cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
     V = cfg.build_potential()
     return V, cfg, _CoefficientGrid(V, eps, eps / cfg.points_per_period)
-
-
-@pytest.mark.parametrize("name", ["canonical", "two_mode"])
-def test_mismatch_lanes_match_one_kappa_at_a_time(name):
-    _, _, grid = shipped_grid(name)
-    ks = np.linspace(1e-6, 0.5, 41)
-    # an array of kappas is composed on (kappa, step) arrays: real kappas give one kappa's
-    # bits, complex products may round differently, so compare those norm-wise
-    # (values near a zero of F lose relative digits to cancellation)
-    assert grid.mismatch(ks).tobytes() == np.array([grid.mismatch(k) for k in ks.tolist()]).tobytes()
-    for kappas in (ks, ks * np.exp(0.6j)):
-        scalar = np.array([grid.mismatch(k) for k in kappas.tolist()])
-        assert np.max(np.abs(grid.mismatch(kappas) - scalar)) <= 1e-14 * np.max(np.abs(scalar))
 
 
 @pytest.mark.parametrize("name", ["canonical", "two_mode"])
@@ -357,6 +359,18 @@ def test_prefixes_end_in_the_composed_transfer_matrix(name):
         assert [p[-1].tobytes() for p in prefixes] == [t.tobytes() for t in _compose(maps)]
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.2])
+def test_a_seed_below_the_kappa_floor_is_searched_from_the_floor(eps):
+    # amplitude 0.03 puts eps^2 k2 at or below the floor, yet a bound state sits above it
+    V = canonical_potential(amplitude=0.03)
+    assert 0.0 < eps * eps * compute_k2(V).value.real <= solver._KAPPA_FLOOR
+    res = find_bound_state(V, eps)
+    scan = scan_roots(V, eps)
+    assert res is not None and res.converged
+    assert scan.count == 1
+    assert res.kappa.real == pytest.approx(scan.kappas[0], rel=1e-12)
+
+
 def test_bracket_reaches_past_kappa_one_on_a_deep_potential():
     # kappa^2 <= sup|V| = 625 caps the search here, not kappa = 1
     V = canonical_potential(amplitude=1e4)
@@ -400,7 +414,7 @@ def test_mean_component_requires_explicit_bracket():
 
 
 def test_early_exits_build_no_coefficient_grid(monkeypatch):
-    # a negative k2 seed lies below kappa_floor: absence is reported without sampling a grid
+    # a negative real k2 seeds no kappa > 0: absence is reported without sampling a grid
     def refuse(*args, **kwargs):
         raise AssertionError("coefficient grid built before an early exit")
 
@@ -423,20 +437,21 @@ def test_scan_refuses_a_step_that_may_hold_two_zeros():
         scan_roots(canonical_potential(amplitude=1e8), 0.1)
 
 
-def test_a_batch_of_kappas_peaks_like_one_kappa():
-    # 4000 steps at eps 1e-3: the batch is composed a kappa at a time, so its peak memory is one kappa's
-    grid = _CoefficientGrid(SquareWell(depth=30.0, support=(0.0, 0.1)), 1e-3, 1e-3 / 40)
-    kappas = 0.01 + 0.005 * np.exp(2j * np.pi * (np.arange(1024) + 0.5) / 1024)
+def test_the_disk_count_peaks_like_one_mismatch():
+    # 4000 steps at eps 1e-3: the boundary is sampled one kappa at a time, so the
+    # count's peak memory, its own grid included, stays within twice one mismatch's
+    V = SquareWell(depth=30.0, support=(0.0, 0.1))
+    grid = _CoefficientGrid(V, 1e-3, 1e-3 / 40)
     tracemalloc.start()
     try:
-        grid.mismatch(complex(kappas[0]))
+        grid.mismatch(1e-5 + 5e-6j)
         one = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        grid.mismatch(kappas)
-        batch = tracemalloc.get_traced_memory()[1]
+        min_mismatch_on_disk(V, 1e-3, k2_hint=10 + 5j)
+        disk = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert batch <= 2 * one
+    assert disk <= 2 * one
 
 
 def test_solver_config_validation():
@@ -461,6 +476,18 @@ def test_eigenfunction_is_normalized_with_exact_tails(canonical, canonical_k2):
     right_edge = np.abs(ef.values[inside][-1]) ** 2
     tails = (left_edge + right_edge) / (2 * kappa)
     assert interior + tails == pytest.approx(1.0, rel=1e-6)
+
+
+def test_eigenfunction_samples_the_interior_at_the_step_ends(canonical, canonical_k2):
+    # eps 0.07 leaves a partial last step: x1 is a step end, not x0 plus a multiple of h
+    grid = _CoefficientGrid(canonical, 0.07, 0.07 / 40)
+    assert grid.steps[-1] < grid.h
+    res = find_bound_state(canonical, 0.07, k2_hint=canonical_k2.value)
+    ef = eigenfunction(canonical, 0.07, res.kappa)
+    x0, x1 = canonical.support_hull
+    interior = ef.x[(ef.x >= x0) & (ef.x <= x1)]
+    assert interior.tobytes() == grid.xs[::2].tobytes()
+    assert interior[-1] == x1
 
 
 def test_eigenfunction_rejects_non_roots(canonical, canonical_k2):
