@@ -169,7 +169,7 @@ def compute_k_eps(V: TwoScaleFunction, eps: float) -> KEpsReport:
     """
     g = gauge_mod.build_gauge(V, eps)
     hull = V.support_hull
-    nodes, weights, edges = fast_panel_grid(hull, eps, with_edges=True)
+    nodes, weights = fast_panel_grid(hull, eps)
     if nodes.size == 0:
         return KEpsReport(eps=float(eps), m1=0j, m2=0j, k_eps=0j)
 
@@ -186,9 +186,9 @@ def compute_k_eps(V: TwoScaleFunction, eps: float) -> KEpsReport:
     s0 = contrib0.sum()
     s1 = contrib1.sum()
 
-    # partial-panel pieces from the panel's left edge to each node, one
-    # Gauss-Legendre point of [left, node] at a time so the samples stay node-sized
-    lefts = np.repeat(edges[:-1], n_per)
+    # partial-panel pieces from the panel's left edge (as _panel_rule lays it) to each
+    # node, one Gauss-Legendre point of [left, node] at a time so the samples stay node-sized
+    lefts = np.repeat(np.linspace(*hull, n_panels + 1)[:-1], n_per)
     half = 0.5 * (nodes - lefts)
     mid = 0.5 * (nodes + lefts)
     part0 = part1 = 0.0

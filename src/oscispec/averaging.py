@@ -40,17 +40,17 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _panel_rule(lo: float, hi: float, n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, weights and edges of n_nodes-point Gauss-Legendre on n_panels equal panels of [lo, hi]."""
+def _panel_rule(lo: float, hi: float, n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of n_nodes-point Gauss-Legendre on n_panels equal panels of [lo, hi]."""
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     centers = 0.5 * (edges[:-1] + edges[1:])
     gx, gw = _gauss_legendre(n_nodes)
     nodes = (centers[:, None] + half * gx[None, :]).ravel()
-    return nodes, np.tile(half * gw, n_panels), edges
+    return nodes, np.tile(half * gw, n_panels)
 
 
-def fast_panel_grid(support: tuple[float, float], eps: float, with_edges: bool = False):
+def fast_panel_grid(support: tuple[float, float], eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on panels no wider than eps/8.
 
     Panels tile [a, b] exactly, so envelope-boundary kinks at the support
@@ -61,12 +61,10 @@ def fast_panel_grid(support: tuple[float, float], eps: float, with_edges: bool =
     a, b = support
     length = b - a
     if length <= 0:
-        empty = np.zeros(0)
-        return (empty, empty, np.zeros(1)) if with_edges else (empty, empty)
+        return np.zeros(0), np.zeros(0)
     n_panels = max(1, math.ceil(length / (eps / _PANELS_PER_PERIOD)))
     check_grid_size(n_panels, "panels", eps, support)
-    nodes, weights, edges = _panel_rule(a, b, n_panels, _NODES_PER_PANEL)
-    return (nodes, weights, edges) if with_edges else (nodes, weights)
+    return _panel_rule(a, b, n_panels, _NODES_PER_PANEL)
 
 
 def oscillatory_integral(u: TwoScaleFunction, eps: float) -> complex:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from . import solver as slv
 from .averaging import decay_order_fit
 from .config import ConfigError, ExperimentConfig, load_config
 from .gauge import _identity_residuals, build_gauge, default_catalog
-from .potentials import MIN_POINTS_PER_PERIOD, check_grid_size
+from .potentials import check_grid_size
 
 CSV_HEADER = (
     "eps,k2_re,k2_im,lambda_pred_re,lambda_pred_im,"
@@ -314,12 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to the experiment config file")
         p.add_argument("--out", default=None, help="output path (default: standard output)")
-        p.add_argument(
-            "--points-per-period",
-            type=int,
-            default=None,
-            help="override the solver sampling density per fast period",
-        )
     return parser
 
 
@@ -327,10 +321,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, require_zero_mean=args.command in _THEOREM_COMMANDS)
-        if args.points_per_period is not None:
-            if args.points_per_period < MIN_POINTS_PER_PERIOD:
-                raise ConfigError([f"--points-per-period must be at least {MIN_POINTS_PER_PERIOD}"])
-            cfg = replace(cfg, points_per_period=args.points_per_period)
         data, code = _COMMANDS[args.command][1](cfg)
         if args.out is None:
             sys.stdout.buffer.write(data)

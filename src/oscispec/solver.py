@@ -41,12 +41,13 @@ the number of zeros of the left-decaying solution on the whole line
 2005), read off the prefixes by ``_CoefficientGrid.count_below``.
 ``scan_roots`` counts the roots in its window as N(low) - N(high), exactly.
 
-Roots of the real mismatch are polished with Brent's method (``_brent``),
-complex roots with damped secant steps.  Every real bound state has
-kappa^2 <= sup|V|, so bracket searches stop at sqrt(sup|V|).  Absence is
-certified by counting: F is entire in kappa, so ``min_mismatch_on_disk``
-counts the roots in a disk by the winding of F along its boundary, sampled
-one kappa at a time.
+Roots of the real mismatch are isolated by the count and polished with
+Brent's method (``_brent``); a seed bracket across which F changes sign skips
+the count.  Every real bound state has kappa^2 <= sup|V|, so the count
+searches (kappa_floor, sqrt(sup|V|)].  Complex roots are found by damped
+secant steps.  Absence is certified by counting: F is entire in kappa, so
+``min_mismatch_on_disk`` counts the roots in a disk by the winding of F
+along its boundary, sampled one kappa at a time.
 
 This module never consumes the asymptotic machinery beyond an optional
 initial guess, which is what makes it a genuine cross-check of the
@@ -74,7 +75,8 @@ _BRENT_MAXITER = 200
 
 # an admissible root has Re kappa above this floor
 _KAPPA_FLOOR = 1e-9
-_MAX_BRACKET_EXPANSIONS = 48
+# evenly spaced kappas over which the Sturm count first bisects
+_SAMPLES = 2000
 _SECANT_MAX_ITER = 60
 # min_mismatch_on_disk: radius over |eps^2 k2|; boundary samples, doubled up to the cap
 _DISK_RADIUS_FACTOR, _CONTOUR_POINTS, _CONTOUR_MAX_POINTS = 2.0, 16, 1024
@@ -167,15 +169,25 @@ class _StageGrid:
             xs = np.concatenate([xs, [x0 + n_full * h + 0.5 * h_last, x1]])
         self.xs = xs
 
-    def mismatch(self, kappa):
-        """F(kappa) at one kappa: a float for a real grid and real kappa, else a complex."""
+    def _kappa(self, kappa):
+        """kappa in the physical half-plane: a float for a real grid and real kappa, else a complex."""
         if not np.real(kappa) > 0:
             raise ValueError("not in the physical half-plane: Re kappa must be positive")
-        real = self.real and np.imag(kappa) == 0
-        kappa = float(np.real(kappa)) if real else complex(kappa)
+        return float(np.real(kappa)) if self.real and np.imag(kappa) == 0 else complex(kappa)
+
+    def mismatch(self, kappa):
+        """F(kappa) at one kappa: a float for a real grid and real kappa, else a complex."""
+        kappa = self._kappa(kappa)
         t00, t01, t10, t11 = (x.item() for x in _compose(_step_maps(self, -kappa * kappa)))
         u, w = t00 + t01 * kappa, t10 + t11 * kappa
         return w + kappa * u
+
+    def left_solution(self, kappa):
+        """(kappa coerced as in ``mismatch``, u at x0 and every step end, u' at x1) from the
+        prefixes, for left tail data (1, kappa): F = w1 + kappa * u[-1]."""
+        kappa = self._kappa(kappa)
+        p00, p01, p10, p11 = _prefixes(_step_maps(self, -kappa * kappa))
+        return kappa, p00 + p01 * kappa, p10[-1] + p11[-1] * kappa
 
 
 def _by_stage(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,10 +326,8 @@ class _CoefficientGrid(_StageGrid):
             raise ValueError(
                 f"step too large to count zeros: h sqrt(sup|V|) = {phase:.3g} must stay below pi"
             )
-        kappa = float(kappa)
-        p00, p01, p10, p11 = _prefixes(_step_maps(self, -kappa * kappa))
-        u = p00 + p01 * kappa
-        f = float(p10[-1] + p11[-1] * kappa + kappa * u[-1])
+        kappa, u, w1 = self.left_solution(kappa)
+        f = float(w1 + kappa * u[-1])
         signs = np.sign(np.append(u, f))
         signs = signs[signs != 0]
         return int(np.count_nonzero(signs[1:] != signs[:-1])), f
@@ -353,6 +363,11 @@ def mismatch(V, eps: float, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> comple
 
 @dataclass(frozen=True)
 class BoundStateResult:
+    """A located root.  ``iterations`` is the work spent on it: for a real
+    potential, the two mismatch evaluations at the bracket ends, the Sturm
+    counts a fallback makes when F keeps its sign there, and Brent's
+    iterations; for a complex one, the secant iterations."""
+
     kappa: complex
     eigenvalue: complex
     mismatch_residual: float
@@ -406,39 +421,60 @@ def _brent(f, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, floa
     raise RuntimeError(f"Brent failed to converge after {_BRENT_MAXITER} iterations")
 
 
-def _real_root(grid: _CoefficientGrid, lo: float, hi: float, cap: float) -> Optional[tuple[float, float, int]]:
-    """Brent root of the real mismatch on [lo, hi], widened up to hi = cap; None without a sign change."""
+def _counted_roots(grid: _CoefficientGrid, lo: float, hi: float, samples: int):
+    """Yield (root, F(root), work) for each root of the real mismatch in (lo, hi], in increasing kappa.
 
-    def f(k: float) -> float:
-        return grid.mismatch(k).real
+    Bisection on N over ``samples`` evenly spaced kappas, then inside one
+    sample interval, leaves one root per bracket for Brent (a root at a
+    sample is taken as is).  work counts the Sturm counts and Brent
+    iterations since the previous root.
+    """
+    ks = np.linspace(lo, hi, samples).tolist()
+    # brackets (a, b) holding N(a) - N(b) roots, with (N, F) at both ends and,
+    # while they span more than one sample interval, the sample indices of a and b
+    stack = [(ks[0], ks[-1], grid.count_below(ks[0]), grid.count_below(ks[-1]), 0, samples - 1)]
+    work = 2
+    while stack:
+        a, b, (na, fa), (nb, fb), i, j = stack.pop()
+        if na <= nb:
+            continue
+        if na - nb == 1 and j - i <= 1:
+            root, froot, its = (b, 0.0, 0) if fb == 0.0 else _brent(grid.mismatch, a, b, fa, fb)
+            yield root, froot, work + its
+            work = 0
+            continue
+        if j - i > 1:
+            m = (i + j) // 2
+            c, left, right = ks[m], (i, m), (m, j)
+        else:
+            c, left, right = 0.5 * (a + b), (i, j), (i, j)
+            if not a < c < b:
+                raise RuntimeError(f"cannot separate {na - nb} roots of the mismatch at kappa={a!r}")
+        mid = grid.count_below(c)
+        work += 1
+        stack.append((c, b, mid, (nb, fb), *right))
+        stack.append((a, c, (na, fa), mid, *left))
 
-    flo, fhi = f(lo), f(hi)
-    evals, expansions = 2, 0
-    while flo * fhi > 0 and expansions < _MAX_BRACKET_EXPANSIONS:
-        grew = False
-        if lo > _KAPPA_FLOOR * 2:
-            lo = max(lo / 2.0, _KAPPA_FLOOR)
-            flo = f(lo)
-            evals += 1
-            grew = True
-        if hi < cap:
-            hi = min(hi * 2.0, cap)
-            fhi = f(hi)
-            evals += 1
-            grew = True
-        expansions += 1
-        if not grew:
-            break
-    if flo * fhi > 0:
-        return None
+
+def _real_root(grid: _CoefficientGrid, lo: float, hi: float) -> Optional[tuple[float, float, int]]:
+    """Brent root of the real mismatch on [lo, hi] when F changes sign there, else the smallest counted root.
+
+    Every real bound state has kappa^2 <= sup|V|, so the count searches
+    (kappa_floor, sqrt(sup|V|)]; None when it finds no root there.
+    """
+    flo, fhi = grid.mismatch(lo), grid.mismatch(hi)
     if flo == 0.0:
-        return lo, 0.0, evals
+        return lo, 0.0, 2
     if fhi == 0.0:
-        return hi, 0.0, evals
-    root, froot, its = _brent(f, lo, hi, flo, fhi)
-    # a complex potential has a complex mismatch on the real axis: Brent zeroes its real part only
-    residual = abs(froot) if grid.real else abs(grid.mismatch(root))
-    return root, residual, evals + its
+        return hi, 0.0, 2
+    if flo * fhi < 0:
+        root, froot, its = _brent(grid.mismatch, lo, hi, flo, fhi)
+    else:
+        hit = next(_counted_roots(grid, _KAPPA_FLOOR, math.sqrt(grid.sup_abs), _SAMPLES), None)
+        if hit is None:
+            return None
+        root, froot, its = hit
+    return root, abs(froot), 2 + its
 
 
 def _secant_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[complex, float, int]]:
@@ -479,26 +515,27 @@ def find_bound_state(
 ) -> Optional[BoundStateResult]:
     """Locate the bound state emerging near the spectral edge, or report absence.
 
-    Real potentials use a bracketed Brent search seeded at kappa = eps^2 * k2
-    (expanding geometrically when the initial bracket misses the sign change).
-    Complex potentials use damped secant steps from the same seed.
-    ``bracket`` overrides the seeding entirely, which is also the route for
-    potentials with a mean component (no asymptotic seed exists for them).
+    Real potentials use Brent's method on a bracket seeded at kappa =
+    eps^2 * k2 when F changes sign across it, else the first root
+    ``scan_roots`` lists.  Complex potentials use damped secant steps from
+    the same seed.  ``bracket`` (real potentials only) overrides the seeding,
+    which is also the route for potentials with a mean component.
 
     Returns None when no admissible root (Re kappa > kappa_floor, |F| within
-    root_tol) is found; absence of the small eigenvalue is the expected
-    outcome when Re k2 < 0, and ``min_mismatch_on_disk`` certifies it by
-    counting the roots in a disk around the seed (zero of them).
+    root_tol) is found, for a real potential exactly when N(kappa_floor) = 0.
+    Absence of the small eigenvalue is the expected outcome when Re k2 < 0,
+    and ``min_mismatch_on_disk`` certifies it by counting the roots in a disk
+    around the seed (zero of them).
     """
     h = eps / cfg.points_per_fast_period
-    # every real bound state has kappa^2 <= sup|V|: real brackets widen no further
-    cap = math.sqrt(V.sup_abs())
     # sample the grid only after every early exit: it is most of a short call's cost
     if bracket is not None:
         lo, hi = float(bracket[0]), float(bracket[1])
         if not (0 < lo < hi):
             raise ValueError("bracket must satisfy 0 < low < high")
-        search, args = _real_root, (lo, hi, cap)
+        if not V.is_real:
+            raise ValueError("an explicit bracket needs a real potential")
+        search, args = _real_root, (lo, hi)
     else:
         if not V.has_zero_mean:
             raise ValueError("provide an explicit bracket for potentials with a mean component")
@@ -508,9 +545,10 @@ def find_bound_state(
             kappa0 = seed.real
             if kappa0 <= 0:
                 return None
-            # a seed at or below the floor still brackets from just above it
-            hi = max(min(10.0 * kappa0, cap), 2.0 * _KAPPA_FLOOR)
-            search, args = _real_root, (max(min(kappa0 / 10.0, 0.5 * hi), _KAPPA_FLOOR), hi, cap)
+            # every real bound state has kappa^2 <= sup|V|; a seed at or below
+            # the floor still brackets from just above it
+            hi = max(min(10.0 * kappa0, math.sqrt(V.sup_abs())), 2.0 * _KAPPA_FLOOR)
+            search, args = _real_root, (max(min(kappa0 / 10.0, 0.5 * hi), _KAPPA_FLOOR), hi)
         else:
             start = seed if seed.real > _KAPPA_FLOOR else complex(abs(seed))
             if abs(start) <= _KAPPA_FLOOR:
@@ -544,7 +582,7 @@ def scan_roots(
     V,
     eps: float,
     window: tuple[float, float] | None = None,
-    samples: int = 2000,
+    samples: int = _SAMPLES,
     cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> ScanResult:
     """Count the bound states with kappa in (low, high] exactly, and locate each.
@@ -553,10 +591,9 @@ def scan_roots(
     admissible real bound state.  The count is N(low) - N(high), N from the
     Sturm oscillation count (``_CoefficientGrid.count_below``), so only real
     potentials qualify, and the step must satisfy h sqrt(sup|V|) < pi.
-    Bisection on N over the ``samples`` evenly spaced kappas isolates each
-    root to one sample interval, and further bisection inside it to one root
-    per bracket; Brent's method then polishes each root on its bracket.  A
-    root exactly at a sample is returned as is.
+    Bisection on N over ``samples`` evenly spaced kappas isolates the roots
+    and Brent's method polishes each (``_counted_roots``, which
+    ``find_bound_state`` shares).
     """
     if not V.is_real:
         raise ValueError("root scan requires a real potential")
@@ -566,28 +603,7 @@ def scan_roots(
     if not (0 < lo < hi):
         raise ValueError("scan window must satisfy 0 < low < high")
     grid = _CoefficientGrid(V, eps, eps / cfg.points_per_fast_period)
-    ks = np.linspace(lo, hi, samples).tolist()
-    roots: list[float] = []
-    # brackets (a, b) holding N(a) - N(b) roots, with (N, F) at both ends and,
-    # while they span more than one sample interval, the sample indices of a and b
-    stack = [(ks[0], ks[-1], grid.count_below(ks[0]), grid.count_below(ks[-1]), 0, samples - 1)]
-    while stack:
-        a, b, (na, fa), (nb, fb), i, j = stack.pop()
-        if na <= nb:
-            continue
-        if na - nb == 1 and j - i <= 1:
-            roots.append(b if fb == 0.0 else _brent(grid.mismatch, a, b, fa, fb)[0])
-            continue
-        if j - i > 1:
-            m = (i + j) // 2
-            c, left, right = ks[m], (i, m), (m, j)
-        else:
-            c, left, right = 0.5 * (a + b), (i, j), (i, j)
-            if not a < c < b:
-                raise RuntimeError(f"cannot separate {na - nb} roots of the mismatch at kappa={a!r}")
-        mid = grid.count_below(c)
-        stack.append((c, b, mid, (nb, fb), *right))
-        stack.append((a, c, (na, fa), mid, *left))
+    roots = [root for root, _, _ in _counted_roots(grid, lo, hi, samples)]
     return ScanResult(
         count=len(roots),
         kappas=tuple(roots),
@@ -654,16 +670,10 @@ def eigenfunction(
     """
     h = eps / cfg.points_per_fast_period
     grid = _CoefficientGrid(V, eps, h)
-    kc = complex(kappa)
-    if kc.real <= 0:
-        raise ValueError("not in the physical half-plane: Re kappa must be positive")
-    real = grid.real and kc.imag == 0
-    k0 = kc.real if real else kc
-    p00, p01, p10, p11 = _prefixes(_step_maps(grid, -k0 * k0))
+    _, us, w1 = grid.left_solution(kappa)
+    kc, u1 = complex(kappa), us[-1]
     # the even stage points are the step ends, x1 included after a partial step
     xs = grid.xs[::2]
-    us = p00 + p01 * k0
-    u1, w1 = us[-1], p10[-1] + p11[-1] * k0
     defect = abs(w1 + kc * u1) / (abs(kc) * abs(u1) + abs(w1) + 1e-300)
     if defect > _MATCH_TOL:
         raise ValueError(

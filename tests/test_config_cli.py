@@ -93,6 +93,13 @@ def test_smooth_mode_takes_no_power():
     assert cfg.modes[0].power is None
 
 
+def test_points_per_period_below_the_floor_rejected():
+    # the config key is the one route to the solver's step
+    with pytest.raises(ConfigError, match="points_per_period must be at least 20, got 19"):
+        parse_config("mode = cos 1 poly 1 2\npoints_per_period = 19\n")
+    assert parse_config("mode = cos 1 poly 1 2\npoints_per_period = 20\n").points_per_period == 20
+
+
 # ---------------------------------------------------------------- records and csv
 
 
@@ -253,22 +260,6 @@ def test_cli_non_finite_number_exits_two(tmp_path, capsys, line, value):
 def test_cli_missing_config_exits_two(tmp_path, capsys):
     code = main(["k2", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2
-
-
-def test_cli_points_per_period_override_changes_the_solve(tmp_path):
-    cfgp = write_cfg(tmp_path, CANONICAL_TEXT)
-    _, coarse = run_cli(tmp_path, "solve", "--config", cfgp)
-    _, fine = run_cli(tmp_path, "solve", "--config", cfgp, "--points-per-period", "80")
-    assert coarse != fine  # discretization moved the numeric eigenvalue
-    # but the predicted columns are identical
-    assert coarse.split(b",")[:5] == fine.split(b",")[:5]
-
-
-def test_cli_points_per_period_below_the_floor_exits_two(tmp_path, capsys):
-    cfgp = write_cfg(tmp_path, CANONICAL_TEXT)
-    code, out = run_cli(tmp_path, "k2", "--config", cfgp, "--points-per-period", "19")
-    assert (code, out) == (2, b"")
-    assert "--points-per-period must be at least 20" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["scan", "gauge-check", "keps"])

@@ -368,7 +368,8 @@ def test_a_seed_below_the_kappa_floor_is_searched_from_the_floor(eps):
     scan = scan_roots(V, eps)
     assert res is not None and res.converged
     assert scan.count == 1
-    assert res.kappa.real == pytest.approx(scan.kappas[0], rel=1e-12)
+    # F keeps its sign across the seed bracket: the count isolates the root, as in the scan
+    assert res.kappa.real == scan.kappas[0]
 
 
 def test_bracket_reaches_past_kappa_one_on_a_deep_potential():
@@ -379,6 +380,33 @@ def test_bracket_reaches_past_kappa_one_on_a_deep_potential():
     res = find_bound_state(V, 0.05)
     assert res is not None and res.converged
     assert res.kappa.real == pytest.approx(scan.kappas[0], rel=1e-12)
+
+
+def test_a_bracket_without_a_sign_change_falls_back_on_the_smallest_counted_root(monkeypatch):
+    # two states, 3.2473 and 4.9792, lie above the bracket: F has the same sign at both ends
+    well = SquareWell(depth=30.0)
+    scan = scan_roots(well, 0.1)
+    calls = []
+    for name in ("count_below", "mismatch"):
+        f = getattr(_CoefficientGrid, name)
+        monkeypatch.setattr(_CoefficientGrid, name, lambda grid, k, f=f, name=name: calls.append(name) or f(grid, k))
+    res = find_bound_state(well, 0.1, bracket=(0.01, 0.02))
+    assert scan.count == 2
+    assert res is not None and res.converged
+    assert res.kappa.real == scan.kappas[0]
+    # the work counts every Sturm count, and Brent's iterations are its evaluations plus the converging one
+    assert "count_below" in calls
+    assert res.iterations == len(calls) + 1
+
+
+def test_an_even_number_of_roots_above_the_floor_is_still_found():
+    # N(kappa_floor) = 2 on this deep potential, so F at the floor and at sqrt(sup|V|) share a sign
+    V = canonical_potential(amplitude=3e4)
+    res = find_bound_state(V, 0.05)
+    scan = scan_roots(V, 0.05)
+    assert scan.count == 2
+    assert res is not None and res.converged
+    assert res.kappa.real == scan.kappas[0] == 3.800194023266626
 
 
 # ---------------------------------------------------------------- guards
@@ -424,6 +452,9 @@ def test_early_exits_build_no_coefficient_grid(monkeypatch):
         find_bound_state(canonical_potential(), 0.1, bracket=(0.5, 0.1))
     with pytest.raises(ValueError, match="bracket"):
         find_bound_state(TwoScaleFunction.single_mode(0, poly_bump(-2.0, 2, (0.0, 1.0))), 0.1)
+    # the Sturm count behind a bracket's fallback holds for real potentials only
+    with pytest.raises(ValueError, match="bracket needs a real potential"):
+        find_bound_state(canonical_potential().scaled(1j), 0.1, bracket=(0.01, 0.5))
 
 
 def test_scan_rejects_complex_potentials(canonical):
