@@ -32,8 +32,8 @@ from . import gauge as gauge_mod
 from .averaging import (
     _NODES_PER_PANEL,
     _breakpoint_integral,
+    _fast_rule,
     _gauss_legendre,
-    fast_panel_grid,
     profile_product_integral,
 )
 from .potentials import TwoScaleFunction
@@ -165,11 +165,12 @@ def compute_k_eps(V: TwoScaleFunction, eps: float) -> KEpsReport:
 
     with S0, S1 the full-interval values.  Splitting at x this way keeps the
     kernel kink out of every quadrature panel, so the rule retains its full
-    order.  All quadratures ride the fast-period panel grid.
+    order.  All quadratures ride the fast-period rule, whose panels tile every
+    interval between support endpoints, so no envelope kink sits inside a panel
+    either; the partial pieces start at the rule's own panel left edges.
     """
     g = gauge_mod.build_gauge(V, eps)
-    hull = V.support_hull
-    nodes, weights = fast_panel_grid(hull, eps)
+    nodes, weights, lefts = _fast_rule([x for p in V.modes.values() for x in p.support], eps)
     if nodes.size == 0:
         return KEpsReport(eps=float(eps), m1=0j, m2=0j, k_eps=0j)
 
@@ -186,9 +187,8 @@ def compute_k_eps(V: TwoScaleFunction, eps: float) -> KEpsReport:
     s0 = contrib0.sum()
     s1 = contrib1.sum()
 
-    # partial-panel pieces from the panel's left edge (as _panel_rule lays it) to each
-    # node, one Gauss-Legendre point of [left, node] at a time so the samples stay node-sized
-    lefts = np.repeat(np.linspace(*hull, n_panels + 1)[:-1], n_per)
+    # partial-panel pieces from each node's panel left edge to the node, one
+    # Gauss-Legendre point of [left, node] at a time so the samples stay node-sized
     half = 0.5 * (nodes - lefts)
     mid = 0.5 * (nodes + lefts)
     part0 = part1 = 0.0

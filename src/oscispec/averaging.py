@@ -1,20 +1,22 @@
 """Quadrature of fast-oscillating integrands and averaging-decay diagnostics.
 
-The central object is a composite Gauss-Legendre rule whose panel width is
-locked to a fraction of the fast period.  With 8 panels per period and 6
-nodes per panel the rule resolves the oscillation far below double
-round-off, so the difference between the oscillatory integral of u(x, x/eps)
-and the integral of the fast mean is the genuine averaging remainder, not a
-quadrature artifact.
+Every integral here runs on one layout, ``_panel_rule``: Gauss-Legendre on
+equal panels that tile each interval between consecutive breakpoints, so a
+kink at a breakpoint sits on a panel edge and never costs a panel its order.
+
+The fast-period rule takes every mode's support endpoints as breakpoints and
+panels no wider than eps/8, of 6 nodes each.  It resolves the oscillation far
+below double round-off, so the difference between the oscillatory integral
+of u(x, x/eps) and the integral of the fast mean is the genuine averaging
+remainder, not a quadrature artifact.
 
 Envelope integrals (smooth ``profile_integral``, ``profile_product_integral``
 outside its Beta closed forms, the hull route of ``asymptotics.compute_k2``)
-use the same layout without the eps lock: ``_breakpoint_integral`` lays a
-fixed count of equal panels on every interval between envelope breakpoints,
-so support kinks sit on panel edges and the C^inf bump converges spectrally.
-32 panels x 16 nodes (48 x 12 on the k2 hull route, so the two k2 routes share
-no nodes) match 40-digit references to 2e-15 relative on smooth x smooth and
-poly x smooth products; 16 x 16 and 24 x 12 reached only 1.1e-13 and 6.5e-13.
+lay a fixed count of panels on every interval, without the eps lock, so the
+C^inf bump converges spectrally.  32 panels x 16 nodes (48 x 12 on the k2 hull
+route, so the two k2 routes share no nodes) match 40-digit references to
+2e-15 relative on smooth x smooth and poly x smooth products; 16 x 16 and
+24 x 12 reached only 1.1e-13 and 6.5e-13.
 """
 
 from __future__ import annotations
@@ -40,36 +42,47 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _panel_rule(lo: float, hi: float, n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of n_nodes-point Gauss-Legendre on n_panels equal panels of [lo, hi]."""
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    centers = 0.5 * (edges[:-1] + edges[1:])
+def _panel_rule(breaks, n_panels, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n_nodes-point Gauss-Legendre on equal panels of each interval between increasing breakpoints.
+
+    ``n_panels`` is one count for every interval or one count per interval.
+    Returns the nodes, the weights and each node's panel left edge, panel by
+    panel in increasing x.  An interval's edges are ``np.linspace``'s and
+    all its panels take its first panel's half-width, bit for bit.
+    """
+    pts = np.asarray(breaks, dtype=float)
+    lo, hi = pts[:-1], pts[1:]
+    counts = np.full(hi.shape, n_panels, dtype=int)
+    first = np.cumsum(counts) - counts  # each interval's first panel
+    start, step = np.repeat(lo, counts), np.repeat((hi - lo) / counts, counts)
+    k = np.arange(start.size) - np.repeat(first, counts)  # each panel's place in its interval
+    left = k * step + start
+    right = (k + 1) * step + start
+    right[first + counts - 1] = hi  # as np.linspace, each interval ends on its breakpoint
+    half = np.repeat(0.5 * (right - left)[first], counts)[:, None]
     gx, gw = _gauss_legendre(n_nodes)
-    nodes = (centers[:, None] + half * gx[None, :]).ravel()
-    return nodes, np.tile(half * gw, n_panels)
+    nodes = (0.5 * (left + right))[:, None] + half * gx
+    return nodes.ravel(), (half * gw).ravel(), np.repeat(left, n_nodes)
+
+
+def _fast_rule(breaks: Sequence[float], eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_panel_rule`` between the breakpoints, in any order, on panels no wider than eps/8."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    pts = sorted(set(breaks))
+    counts = [max(1, math.ceil((hi - lo) / (eps / _PANELS_PER_PERIOD))) for lo, hi in zip(pts, pts[1:])]
+    check_grid_size(sum(counts), "panels", eps, (pts[0], pts[-1]) if pts else (0.0, 0.0))
+    return _panel_rule(pts, counts, _NODES_PER_PANEL)
 
 
 def fast_panel_grid(support: tuple[float, float], eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on panels no wider than eps/8.
-
-    Panels tile [a, b] exactly, so envelope-boundary kinks at the support
-    endpoints never sit inside a panel.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    a, b = support
-    length = b - a
-    if length <= 0:
-        return np.zeros(0), np.zeros(0)
-    n_panels = max(1, math.ceil(length / (eps / _PANELS_PER_PERIOD)))
-    check_grid_size(n_panels, "panels", eps, support)
-    return _panel_rule(a, b, n_panels, _NODES_PER_PANEL)
+    """Nodes and weights of the fast-period rule on [a, b] = ``support``, a single breakpoint interval."""
+    return _fast_rule(support, eps)[:2]
 
 
 def oscillatory_integral(u: TwoScaleFunction, eps: float) -> complex:
-    """Integral of the fast trace x -> u(x, x/eps) over the support hull, on the fast-period panel grid."""
-    nodes, weights = fast_panel_grid(u.support_hull, eps)
+    """Integral of the fast trace x -> u(x, x/eps) over the support hull, on the fast-period rule."""
+    nodes, weights, _ = _fast_rule([x for p in u.modes.values() for x in p.support], eps)
     return complex(np.sum(weights * u.eval_fast(nodes, eps)))
 
 
@@ -77,12 +90,7 @@ def _breakpoint_integral(
     f: Callable[[np.ndarray], np.ndarray], breaks: Sequence[float], n_panels: int, n_nodes: int
 ) -> complex:
     """Integral of a vectorized f over the breakpoint hull, n_panels x n_nodes per breakpoint interval."""
-    pts = sorted(set(breaks))
-    rules = [_panel_rule(lo, hi, n_panels, n_nodes) for lo, hi in zip(pts, pts[1:])]
-    if not rules:
-        return 0j
-    nodes = np.concatenate([r[0] for r in rules])
-    weights = np.concatenate([r[1] for r in rules])
+    nodes, weights, _ = _panel_rule(sorted(set(breaks)), n_panels, n_nodes)
     return complex(np.sum(weights * f(nodes)))
 
 
@@ -158,7 +166,7 @@ def decay_order_fit(u: TwoScaleFunction, epsilons: Sequence[float]) -> DecayFit:
     limit = averaged_integral(u)
     errors = []
     for e in eps_list:
-        nodes, weights = fast_panel_grid(u.support_hull, e)
+        nodes, weights, _ = _fast_rule([x for p in u.modes.values() for x in p.support], e)
         vals = u.eval_fast(nodes, e)
         errors.append(abs(complex(np.sum(weights * vals)) - limit))
         if e == eps_list[0]:

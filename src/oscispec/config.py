@@ -135,9 +135,7 @@ def _parse_mode(value: str, lineno: int, require_zero_mean: bool, problems: list
 def parse_config(text: str, require_zero_mean: bool = True) -> ExperimentConfig:
     problems: list[str] = []
     modes: list[ModeSpec] = []
-    support = (0.0, 1.0)
-    epsilons: tuple[float, ...] = (0.1,)
-    ppp = 40
+    settings: dict = {}  # only the fields the file sets: ExperimentConfig holds the defaults
     seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -175,7 +173,7 @@ def parse_config(text: str, require_zero_mean: bool = True) -> ExperimentConfig:
             if not b > a:
                 problems.append(f"line {lineno}: support must satisfy left < right")
                 continue
-            support = (a, b)
+            settings["support"] = (a, b)
         elif key == "eps":
             vals: list[float] = []
             bad = False
@@ -199,7 +197,7 @@ def parse_config(text: str, require_zero_mean: bool = True) -> ExperimentConfig:
             if any(b >= a for a, b in zip(vals, vals[1:])):
                 problems.append(f"line {lineno}: eps values must be strictly decreasing")
                 continue
-            epsilons = tuple(vals)
+            settings["epsilons"] = tuple(vals)
         elif key == "points_per_period":
             try:
                 ppp = int(value)
@@ -208,6 +206,7 @@ def parse_config(text: str, require_zero_mean: bool = True) -> ExperimentConfig:
                 continue
             if ppp < MIN_POINTS_PER_PERIOD:
                 problems.append(f"line {lineno}: points_per_period must be at least {MIN_POINTS_PER_PERIOD}, got {ppp}")
+            settings["points_per_period"] = ppp
         else:
             problems.append(f"line {lineno}: unknown key {key!r}")
 
@@ -216,12 +215,7 @@ def parse_config(text: str, require_zero_mean: bool = True) -> ExperimentConfig:
 
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(
-        modes=tuple(modes),
-        support=support,
-        epsilons=epsilons,
-        points_per_period=ppp,
-    )
+    return ExperimentConfig(modes=tuple(modes), **settings)
 
 
 def load_config(path: str, require_zero_mean: bool = True) -> ExperimentConfig:

@@ -82,7 +82,7 @@ _SECANT_MAX_ITER = 60
 _DISK_RADIUS_FACTOR, _CONTOUR_POINTS, _CONTOUR_MAX_POINTS = 2.0, 16, 1024
 # eigenfunction: largest relative derivative defect of a root at the right edge
 _MATCH_TOL = 1e-6
-# Sturm count: h sqrt(sup|V|) below pi leaves at most one zero of u in a step (Sturm comparison)
+# every coefficient grid needs h sqrt(sup|V|) < pi: a step then holds at most one zero of u (Sturm comparison)
 _STURM_STEP_PHASE = math.pi
 
 
@@ -306,10 +306,13 @@ class _CoefficientGrid(_StageGrid):
 
     def __init__(self, V, eps: float, h: float):
         super().__init__(V.support_hull, eps, h)
+        self.sup_abs = V.sup_abs()
+        phase = self.h * math.sqrt(self.sup_abs)
+        if not phase < _STURM_STEP_PHASE:
+            raise ValueError(f"step too large: h sqrt(sup|V|) = {phase:.3g} must stay below pi")
         vals = np.asarray(V.eval_fast(self.xs, eps))
         self.real = not np.iscomplexobj(vals)
         self.a = _by_stage(vals)
-        self.sup_abs = V.sup_abs()
 
     def count_below(self, kappa: float) -> tuple[int, float]:
         """(N(kappa), F(kappa)): the number of eigenvalues below -kappa^2, and the mismatch.
@@ -321,11 +324,6 @@ class _CoefficientGrid(_StageGrid):
         sinh(kappa t), one zero exactly when F and u1 have opposite signs
         (u1 w1 < 0 and |kappa u1| < |w1|).  F is ``mismatch(kappa)`` bit for bit.
         """
-        phase = self.h * math.sqrt(self.sup_abs)
-        if not phase < _STURM_STEP_PHASE:
-            raise ValueError(
-                f"step too large to count zeros: h sqrt(sup|V|) = {phase:.3g} must stay below pi"
-            )
         kappa, u, w1 = self.left_solution(kappa)
         f = float(w1 + kappa * u[-1])
         signs = np.sign(np.append(u, f))

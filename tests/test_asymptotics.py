@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscispec import averaging
 from oscispec.asymptotics import (
     Existence,
     classify_existence,
@@ -115,6 +116,19 @@ def test_k_eps_identity_and_leading_order(canonical, canonical_k2):
 def test_k_eps_vanishes_without_a_potential():
     rep = compute_k_eps(TwoScaleFunction(modes={}), 0.1)
     assert rep.m1 == 0 and rep.m2 == 0 and rep.k_eps == 0
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05])
+def test_k_eps_is_panel_converged_on_two_supports(eps, monkeypatch):
+    # the second harmonic's support ends at 0.33 and 0.71, inside the hull: kinks the panels must not straddle
+    V = combine(
+        TwoScaleFunction.from_cosine(1, poly_bump(100.0, 2, (0.0, 1.0))),
+        TwoScaleFunction.from_cosine(2, poly_bump(30.0, 2, (0.33, 0.71))),
+    )
+    coarse = compute_k_eps(V, eps).k_eps
+    monkeypatch.setattr(averaging, "_PANELS_PER_PERIOD", 64)
+    fine = compute_k_eps(V, eps).k_eps
+    assert abs(coarse - fine) <= 1e-10 * abs(fine)
 
 
 def test_k_eps_fit_recovers_k2(canonical, canonical_k2):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from oscispec.averaging import (
     _PANELS_PER_PERIOD,
+    _fast_rule,
     _panel_rule,
     averaged_integral,
     decay_order_fit,
@@ -17,11 +20,19 @@ from oscispec.averaging import (
 from oscispec.potentials import TwoScaleFunction, combine, poly_bump, smooth_bump
 
 
-def scipy_reference_integral(u, eps):
+def scipy_reference_integral(u, eps, points=None):
     x0, x1 = u.support_hull
-    re = integrate.quad(lambda x: u.eval_fast(x, eps).real, x0, x1, limit=4000, epsabs=1e-13)[0]
-    im = integrate.quad(lambda x: u.eval_fast(x, eps).imag, x0, x1, limit=4000, epsabs=1e-13)[0]
+    kw = dict(limit=4000, epsabs=1e-13, points=points)
+    re = integrate.quad(lambda x: u.eval_fast(x, eps).real, x0, x1, **kw)[0]
+    im = integrate.quad(lambda x: u.eval_fast(x, eps).imag, x0, x1, **kw)[0]
     return re + 1j * im
+
+
+# two harmonics on different supports: the interior endpoints 0.33 and 0.71 are envelope kinks
+_TWO_SUPPORTS = combine(
+    TwoScaleFunction.from_cosine(1, poly_bump(100.0, 2, (0.0, 1.0))),
+    TwoScaleFunction.from_cosine(2, poly_bump(30.0, 2, (0.33, 0.71))),
+)
 
 
 def test_panel_grid_weights_sum_to_length():
@@ -39,10 +50,30 @@ def test_panel_grid_budget_guard():
 
 @pytest.mark.parametrize("eps", [0.1, 0.037])
 def test_oscillatory_integral_matches_adaptive_reference(eps):
-    u = TwoScaleFunction.from_cosine(1, poly_bump(100.0, 2, (0.0, 1.0)))
-    mine = oscillatory_integral(u, eps)
-    ref = scipy_reference_integral(u, eps)
-    assert mine == pytest.approx(ref, abs=5e-11)
+    one_support = TwoScaleFunction.from_cosine(1, poly_bump(100.0, 2, (0.0, 1.0)))
+    for u, points in [(one_support, None), (_TWO_SUPPORTS, [0.33, 0.71])]:
+        mine = oscillatory_integral(u, eps)
+        ref = scipy_reference_integral(u, eps, points)
+        assert mine == pytest.approx(ref, abs=5e-11)
+
+
+_ENDPOINT = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    supports=st.lists(st.tuples(_ENDPOINT, _ENDPOINT).filter(lambda s: s[0] < s[1]), min_size=1, max_size=4),
+    eps=st.sampled_from([0.1, 0.037, 0.01]),
+)
+def test_every_support_endpoint_is_a_fast_panel_edge(supports, eps):
+    nodes, weights, lefts = _fast_rule([x for s in supports for x in s], eps)
+    edges = set(lefts.tolist()) | {max(b for _, b in supports)}
+    assert {x for s in supports for x in s} <= edges
+    # panels stay no wider than eps / 8, and the weights add up to the hull length
+    assert np.all(np.diff(np.unique(lefts)) <= eps / _PANELS_PER_PERIOD * (1 + 1e-12))
+    hull = max(b for _, b in supports) - min(a for a, _ in supports)
+    assert weights.sum() == pytest.approx(hull, rel=1e-13)
+    assert nodes.min() > min(a for a, _ in supports) and nodes.max() < max(b for _, b in supports)
 
 
 def test_profile_integral_beta_values():
@@ -143,7 +174,7 @@ def test_decay_fit_subtracts_the_averaged_limit():
 def test_quadrature_panel_doubling_is_converged():
     u = TwoScaleFunction.from_cosine(1, poly_bump(100.0, 2, (0.0, 1.0)))
     coarse = oscillatory_integral(u, 0.01)
-    nodes, weights = _panel_rule(0.0, 1.0, 1600, 6)  # 16 panels per period at eps = 0.01
+    nodes, weights, _ = _panel_rule([0.0, 1.0], 1600, 6)  # 16 panels per period at eps = 0.01
     fine = complex(np.sum(weights * u.eval_fast(nodes, 0.01)))
     scale = abs(fine) + 1.0
     assert abs(coarse - fine) / scale < 1e-11

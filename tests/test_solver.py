@@ -463,9 +463,18 @@ def test_scan_rejects_complex_potentials(canonical):
 
 
 def test_scan_refuses_a_step_that_may_hold_two_zeros():
-    # sup|V| = 1e8 / 16 at h = 0.1 / 40: h sqrt(sup|V|) = 6.25, so a step may hold two zeros of u
-    with pytest.raises(ValueError, match=r"h sqrt\(sup\|V\|\) = 6.25 must stay below pi"):
-        scan_roots(canonical_potential(amplitude=1e8), 0.1)
+    # sup|V| = 1e8 / 16 at h = 0.1 / 40: h sqrt(sup|V|) = 6.25, so a step may hold two zeros of u;
+    # every call refuses it when its grid is built, before a step product can overflow
+    V = canonical_potential(amplitude=1e8)
+    calls = [
+        lambda: scan_roots(V, 0.1),
+        lambda: find_bound_state(V, 0.1),
+        lambda: mismatch(V, 0.1, 0.5),
+        lambda: transfer_matrix(V, 0.1, -0.25, 0.1 / 40),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"h sqrt\(sup\|V\|\) = 6.25 must stay below pi"):
+            call()
 
 
 def test_the_disk_count_peaks_like_one_mismatch():
