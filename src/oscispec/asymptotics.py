@@ -34,6 +34,7 @@ from .averaging import (
     _breakpoint_integral,
     _fast_rule,
     _gauss_legendre,
+    _integration_matrix,
     profile_product_integral,
 )
 from .potentials import TwoScaleFunction
@@ -41,6 +42,8 @@ from .potentials import TwoScaleFunction
 _TINY = 1e-300
 # Hull-route panel rule, on purpose a different node set from the pair route's.
 _HULL_PANELS, _HULL_NODES = 48, 12
+# fast-period panels of the k_eps chain: its gauge-coefficient integrands need twice the shared eps/8
+_KEPS_PANELS_PER_PERIOD = 16
 # largest relative disagreement of the two k2 routes before the report is flagged
 _K2_AGREEMENT_TOL = 1e-10
 
@@ -165,42 +168,24 @@ def compute_k_eps(V: TwoScaleFunction, eps: float) -> KEpsReport:
 
     with S0, S1 the full-interval values.  Splitting at x this way keeps the
     kernel kink out of every quadrature panel, so the rule retains its full
-    order.  All quadratures ride the fast-period rule, whose panels tile every
-    interval between support endpoints, so no envelope kink sits inside a panel
-    either; the partial pieces start at the rule's own panel left edges.
+    order.  All quadratures ride the fast-period rule, eps/16 panels that tile
+    every interval between support endpoints, so no envelope kink sits inside a
+    panel either; inside a panel, C0 and C1 integrate the node samples'
+    interpolant (``averaging._integration_matrix``), so the gauge is sampled once.
     """
-    g = gauge_mod.build_gauge(V, eps)
-    nodes, weights, lefts = _fast_rule([x for p in V.modes.values() for x in p.support], eps)
-    if nodes.size == 0:
-        return KEpsReport(eps=float(eps), m1=0j, m2=0j, k_eps=0j)
-
-    coef = g.coefficients(nodes)
+    breaks = [x for p in V.modes.values() for x in p.support]
+    nodes, weights, _ = _fast_rule(breaks, eps, _KEPS_PANELS_PER_PERIOD)
+    coef = gauge_mod.build_gauge(V, eps).coefficients(nodes)
     l1 = -coef.f / coef.q
-    m1 = complex(np.sum(weights * l1))
-
+    # rows C0, C1: the sum over earlier panels plus the node's own partial panel,
+    # half * S @ f = (S / gw) @ (w f) since a node weight is half * gw
     n_per = _NODES_PER_PANEL
-    n_panels = nodes.size // n_per
-    contrib0 = (weights * l1).reshape(n_panels, n_per)
-    contrib1 = (weights * nodes * l1).reshape(n_panels, n_per)
-    prefix0 = np.concatenate([[0.0], np.cumsum(contrib0.sum(axis=1))[:-1]])
-    prefix1 = np.concatenate([[0.0], np.cumsum(contrib1.sum(axis=1))[:-1]])
-    s0 = contrib0.sum()
-    s1 = contrib1.sum()
-
-    # partial-panel pieces from each node's panel left edge to the node, one
-    # Gauss-Legendre point of [left, node] at a time so the samples stay node-sized
-    half = 0.5 * (nodes - lefts)
-    mid = 0.5 * (nodes + lefts)
-    part0 = part1 = 0.0
-    for gx, gw in zip(*_gauss_legendre(n_per)):
-        pts = mid + half * gx
-        sub = g.coefficients(pts)
-        sub_l1 = -sub.f / sub.q
-        part0 = part0 + half * gw * sub_l1
-        part1 = part1 + half * gw * pts * sub_l1
-
-    c0 = prefix0.repeat(n_per) + part0
-    c1 = prefix1.repeat(n_per) + part1
+    contrib = np.stack([weights * l1, weights * nodes * l1]).reshape(2, -1, n_per)
+    panel_sums = contrib.sum(axis=2)
+    s0, s1 = panel_sums.sum(axis=1)
+    partial = (_integration_matrix(n_per) / _gauss_legendre(n_per)[1]).T
+    c0, c1 = ((np.cumsum(panel_sums, axis=1) - panel_sums)[..., None] + contrib @ partial).reshape(2, -1)
+    m1 = complex(s0)
 
     G = 2.0 * nodes * c0 - 2.0 * c1 + s1 - nodes * s0
     Gp = 2.0 * c0 - s0

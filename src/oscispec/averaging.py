@@ -5,10 +5,11 @@ equal panels that tile each interval between consecutive breakpoints, so a
 kink at a breakpoint sits on a panel edge and never costs a panel its order.
 
 The fast-period rule takes every mode's support endpoints as breakpoints and
-panels no wider than eps/8, of 6 nodes each.  It resolves the oscillation far
-below double round-off, so the difference between the oscillatory integral
-of u(x, x/eps) and the integral of the fast mean is the genuine averaging
-remainder, not a quadrature artifact.
+panels of 6 nodes, no wider than eps/8 by default.  It resolves the oscillatory
+integral of u far below double round-off, so the difference between it and
+the integral of the fast mean is the genuine averaging remainder, not a
+quadrature artifact.  The gauge-coefficient integrands of
+``asymptotics.compute_k_eps`` carry higher harmonics than u and take eps/16.
 
 Envelope integrals (smooth ``profile_integral``, ``profile_product_integral``
 outside its Beta closed forms, the hull route of ``asymptotics.compute_k2``)
@@ -42,6 +43,19 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+@lru_cache(maxsize=4)
+def _integration_matrix(n: int) -> np.ndarray:
+    """S[i, j] = int_{-1}^{x_i} l_j for the n Gauss-Legendre nodes x_i and their Lagrange basis l_j.
+
+    S @ f integrates f's interpolant from -1 to every node; the Gauss rule is
+    exact on l_j P_k, so l_j = w_j sum_k (k + 1/2) P_k(x_j) P_k.
+    """
+    x, w = _gauss_legendre(n)
+    leg = np.polynomial.legendre
+    coef = (leg.legvander(x, n - 1) * (np.arange(n) + 0.5)).T * w  # column j: l_j's Legendre coefficients
+    return leg.legvander(x, n) @ leg.legint(coef, lbnd=-1)
+
+
 def _panel_rule(breaks, n_panels, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n_nodes-point Gauss-Legendre on equal panels of each interval between increasing breakpoints.
 
@@ -65,12 +79,12 @@ def _panel_rule(breaks, n_panels, n_nodes: int) -> tuple[np.ndarray, np.ndarray,
     return nodes.ravel(), (half * gw).ravel(), np.repeat(left, n_nodes)
 
 
-def _fast_rule(breaks: Sequence[float], eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_panel_rule`` between the breakpoints, in any order, on panels no wider than eps/8."""
+def _fast_rule(breaks: Sequence[float], eps: float, per_period: int = _PANELS_PER_PERIOD) -> tuple[np.ndarray, ...]:
+    """``_panel_rule`` between the breakpoints, in any order, on panels no wider than eps/per_period."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     pts = sorted(set(breaks))
-    counts = [max(1, math.ceil((hi - lo) / (eps / _PANELS_PER_PERIOD))) for lo, hi in zip(pts, pts[1:])]
+    counts = [max(1, math.ceil((hi - lo) / (eps / per_period))) for lo, hi in zip(pts, pts[1:])]
     check_grid_size(sum(counts), "panels", eps, (pts[0], pts[-1]) if pts else (0.0, 0.0))
     return _panel_rule(pts, counts, _NODES_PER_PANEL)
 

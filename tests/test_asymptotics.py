@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscispec import averaging
+from oscispec import asymptotics, gauge
 from oscispec.asymptotics import (
     Existence,
     classify_existence,
@@ -126,9 +126,32 @@ def test_k_eps_is_panel_converged_on_two_supports(eps, monkeypatch):
         TwoScaleFunction.from_cosine(2, poly_bump(30.0, 2, (0.33, 0.71))),
     )
     coarse = compute_k_eps(V, eps).k_eps
-    monkeypatch.setattr(averaging, "_PANELS_PER_PERIOD", 64)
+    monkeypatch.setattr(asymptotics, "_KEPS_PANELS_PER_PERIOD", 64)
     fine = compute_k_eps(V, eps).k_eps
     assert abs(coarse - fine) <= 1e-10 * abs(fine)
+
+
+def test_k_eps_resolves_a_fourth_harmonic(monkeypatch):
+    # the gauge integrands of a cos 4 mode carry the fast period's harmonic 8 and beyond:
+    # eps/8 panels gave each period of harmonic 8 a single panel and missed by 6e-7
+    V = TwoScaleFunction.from_cosine(4, smooth_bump(40.0, (0.0, 1.0)))
+    coarse = compute_k_eps(V, 0.1).k_eps
+    monkeypatch.setattr(asymptotics, "_KEPS_PANELS_PER_PERIOD", 64)
+    fine = compute_k_eps(V, 0.1).k_eps
+    assert abs(coarse - fine) <= 1e-9 * abs(fine)
+
+
+def test_k_eps_samples_the_gauge_once(canonical, monkeypatch):
+    calls = []
+    sample = gauge.GaugeData.coefficients
+
+    def counted(self, x):
+        calls.append(np.size(x))
+        return sample(self, x)
+
+    monkeypatch.setattr(gauge.GaugeData, "coefficients", counted)
+    compute_k_eps(canonical, 0.05)
+    assert len(calls) == 1
 
 
 def test_k_eps_fit_recovers_k2(canonical, canonical_k2):

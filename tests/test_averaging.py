@@ -9,6 +9,8 @@ from scipy import integrate
 from oscispec.averaging import (
     _PANELS_PER_PERIOD,
     _fast_rule,
+    _gauss_legendre,
+    _integration_matrix,
     _panel_rule,
     averaged_integral,
     decay_order_fit,
@@ -74,6 +76,13 @@ def test_every_support_endpoint_is_a_fast_panel_edge(supports, eps):
     hull = max(b for _, b in supports) - min(a for a, _ in supports)
     assert weights.sum() == pytest.approx(hull, rel=1e-13)
     assert nodes.min() > min(a for a, _ in supports) and nodes.max() < max(b for _, b in supports)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_integration_matrix_integrates_monomials_to_every_node(k):
+    x, _ = _gauss_legendre(6)
+    exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+    assert np.max(np.abs(_integration_matrix(6) @ x**k - exact)) <= 1e-14
 
 
 def test_profile_integral_beta_values():
