@@ -17,15 +17,18 @@ Layout.  One stage grid (``_StageGrid``) fixes the steps across the hull --
 full steps of length h, then one partial step when the hull length is not a
 multiple of h -- and holds the coefficients of y' = [[0, 1], [a - lam, b]] y
 at the RK4 stage points as contiguous (start, middle, end) arrays, sampled
-once and reused for every kappa.  For H, a = V and b = 0 (``None``); the
+once and reused for every kappa.  For H, a = V and b = 0; the
 gauge-conjugated operator has b = -2 eps^2 v'/q.
 
 One RK4 step body (``_rk4_step``), plain arithmetic, and one pairwise tree.
-A step of the linear ODE is a 2x2 matrix: ``_step_maps`` runs the body once
-over all steps (one numpy lane per step) on the basis columns, and
-``_pair`` multiplies neighbouring maps, later step on the left.  Pairwise
-products keep round-off growth at O(log n) (Higham, SIAM J. Sci. Comput. 14,
-1993).  The tree serves two ways:
+A step of the linear ODE is a 2x2 matrix; a grid's ``step_maps`` builds
+every step's at once, one numpy lane per step.  For H, lam enters the body
+only through a - lam, so each entry is a polynomial of degree <= 2 in lam:
+``_CoefficientGrid`` stores its coefficients and evaluates them by Horner.
+``_GaugedGrid`` runs the body on the basis columns.  ``_pair`` multiplies
+neighbouring maps, later step on the left.  Pairwise products keep
+round-off growth at O(log n) (Higham, SIAM J. Sci. Comput. 14, 1993).
+The tree serves two ways:
 
 * ``_compose`` climbs it to the transfer matrix alone, in log2(n) numpy
   passes that keep no levels.  Root finding, ``transfer_matrix`` and the
@@ -142,11 +145,10 @@ class _StageGrid:
     partial step when the hull length is not an exact multiple of h.  ``xs``
     holds the stage points x0 + j*h/2 for j = 0..2n over the full steps, then
     (mid, end) of the partial step, so step k reads its samples at indices
-    2k, 2k+1, 2k+2.  Subclasses sample a (and b, else None) there, store them
-    with ``_by_stage`` and set ``real`` when the samples are real.
+    2k, 2k+1, 2k+2.  Subclasses sample a (and b) there, store them with
+    ``_by_stage``, set ``real`` when the samples are real, and give the 2x2
+    RK4 maps at lam as entry arrays (m00, m01, m10, m11) by ``step_maps``.
     """
-
-    b = None
 
     def __init__(self, hull: tuple[float, float], eps: float, h: float):
         if eps <= 0 or h <= 0:
@@ -178,7 +180,7 @@ class _StageGrid:
     def mismatch(self, kappa):
         """F(kappa) at one kappa: a float for a real grid and real kappa, else a complex."""
         kappa = self._kappa(kappa)
-        t00, t01, t10, t11 = (x.item() for x in _compose(_step_maps(self, -kappa * kappa)))
+        t00, t01, t10, t11 = (x.item() for x in _compose(self.step_maps(-kappa * kappa)))
         u, w = t00 + t01 * kappa, t10 + t11 * kappa
         return w + kappa * u
 
@@ -186,21 +188,18 @@ class _StageGrid:
         """(kappa coerced as in ``mismatch``, u at x0 and every step end, u' at x1) from the
         prefixes, for left tail data (1, kappa): F = w1 + kappa * u[-1]."""
         kappa = self._kappa(kappa)
-        p00, p01, p10, p11 = _prefixes(_step_maps(self, -kappa * kappa))
+        p00, p01, p10, p11 = _prefixes(self.step_maps(-kappa * kappa))
         return kappa, p00 + p01 * kappa, p10[-1] + p11[-1] * kappa
 
 
 def _by_stage(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stage samples split into contiguous (start, middle, end) arrays, one entry per step."""
-    return vals[:-1:2].copy(), vals[1::2].copy(), vals[2::2].copy()
+    """Stage samples as contiguous (start, middle, end) arrays, one entry per step; start and end share one array."""
+    ends = vals[::2].copy()
+    return ends[:-1], vals[1::2].copy(), ends[1:]
 
 
 def _slope(a, b, u, w):
-    """w' = a u + b w, or a u where the first-order term vanishes (b is None).
-
-    H passes None rather than zeros: zero b terms would add four products and
-    four sums to every step map.
-    """
+    """w' = a u + b w, or a u where the first-order term vanishes (b is None, as for H)."""
     return a * u if b is None else a * u + b * w
 
 
@@ -208,8 +207,9 @@ def _rk4_step(h, u, w, a, b):
     """One classical RK4 step of u' = w, w' = a u + b w.
 
     ``a`` holds a - lam at the start, middle and end of the step; ``b`` the
-    same for b, or None for H.  Pure arithmetic: h, u, w and the entries of
-    a and b may be Python scalars or numpy arrays that broadcast together.
+    same for b, or None for H, whose maps ``_quadratic_maps`` expands from
+    this body.  Pure arithmetic: h, u, w and the entries of a and b may be
+    Python scalars or numpy arrays that broadcast together.
     """
     a0, a1, a2 = a
     b0, b1, b2 = b if b is not None else (None, None, None)
@@ -230,18 +230,6 @@ def _rk4_step(h, u, w, a, b):
     k4w = _slope(a2, b2, yu, yw)
     sixth = h / 6.0
     return u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u), w + sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
-
-
-def _step_maps(grid: _StageGrid, lam):
-    """The 2x2 RK4 map of every step at spectral value lam, one numpy lane per step.
-
-    Returns the entry arrays (m00, m01, m10, m11), one entry per step;
-    column j of a step's map is one ``_rk4_step`` from the basis vector e_j.
-    """
-    a = [x - lam for x in grid.a]
-    m00, m10 = _rk4_step(grid.steps, 1.0, 0.0, a, grid.b)
-    m01, m11 = _rk4_step(grid.steps, 0.0, 1.0, a, grid.b)
-    return m00, m01, m10, m11
 
 
 def _product(left, right):
@@ -297,11 +285,25 @@ def _prefixes(m):
     return tuple(np.append(i, x) for i, x in zip((1.0, 0.0, 0.0, 1.0), p))
 
 
-class _CoefficientGrid(_StageGrid):
-    """Potential samples at the RK4 stage points, reusable across kappa values.
+def _quadratic_maps(h, a0, a1, a2):
+    """Per step, (P0, P1, P2) of m00, m10 and m11 in M(lam) = I + P0 + lam P1 + lam^2 P2:
+    the expansion of ``_rk4_step(h, e_j, (a0 - lam, a1 - lam, a2 - lam), None)``."""
+    h2 = h * h
+    h3_6, h4_24 = h * h2 / 6.0, h2 * h2 / 24.0
+    m00 = (h2 / 6.0 * (a0 + 2.0 * a1) + h4_24 * a0 * a1, -(0.5 * h2 + h4_24 * (a0 + a1)), h4_24)
+    m10 = (h / 6.0 * (a0 + 4.0 * a1 + a2) + 0.5 * h3_6 * a1 * (a0 + a2), -(h + 0.5 * h3_6 * (a0 + 2.0 * a1 + a2)), h3_6)
+    m11 = (h2 / 6.0 * (2.0 * a1 + a2) + h4_24 * a1 * a2, -(0.5 * h2 + h4_24 * (a1 + a2)), h4_24)
+    return m00, m10, m11
 
-    For real potentials the samples are kept as floats so the whole
-    propagation stays in real arithmetic.
+
+class _CoefficientGrid(_StageGrid):
+    """Potential samples at the RK4 stage points and the H step maps as quadratics in lam.
+
+    ``coefficients`` holds ``_quadratic_maps`` for every step, built once;
+    ``step_maps`` evaluates them by Horner, and m01 = h + h^3/6 (a1 - lam)
+    from the samples, which saves storing two more arrays.  The identity is added last, so a diagonal entry is
+    rounded once near 1, as in the RK4 body.  For real potentials the
+    samples are floats, so a real lam keeps the propagation real.
     """
 
     def __init__(self, V, eps: float, h: float):
@@ -313,6 +315,12 @@ class _CoefficientGrid(_StageGrid):
         vals = np.asarray(V.eval_fast(self.xs, eps))
         self.real = not np.iscomplexobj(vals)
         self.a = _by_stage(vals)
+        self.coefficients = _quadratic_maps(self.steps, *self.a)
+
+    def step_maps(self, lam):
+        (p00, q00, r00), (p10, q10, h3_6), (p11, q11, r11) = self.coefficients
+        m00, m11 = 1.0 + (p00 + lam * (q00 + lam * r00)), 1.0 + (p11 + lam * (q11 + lam * r11))
+        return m00, self.steps + h3_6 * (self.a[1] - lam), p10 + lam * (q10 + lam * h3_6), m11
 
     def count_below(self, kappa: float) -> tuple[int, float]:
         """(N(kappa), F(kappa)): the number of eigenvalues below -kappa^2, and the mismatch.
@@ -350,7 +358,7 @@ def transfer_matrix(V, eps: float, lam: complex, h: float) -> TransferMatrix:
     """
     grid = _CoefficientGrid(V, eps, h)
     lam = float(np.real(lam)) if grid.real and np.imag(lam) == 0 else complex(lam)
-    m = np.array(_compose(_step_maps(grid, lam)), dtype=complex).reshape(2, 2)
+    m = np.array(_compose(grid.step_maps(lam)), dtype=complex).reshape(2, 2)
     return TransferMatrix(matrix=m)
 
 
@@ -760,6 +768,13 @@ class _GaugedGrid(_StageGrid):
         self.real = not np.iscomplexobj(alpha)
         self.a = _by_stage(alpha)
         self.b = _by_stage(beta)
+
+    def step_maps(self, lam):
+        """Column j of a step's map is one ``_rk4_step`` from the basis vector e_j."""
+        a = [x - lam for x in self.a]
+        m00, m10 = _rk4_step(self.steps, 1.0, 0.0, a, self.b)
+        m01, m11 = _rk4_step(self.steps, 0.0, 1.0, a, self.b)
+        return m00, m01, m10, m11
 
 
 def gauged_mismatch(g: GaugeData, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> complex:

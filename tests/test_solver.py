@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from oscispec import solver
@@ -23,8 +25,8 @@ from oscispec.solver import (
     _CoefficientGrid,
     _compose,
     _prefixes,
+    _quadratic_maps,
     _rk4_step,
-    _step_maps,
     convergence_study,
     eigenfunction,
     find_bound_state,
@@ -263,18 +265,71 @@ def shipped_grid(name, eps=0.1):
     return V, cfg, _CoefficientGrid(V, eps, eps / cfg.points_per_period)
 
 
+def long_double_maps(steps, a, lam):
+    """Each step's map as one long-double ``_rk4_step`` from the basis vectors, one lane per step."""
+    dtype = np.clongdouble if np.iscomplexobj(lam) or any(np.iscomplexobj(x) for x in a) else np.longdouble
+    h, lam = np.asarray(steps).astype(np.longdouble), np.asarray(lam).astype(dtype)
+    c = [np.asarray(x).astype(dtype) - lam for x in a]
+    one, zero = np.ones_like(h, dtype=dtype), np.zeros_like(h, dtype=dtype)
+    m00, m10 = _rk4_step(h, one, zero, c, None)
+    m01, m11 = _rk4_step(h, zero, one, c, None)
+    return m00, m01, m10, m11
+
+
+def worst_column_error(maps, reference, scale=1.0):
+    """Largest entry error of the step maps diag(1, scale) M diag(1, 1/scale), in ulp (2^-52)
+    of the 1-norm of the reference map's column."""
+    m00, m01, m10, m11 = (np.asarray(x).astype(r.dtype) for x, r in zip(maps, reference))
+    r00, r01, r10, r11 = reference
+    col0, col1 = np.abs(r00) + scale * np.abs(r10), np.abs(r01) / scale + np.abs(r11)
+    errors = (
+        np.abs(m00 - r00) / col0,
+        scale * np.abs(m10 - r10) / col0,
+        np.abs(m01 - r01) / scale / col1,
+        np.abs(m11 - r11) / col1,
+    )
+    return float(max(np.max(e) for e in errors) / np.longdouble(2.0**-52))
+
+
 @pytest.mark.parametrize("name", ["canonical", "two_mode"])
-@pytest.mark.parametrize("lam", [-1e-3, -0.01 + 0.004j])
+@pytest.mark.parametrize("lam", [-1e-3, -0.01 + 0.004j, -1.0, "-sup|V|"])
 def test_step_map_columns_are_one_rk4_step_from_the_basis(name, lam):
-    _, _, grid = shipped_grid(name)
-    m00, m01, m10, m11 = _step_maps(grid, lam)
-    dtype = m00.dtype
-    for k in range(grid.steps.size):
-        one_step = SimpleNamespace(steps=grid.steps[k : k + 1], a=[x[k : k + 1] for x in grid.a], b=None)
-        # two lanes: the basis columns (1, 0) and (0, 1)
-        u, w = march(one_step, np.array([1.0, 0.0], dtype=dtype), np.array([0.0, 1.0], dtype=dtype), lam)
-        assert u.tobytes() == np.array([m00[k], m01[k]]).tobytes()
-        assert w.tobytes() == np.array([m10[k], m11[k]]).tobytes()
+    # the closed form reorders the RK4 arithmetic, so it is held to a long-double
+    # run of the same body: every entry within 2 ulp of the 1-norm of its map column
+    for eps in (0.1, 1e-3):
+        V, _, grid = shipped_grid(name, eps)
+        value = -V.sup_abs() if lam == "-sup|V|" else lam
+        reference = long_double_maps(grid.steps, grid.a, value)
+        assert worst_column_error(grid.step_maps(value), reference) <= 2.0
+
+
+# real and imaginary parts of a point in the unit disk
+disk_coordinate = st.floats(-1.0, 1.0).map(lambda t: t / math.sqrt(2.0))
+
+
+@given(
+    h=st.floats(1e-6, 1.0),
+    partial=st.floats(0.0, 1.0, exclude_max=True),
+    a=st.lists(st.tuples(disk_coordinate, disk_coordinate), min_size=9, max_size=9),
+    lam=st.tuples(disk_coordinate, disk_coordinate),
+    complex_a=st.booleans(),
+    complex_lam=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_closed_form_step_maps_match_a_long_double_rk4_step(h, partial, a, lam, complex_a, complex_lam):
+    # two full steps and a partial one, kept from 1e-12 h up as the stage grid keeps it;
+    # h^2 |a_i| <= 1 and h^2 |lam| <= 1.  Each map is compared as diag(1, h_k) M diag(1, 1/h_k),
+    # h_k its step, whose entries carry no units of length
+    steps = np.array([h, h] + ([partial * h] if partial >= 1e-12 else []))
+    a = np.array([complex(x, y if complex_a else 0.0) for x, y in a[: 3 * steps.size]]) / (h * h)
+    if not complex_a:
+        a = a.real
+    lam = complex(lam[0], lam[1] if complex_lam else 0.0) / (h * h)
+    lam = lam if complex_lam else lam.real
+    stages = a.reshape(steps.size, 3).T
+    grid = SimpleNamespace(steps=steps, a=stages, coefficients=_quadratic_maps(steps, *stages))
+    maps = _CoefficientGrid.step_maps(grid, lam)
+    assert worst_column_error(maps, long_double_maps(steps, stages, lam), scale=steps) <= 2.0
 
 
 @pytest.mark.parametrize("name", ["canonical", "two_mode"])
@@ -287,6 +342,38 @@ def test_composed_mismatch_matches_an_extended_precision_march(name):
         u, w = march(grid, np.ones(1, dtype=np.longdouble), k, -k * k)
         reference = (w + k * u)[0]
         assert abs(np.longdouble(grid.mismatch(kappa)) - reference) <= 2e-15
+
+
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+def test_roots_agree_with_a_long_double_march_on_the_same_grid(name):
+    # at every configured eps, the long-double mismatch changes sign within 2e-12 relative of the root
+    V, cfg, _ = shipped_grid(name)
+    for eps in cfg.epsilons:
+        res = find_bound_state(V, eps, cfg=SolverConfig(points_per_fast_period=cfg.points_per_period))
+        grid = _CoefficientGrid(V, eps, eps / cfg.points_per_period)
+        k = np.longdouble(res.kappa.real) * (1 + np.array([-2e-12, 2e-12], dtype=np.longdouble))
+        u, w = march(grid, np.ones(2, dtype=np.longdouble), k, -k * k)
+        f = w + k * u
+        assert f[0] * f[1] < 0, (eps, f)
+
+
+def test_the_h_path_builds_its_maps_once_per_grid_and_never_runs_the_rk4_body(
+    canonical, canonical_k2, monkeypatch
+):
+    rk4_calls, builds = [], []
+    rk4_step, build = solver._rk4_step, solver._quadratic_maps
+    monkeypatch.setattr(solver, "_rk4_step", lambda *args: rk4_calls.append(args) or rk4_step(*args))
+    monkeypatch.setattr(solver, "_quadratic_maps", lambda *args: builds.append(args) or build(*args))
+    # each call builds one grid and evaluates it at many kappas
+    calls = [
+        lambda: find_bound_state(canonical, 0.1, k2_hint=canonical_k2.value),
+        lambda: scan_roots(canonical, 0.1),
+        lambda: min_mismatch_on_disk(canonical.scaled(1j), 0.1, k2_hint=-canonical_k2.value),
+    ]
+    for n, call in enumerate(calls, start=1):
+        call()
+        assert len(builds) == n
+    assert rk4_calls == []
 
 
 def test_find_bound_state_frees_its_grid_without_the_cycle_collector(canonical, canonical_k2, monkeypatch):
@@ -352,7 +439,7 @@ def test_scan_finds_the_one_root_at_eps_1e_3(name):
 def test_prefixes_end_in_the_composed_transfer_matrix(name):
     _, _, grid = shipped_grid(name)
     for lam in (-1e-3, -0.01 + 0.004j):
-        maps = _step_maps(grid, lam)
+        maps = grid.step_maps(lam)
         prefixes = _prefixes(maps)
         assert prefixes[0].size == grid.steps.size + 1
         assert [p[0] for p in prefixes] == [1.0, 0.0, 0.0, 1.0]
