@@ -22,16 +22,17 @@ gauge-conjugated operator has b = -2 eps^2 v'/q.
 
 One RK4 step body (``_rk4_step``), plain arithmetic, and one pairwise tree.
 A step of the linear ODE is a 2x2 matrix; a grid's ``step_maps`` builds
-every step's at once, one numpy lane per step.  For H, lam enters the body
-only through a - lam, so each entry is a polynomial of degree <= 2 in lam:
-``_CoefficientGrid`` stores its coefficients and evaluates them by Horner.
-``_GaugedGrid`` runs the body on the basis columns.  ``_pair`` multiplies
-neighbouring maps, later step on the left.  Pairwise products keep
-round-off growth at O(log n) (Higham, SIAM J. Sci. Comput. 14, 1993).
-The tree serves two ways:
+every step's at once as one (2, 2, n) stack, the step along the last axis.
+For H, lam enters the body only through a - lam, so each entry is a
+polynomial of degree <= 2 in lam: ``_CoefficientGrid`` stores its
+coefficients and evaluates them by Horner.  ``_GaugedGrid`` runs the body
+on the basis columns.  ``_pair`` multiplies neighbouring maps, later step
+on the left, all pairs of a level in five numpy calls on the stack.
+Pairwise products keep round-off growth at O(log n) (Higham, SIAM J. Sci.
+Comput. 14, 1993).  The tree serves two ways:
 
-* ``_compose`` climbs it to the transfer matrix alone, in log2(n) numpy
-  passes that keep no levels.  Root finding, ``transfer_matrix`` and the
+* ``_compose`` climbs it to the transfer matrix alone, in log2(n) levels
+  that keep nothing behind.  Root finding, ``transfer_matrix`` and the
   gauged mismatch take this path.
 * ``_prefixes`` keeps the levels and sweeps back down (Blelloch, "Prefix sums
   and their applications", CMU-CS-90-190, 1990) to every partial product
@@ -60,6 +61,7 @@ eps^4 prediction rather than a restatement of it.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -87,6 +89,11 @@ _DISK_RADIUS_FACTOR, _CONTOUR_POINTS, _CONTOUR_MAX_POINTS = 2.0, 16, 1024
 _MATCH_TOL = 1e-6
 # every coefficient grid needs h sqrt(sup|V|) < pi: a step then holds at most one zero of u (Sturm comparison)
 _STURM_STEP_PHASE = math.pi
+# numpy's ufunc buffer size inside the product tree, in elements.  With the default 8192 the
+# iterator copies both broadcast operands of a level narrower than that into buffers of the
+# level's size; at 16 it walks them in place.  Every operand of the tree has one dtype, so
+# nothing there needs a buffer to cast.
+_TREE_BUFSIZE = 16
 
 
 @dataclass(frozen=True)
@@ -141,13 +148,14 @@ class SquareWell:
 class _StageGrid:
     """Fixed RK4 steps across the support hull and the ODE coefficients at their stages.
 
-    ``steps`` holds the step lengths: n full steps of length h, then one
-    partial step when the hull length is not an exact multiple of h.  ``xs``
-    holds the stage points x0 + j*h/2 for j = 0..2n over the full steps, then
-    (mid, end) of the partial step, so step k reads its samples at indices
-    2k, 2k+1, 2k+2.  Subclasses sample a (and b) there, store them with
+    ``steps`` holds the step lengths: ``n_full`` steps of length h, then one
+    partial step of length ``h_last`` when the hull length is not an exact
+    multiple of h (else ``h_last`` is 0).  ``xs`` gives the stage points
+    x0 + j*h/2 for j = 0..2n over the full steps, then (mid, end) of the
+    partial step, so step k reads its samples at indices 2k, 2k+1, 2k+2.
+    Subclasses sample a (and b) there, store them with
     ``_by_stage``, set ``real`` when the samples are real, and give the 2x2
-    RK4 maps at lam as entry arrays (m00, m01, m10, m11) by ``step_maps``.
+    RK4 maps at lam as one (2, 2, n) stack by ``step_maps``.
     """
 
     def __init__(self, hull: tuple[float, float], eps: float, h: float):
@@ -165,11 +173,16 @@ class _StageGrid:
         h_last = length - n_full * h
         if h_last < 1e-12 * max(1.0, length):
             h_last = 0.0
+        self.n_full, self.h_last = n_full, h_last
         self.steps = np.append(np.full(n_full, self.h), [h_last] if h_last > 0.0 else [])
-        xs = x0 + 0.5 * h * np.arange(2 * n_full + 1)
-        if h_last > 0.0:
-            xs = np.concatenate([xs, [x0 + n_full * h + 0.5 * h_last, x1]])
-        self.xs = xs
+
+    @property
+    def xs(self) -> np.ndarray:
+        """The stage points, built on each read from (n_full, h_last): a grid keeps its samples, not these."""
+        xs = self.x0 + 0.5 * self.h * np.arange(2 * self.n_full + 1)
+        if self.h_last > 0.0:
+            xs = np.concatenate([xs, [self.x0 + self.n_full * self.h + 0.5 * self.h_last, self.x1]])
+        return xs
 
     def _kappa(self, kappa):
         """kappa in the physical half-plane: a float for a real grid and real kappa, else a complex."""
@@ -180,7 +193,7 @@ class _StageGrid:
     def mismatch(self, kappa):
         """F(kappa) at one kappa: a float for a real grid and real kappa, else a complex."""
         kappa = self._kappa(kappa)
-        t00, t01, t10, t11 = (x.item() for x in _compose(self.step_maps(-kappa * kappa)))
+        (t00, t01), (t10, t11) = _compose(self.step_maps(-kappa * kappa)).tolist()
         u, w = t00 + t01 * kappa, t10 + t11 * kappa
         return w + kappa * u
 
@@ -188,8 +201,8 @@ class _StageGrid:
         """(kappa coerced as in ``mismatch``, u at x0 and every step end, u' at x1) from the
         prefixes, for left tail data (1, kappa): F = w1 + kappa * u[-1]."""
         kappa = self._kappa(kappa)
-        p00, p01, p10, p11 = _prefixes(self.step_maps(-kappa * kappa))
-        return kappa, p00 + p01 * kappa, p10[-1] + p11[-1] * kappa
+        p = _prefixes(self.step_maps(-kappa * kappa))
+        return kappa, p[0, 0] + p[0, 1] * kappa, p[1, 0, -1] + p[1, 1, -1] * kappa
 
 
 def _by_stage(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,32 +245,56 @@ def _rk4_step(h, u, w, a, b):
     return u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u), w + sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
 
 
-def _product(left, right):
-    """Entries of the 2x2 products left @ right, elementwise over the entry arrays."""
-    la, lb, lc, ld = left
-    ea, eb, ec, ed = right
-    return la * ea + lb * ec, la * eb + lb * ed, lc * ea + ld * ec, lc * eb + ld * ed
+def _product(left, right, out):
+    """out = left @ right over stacks of 2x2 maps (2, 2, k): entry (i, j) is
+    left[i, 0] * right[0, j] + left[i, 1] * right[1, j].
+
+    The first products go into out in one call; the second are added one
+    row of out at a time, so their temporary is half the size of out.
+    """
+    np.multiply(left[:, :1], right[:1], out=out)
+    for i in range(2):
+        out[i] += left[i, 1] * right[1]
 
 
 def _pair(m):
-    """One level of the pairwise tree: map 2j+1 times map 2j, an odd last map carried."""
-    size = m[0].size
+    """One level of the pairwise tree over a (2, 2, n) stack: map 2j+1 times map 2j, an odd last map carried."""
+    size = m.shape[-1]
     n = size - size % 2
-    pairs = _product([x[1:n:2] for x in m], [x[0:n:2] for x in m])
-    return pairs if n == size else tuple(np.concatenate((p, x[n:])) for p, x in zip(pairs, m))
+    out = np.empty((2, 2, n // 2 + size % 2), m.dtype)
+    _product(m[..., 1:n:2], m[..., 0:n:2], out[..., : n // 2])
+    if n < size:
+        out[..., -1] = m[..., -1]
+    return out
+
+
+@contextmanager
+def _tree_buffer():
+    """numpy's ufunc buffer at ``_TREE_BUFSIZE`` elements for the block, then back as it was."""
+    old = np.setbufsize(_TREE_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+# a stack of one 2x2 identity
+_IDENTITY = np.eye(2)[..., np.newaxis]
+_IDENTITY.flags.writeable = False
 
 
 def _compose(m):
-    """Transfer matrix M[n-1] ... M[1] M[0] of the 1-D step maps, as the entries (t00, t01, t10, t11)."""
-    if m[0].size == 0:
-        return np.float64(1.0), np.float64(0.0), np.float64(0.0), np.float64(1.0)
-    while m[0].size > 1:
-        m = _pair(m)
-    return tuple(x[0] for x in m)
+    """Transfer matrix M[n-1] ... M[1] M[0] of a (2, 2, n) stack of step maps, as a 2x2 array."""
+    if m.shape[-1] == 0:
+        return np.eye(2, dtype=m.dtype)
+    with _tree_buffer():
+        while m.shape[-1] > 1:
+            m = _pair(m)
+    return m[..., 0]
 
 
 def _prefixes(m):
-    """The identity and every partial product M[k] ... M[0] of the 1-D step maps, as entry arrays.
+    """The identity and every partial product M[k] ... M[0] of a (2, 2, n) stack, as a (2, 2, n + 1) stack.
 
     Entry k + 1 carries the state at x0 across step k.  The up-sweep keeps
     each level of ``_compose``'s tree; the down-sweep then gives each
@@ -266,44 +303,59 @@ def _prefixes(m):
     position 2j > 0 is map 2j times the parent prefix j - 1.  So the last
     entry is ``_compose``'s total, bit for bit.
     """
-    levels = [m]
-    while levels[-1][0].size > 1:
-        levels.append(_pair(levels[-1]))
-    p = levels.pop()
-    for m in reversed(levels):
-        size = m[0].size
-        n = size - size % 2
-        evens = _product([x[2:n:2] for x in m], [q[: n // 2 - 1] for q in p])
-        level = tuple(np.empty_like(x) for x in m)
-        for out, x, q, e in zip(level, m, p, evens):
-            out[0] = x[0]
-            out[1:n:2] = q[: n // 2]
-            out[2:n:2] = e
+    with _tree_buffer():
+        levels = [m]
+        while levels[-1].shape[-1] > 1:
+            levels.append(_pair(levels[-1]))
+        p = np.concatenate((_IDENTITY, levels.pop()), axis=-1)
+        for m in reversed(levels):
+            size = m.shape[-1]
+            n = size - size % 2
+            k = n // 2
+            out = np.empty((2, 2, size + 1), m.dtype)
+            out[..., :1] = _IDENTITY
+            out[..., 1] = m[..., 0]
+            out[..., 2 : n + 1 : 2] = p[..., 1 : k + 1]
+            _product(m[..., 2:n:2], p[..., 1:k], out[..., 3 : n + 1 : 2])
             if n < size:
-                out[-1] = q[-1]
-        p = level
-    return tuple(np.append(i, x) for i, x in zip((1.0, 0.0, 0.0, 1.0), p))
+                out[..., -1] = p[..., -1]
+            p = out
+    return p
 
 
 def _quadratic_maps(h, a0, a1, a2):
-    """Per step, (P0, P1, P2) of m00, m10 and m11 in M(lam) = I + P0 + lam P1 + lam^2 P2:
-    the expansion of ``_rk4_step(h, e_j, (a0 - lam, a1 - lam, a2 - lam), None)``."""
+    """Per step, (P0, P1, P2) with M(lam) = I + P0 + lam P1 + lam^2 P2 in the entries m10, m11 and m00:
+    the expansion of ``_rk4_step(h, e_j, (a0 - lam, a1 - lam, a2 - lam), None)``.
+
+    Each P is stacked (3, n), rows m10, m11, m00; P2 depends on h alone, so
+    it stays real for a complex potential.
+    """
+    p0, p1 = np.empty((3, h.size), a1.dtype), np.empty((3, h.size), a1.dtype)
+    p2 = np.empty((3, h.size))
     h2 = h * h
-    h3_6, h4_24 = h * h2 / 6.0, h2 * h2 / 24.0
-    m00 = (h2 / 6.0 * (a0 + 2.0 * a1) + h4_24 * a0 * a1, -(0.5 * h2 + h4_24 * (a0 + a1)), h4_24)
-    m10 = (h / 6.0 * (a0 + 4.0 * a1 + a2) + 0.5 * h3_6 * a1 * (a0 + a2), -(h + 0.5 * h3_6 * (a0 + 2.0 * a1 + a2)), h3_6)
-    m11 = (h2 / 6.0 * (2.0 * a1 + a2) + h4_24 * a1 * a2, -(0.5 * h2 + h4_24 * (a1 + a2)), h4_24)
-    return m00, m10, m11
+    h3_6, h4_24 = p2[0], p2[1]
+    np.divide(h * h2, 6.0, out=h3_6)
+    np.divide(h2 * h2, 24.0, out=h4_24)
+    p2[2] = h4_24
+    p0[0] = h / 6.0 * (a0 + 4.0 * a1 + a2) + 0.5 * h3_6 * a1 * (a0 + a2)
+    p1[0] = -(h + 0.5 * h3_6 * (a0 + 2.0 * a1 + a2))
+    p0[1] = h2 / 6.0 * (2.0 * a1 + a2) + h4_24 * a1 * a2
+    p1[1] = -(0.5 * h2 + h4_24 * (a1 + a2))
+    p0[2] = h2 / 6.0 * (a0 + 2.0 * a1) + h4_24 * a0 * a1
+    p1[2] = -(0.5 * h2 + h4_24 * (a0 + a1))
+    return p0, p1, p2
 
 
 class _CoefficientGrid(_StageGrid):
     """Potential samples at the RK4 stage points and the H step maps as quadratics in lam.
 
     ``coefficients`` holds ``_quadratic_maps`` for every step, built once;
-    ``step_maps`` evaluates them by Horner, and m01 = h + h^3/6 (a1 - lam)
-    from the samples, which saves storing two more arrays.  The identity is added last, so a diagonal entry is
-    rounded once near 1, as in the RK4 body.  For real potentials the
-    samples are floats, so a real lam keeps the propagation real.
+    ``step_maps`` evaluates them by Horner, four in-place passes over the
+    three stacked entries, and m01 = h + h^3/6 (a1 - lam) from the samples,
+    which saves storing two more arrays.  The identity is added last, so a
+    diagonal entry is rounded once near 1, as in the RK4 body.  For real
+    potentials the samples are floats, so a real lam keeps the propagation
+    real.
     """
 
     def __init__(self, V, eps: float, h: float):
@@ -315,12 +367,24 @@ class _CoefficientGrid(_StageGrid):
         vals = np.asarray(V.eval_fast(self.xs, eps))
         self.real = not np.iscomplexobj(vals)
         self.a = _by_stage(vals)
+        del vals
         self.coefficients = _quadratic_maps(self.steps, *self.a)
 
     def step_maps(self, lam):
-        (p00, q00, r00), (p10, q10, h3_6), (p11, q11, r11) = self.coefficients
-        m00, m11 = 1.0 + (p00 + lam * (q00 + lam * r00)), 1.0 + (p11 + lam * (q11 + lam * r11))
-        return m00, self.steps + h3_6 * (self.a[1] - lam), p10 + lam * (q10 + lam * h3_6), m11
+        p0, p1, p2 = self.coefficients
+        out = np.empty((4, self.steps.size), np.result_type(lam, p0))
+        q, diagonal, m01 = out[:3], out[1:3], out[3]
+        np.multiply(lam, p2, out=q)
+        np.add(p1, q, out=q)
+        np.multiply(lam, q, out=q)
+        np.add(p0, q, out=q)
+        np.add(1.0, diagonal, out=diagonal)
+        np.subtract(self.a[1], lam, out=m01)
+        np.multiply(p2[0], m01, out=m01)
+        np.add(self.steps, m01, out=m01)
+        # rows m10, m11, m00, m01, so the Horner entries and the diagonal are each one block of
+        # rows; swapping the two row pairs back reads [[m00, m01], [m10, m11]]
+        return out.reshape(2, 2, -1)[::-1]
 
     def count_below(self, kappa: float) -> tuple[int, float]:
         """(N(kappa), F(kappa)): the number of eigenvalues below -kappa^2, and the mismatch.
@@ -358,7 +422,7 @@ def transfer_matrix(V, eps: float, lam: complex, h: float) -> TransferMatrix:
     """
     grid = _CoefficientGrid(V, eps, h)
     lam = float(np.real(lam)) if grid.real and np.imag(lam) == 0 else complex(lam)
-    m = np.array(_compose(grid.step_maps(lam)), dtype=complex).reshape(2, 2)
+    m = np.array(_compose(grid.step_maps(lam)), dtype=complex)
     return TransferMatrix(matrix=m)
 
 
@@ -774,7 +838,7 @@ class _GaugedGrid(_StageGrid):
         a = [x - lam for x in self.a]
         m00, m10 = _rk4_step(self.steps, 1.0, 0.0, a, self.b)
         m01, m11 = _rk4_step(self.steps, 0.0, 1.0, a, self.b)
-        return m00, m01, m10, m11
+        return np.array([[m00, m01], [m10, m11]])
 
 
 def gauged_mismatch(g: GaugeData, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> complex:

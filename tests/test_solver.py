@@ -277,9 +277,9 @@ def long_double_maps(steps, a, lam):
 
 
 def worst_column_error(maps, reference, scale=1.0):
-    """Largest entry error of the step maps diag(1, scale) M diag(1, 1/scale), in ulp (2^-52)
-    of the 1-norm of the reference map's column."""
-    m00, m01, m10, m11 = (np.asarray(x).astype(r.dtype) for x, r in zip(maps, reference))
+    """Largest entry error of the (2, 2, n) stack of step maps diag(1, scale) M diag(1, 1/scale),
+    in ulp (2^-52) of the 1-norm of the reference map's column."""
+    m00, m01, m10, m11 = (x.astype(r.dtype) for x, r in zip(np.reshape(maps, (4, -1)), reference))
     r00, r01, r10, r11 = reference
     col0, col1 = np.abs(r00) + scale * np.abs(r10), np.abs(r01) / scale + np.abs(r11)
     errors = (
@@ -441,9 +441,76 @@ def test_prefixes_end_in_the_composed_transfer_matrix(name):
     for lam in (-1e-3, -0.01 + 0.004j):
         maps = grid.step_maps(lam)
         prefixes = _prefixes(maps)
-        assert prefixes[0].size == grid.steps.size + 1
-        assert [p[0] for p in prefixes] == [1.0, 0.0, 0.0, 1.0]
-        assert [p[-1].tobytes() for p in prefixes] == [t.tobytes() for t in _compose(maps)]
+        assert prefixes.shape == (2, 2, grid.steps.size + 1)
+        assert prefixes[..., 0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert prefixes[..., -1].tobytes() == _compose(maps).tobytes()
+
+
+def reference_product(left, right):
+    """Entries of left @ right over 4-tuples (m00, m01, m10, m11) of entry arrays."""
+    la, lb, lc, ld = left
+    ea, eb, ec, ed = right
+    return la * ea + lb * ec, la * eb + lb * ed, lc * ea + ld * ec, lc * eb + ld * ed
+
+
+def reference_pair(m):
+    """One level of the pairwise tree on entry arrays: map 2j+1 times map 2j, an odd last map carried."""
+    size = m[0].size
+    n = size - size % 2
+    pairs = reference_product([x[1:n:2] for x in m], [x[0:n:2] for x in m])
+    return pairs if n == size else tuple(np.concatenate((p, x[n:])) for p, x in zip(pairs, m))
+
+
+def reference_prefixes(m):
+    """The tree's levels, then down again: the identity and every partial product, as entry arrays."""
+    levels = [m]
+    while levels[-1][0].size > 1:
+        levels.append(reference_pair(levels[-1]))
+    p = levels.pop()
+    for m in reversed(levels):
+        size = m[0].size
+        n = size - size % 2
+        evens = reference_product([x[2:n:2] for x in m], [q[: n // 2 - 1] for q in p])
+        level = tuple(np.empty_like(x) for x in m)
+        for out, x, q, e in zip(level, m, p, evens):
+            out[0] = x[0]
+            out[1:n:2] = q[: n // 2]
+            out[2:n:2] = e
+            if n < size:
+                out[-1] = q[-1]
+        p = level
+    return tuple(np.append(i, x) for i, x in zip((1.0, 0.0, 0.0, 1.0), p))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [*range(10), 17, 4001, 20001])
+def test_the_tree_multiplies_like_the_entrywise_pairwise_reference(n, dtype):
+    # bit for bit, odd carries included: each level sums the same two products in the same order;
+    # 20001 maps give levels wider than numpy's default ufunc buffer (8192 elements)
+    rng = np.random.default_rng(n)
+    maps = np.eye(2)[..., np.newaxis] + 0.1 * rng.standard_normal((2, 2, n))
+    if dtype is complex:
+        maps = maps + 0.1j * rng.standard_normal((2, 2, n))
+    entries = tuple(maps.reshape(4, n))
+    prefixes = reference_prefixes(entries)
+    total = [x[-1] for x in prefixes]
+    assert np.ravel(_compose(maps)).tobytes() == np.array(total).tobytes()
+    assert _prefixes(maps).reshape(4, n + 1).tobytes() == np.array(prefixes).tobytes()
+
+
+def test_the_tree_puts_numpy_s_ufunc_buffer_size_back():
+    # the tree runs with a small ufunc buffer; every numpy call after it must see the caller's size
+    maps = np.eye(2)[..., np.newaxis] + np.zeros((2, 2, 5))
+    old = np.setbufsize(4096)
+    try:
+        for tree in (_compose, _prefixes):
+            tree(maps)
+            assert np.getbufsize() == 4096
+        with pytest.raises(IndexError):
+            _compose(np.ones((2, 1, 3)))
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.2])
@@ -564,21 +631,42 @@ def test_scan_refuses_a_step_that_may_hold_two_zeros():
             call()
 
 
-def test_the_disk_count_peaks_like_one_mismatch():
-    # 4000 steps at eps 1e-3: the boundary is sampled one kappa at a time, so the
-    # count's peak memory, its own grid included, stays within twice one mismatch's
-    V = SquareWell(depth=30.0, support=(0.0, 0.1))
-    grid = _CoefficientGrid(V, 1e-3, 1e-3 / 40)
+def traced_grid_and_mismatch(V, eps):
+    """(bytes a grid holds, traced peak of one complex mismatch on it, bytes of one step-sized complex array)."""
     tracemalloc.start()
     try:
-        grid.mismatch(1e-5 + 5e-6j)
-        one = tracemalloc.get_traced_memory()[1]
+        grid = _CoefficientGrid(V, eps, eps / 40)
+        held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
+        grid.mismatch(1e-5 + 5e-6j)
+        one = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    return held, one, grid.steps.size * np.dtype(complex).itemsize
+
+
+def test_one_complex_mismatch_peaks_at_seven_step_sized_arrays():
+    # 4000 steps at eps 1e-3 on a real grid: the (2, 2, n) step maps (4 step-sized complex
+    # arrays), the tree's first level (2) and one row of its second products (1); a quarter of
+    # one more covers numpy's small objects.  With numpy's default ufunc buffer inside the tree
+    # it reads 10.
+    held, one, unit = traced_grid_and_mismatch(SquareWell(depth=30.0, support=(0.0, 0.1)), 1e-3)
+    assert unit == 4000 * 16
+    assert one <= 7.25 * unit
+
+
+def test_the_disk_count_peaks_like_one_mismatch():
+    # the boundary is sampled one kappa at a time, so the count's peak is its own grid, one
+    # mismatch's peak and the contour's samples (at most 1024 complex numbers, 16 KB)
+    V = SquareWell(depth=30.0, support=(0.0, 0.1))
+    held, one, _ = traced_grid_and_mismatch(V, 1e-3)
+    tracemalloc.start()
+    try:
         min_mismatch_on_disk(V, 1e-3, k2_hint=10 + 5j)
         disk = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert disk <= 2 * one
+    assert disk <= held + one + 1024 * 16
 
 
 def test_solver_config_validation():
