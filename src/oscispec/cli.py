@@ -40,19 +40,29 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """What one solve measured; the prediction and the two comparisons are read off it."""
+
     eps: float
     k2: complex
-    lambda_pred: complex
-    lambda_num: Optional[complex]
-    rel_err: Optional[float]
-    remainder_ratio: Optional[float]
     verdict: str
-    converged: Optional[bool]
+    lambda_num: Optional[complex] = None
+    converged: Optional[bool] = None
 
-    def __post_init__(self) -> None:
-        have_num = self.lambda_num is not None
-        if (self.rel_err is not None) != have_num or (self.remainder_ratio is not None) != have_num:
-            raise ValueError("rel_err and remainder_ratio must be present exactly when lambda_num is")
+    @property
+    def lambda_pred(self) -> complex:
+        return asym.predict_lambda(self.k2, self.eps)
+
+    @property
+    def rel_err(self) -> Optional[float]:
+        if self.lambda_num is None:
+            return None
+        return abs(self.lambda_num - self.lambda_pred) / abs(self.lambda_pred)
+
+    @property
+    def remainder_ratio(self) -> Optional[float]:
+        if self.lambda_num is None:
+            return None
+        return abs(self.lambda_num - self.lambda_pred) / self.eps**5
 
 
 @dataclass(frozen=True)
@@ -100,45 +110,18 @@ def emit_csv(records: Sequence[SweepRecord], summary: SweepSummary | None = None
     return _csv(CSV_HEADER, map(_record_row, records), comments)
 
 
-def _solve_record(
-    V,
-    eps: float,
-    k2: complex,
-    verdict: str,
-    exists: bool,
-    solver_cfg: slv.SolverConfig,
-) -> SweepRecord:
-    lam_pred = asym.predict_lambda(k2, eps)
-    lam_num = None
-    rel_err = None
-    ratio = None
-    converged: Optional[bool] = None
+def _solve_record(V, eps: float, rep: asym.K2Report, solver_cfg: slv.SolverConfig) -> SweepRecord:
+    verdict = str(rep.classification)
     try:
-        res = slv.find_bound_state(V, eps, k2_hint=k2, cfg=solver_cfg)
+        res = slv.find_bound_state(V, eps, k2_hint=rep.value, cfg=solver_cfg)
     except (ValueError, RuntimeError) as exc:  # what find_bound_state raises; anything else is a bug
         print(f"eps={eps:g}: {exc}", file=sys.stderr)
-        res = None
-        converged = False
-    else:
-        if res is not None:
-            lam_num = res.eigenvalue
-            rel_err = abs(lam_num - lam_pred) / abs(lam_pred)
-            ratio = abs(lam_num - lam_pred) / eps**5
-            converged = res.converged
-        else:
-            # no admissible root; for the Absent branch this is the expected
-            # certification, for Exists it is a failed solve
-            converged = not exists
-    return SweepRecord(
-        eps=eps,
-        k2=k2,
-        lambda_pred=lam_pred,
-        lambda_num=lam_num,
-        rel_err=rel_err,
-        remainder_ratio=ratio,
-        verdict=verdict,
-        converged=converged,
-    )
+        return SweepRecord(eps, rep.value, verdict, converged=False)
+    if res is None:
+        # no admissible root; for the Absent branch this is the expected
+        # certification, for Exists it is a failed solve
+        return SweepRecord(eps, rep.value, verdict, converged=rep.classification is not asym.Existence.EXISTS)
+    return SweepRecord(eps, rep.value, verdict, res.eigenvalue, res.converged)
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[SweepRecord], SweepSummary]:
@@ -146,11 +129,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[SweepRecord], SweepSummary]:
     solver_cfg = _solver_config(cfg)
     V = cfg.build_potential()
     rep = asym.compute_k2(V)
-    verdict = str(rep.classification)
-    exists = rep.classification is asym.Existence.EXISTS
-    records = [
-        _solve_record(V, eps, rep.value, verdict, exists, solver_cfg) for eps in cfg.epsilons
-    ]
+    records = [_solve_record(V, eps, rep, solver_cfg) for eps in cfg.epsilons]
 
     fit_pts = [
         r for r in records if r.lambda_num is not None and r.converged and abs(r.lambda_num) > 0
@@ -160,7 +139,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[SweepRecord], SweepSummary]:
         xs = np.log([r.eps for r in fit_pts])
         ys = np.log([abs(r.lambda_num) for r in fit_pts])
         slope = float(np.polyfit(xs, ys, 1)[0])
-    ratios = [r.remainder_ratio for r in fit_pts if r.remainder_ratio is not None]
+    ratios = [r.remainder_ratio for r in fit_pts]
     mean_ratio = float(np.mean(ratios)) if ratios else None
     spread = None
     if ratios and min(ratios) > 0:
@@ -190,35 +169,16 @@ def _cmd_k2(cfg: ExperimentConfig) -> tuple[bytes, int]:
 
 def _cmd_predict(cfg: ExperimentConfig) -> tuple[bytes, int]:
     rep = asym.compute_k2(cfg.build_potential())
-    verdict = str(rep.classification)
-    records = [
-        SweepRecord(
-            eps=eps,
-            k2=rep.value,
-            lambda_pred=asym.predict_lambda(rep.value, eps),
-            lambda_num=None,
-            rel_err=None,
-            remainder_ratio=None,
-            verdict=verdict,
-            converged=None,
-        )
-        for eps in cfg.epsilons
-    ]
-    return emit_csv(records), 0
+    return emit_csv([SweepRecord(eps, rep.value, str(rep.classification)) for eps in cfg.epsilons]), 0
 
 
 def _cmd_solve(cfg: ExperimentConfig) -> tuple[bytes, int]:
     V = cfg.build_potential()
     rep = asym.compute_k2(V)
-    eps = cfg.epsilons[0]
-    record = _solve_record(
-        V, eps, rep.value, str(rep.classification), rep.classification is asym.Existence.EXISTS, _solver_config(cfg)
-    )
-    data = emit_csv([record])
-    failed = rep.classification is asym.Existence.EXISTS and (
-        record.lambda_num is None or not record.converged
-    )
-    return data, (3 if failed else 0)
+    record = _solve_record(V, cfg.epsilons[0], rep, _solver_config(cfg))
+    # an Exists record without an eigenvalue is never converged
+    failed = rep.classification is asym.Existence.EXISTS and not record.converged
+    return emit_csv([record]), (3 if failed else 0)
 
 
 def _cmd_sweep(cfg: ExperimentConfig) -> tuple[bytes, int]:

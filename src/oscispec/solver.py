@@ -527,11 +527,7 @@ def _counted_roots(grid: _CoefficientGrid, lo: float, hi: float, samples: int):
 
 
 def _real_root(grid: _CoefficientGrid, lo: float, hi: float) -> Optional[tuple[float, float, int]]:
-    """Brent root of the real mismatch on [lo, hi] when F changes sign there, else the smallest counted root.
-
-    Every real bound state has kappa^2 <= sup|V|, so the count searches
-    (kappa_floor, sqrt(sup|V|)]; None when it finds no root there.
-    """
+    """Brent root of the real mismatch on [lo, hi] when F changes sign there, else ``_smallest_root``."""
     flo, fhi = grid.mismatch(lo), grid.mismatch(hi)
     if flo == 0.0:
         return lo, 0.0, 2
@@ -540,11 +536,20 @@ def _real_root(grid: _CoefficientGrid, lo: float, hi: float) -> Optional[tuple[f
     if flo * fhi < 0:
         root, froot, its = _brent(grid.mismatch, lo, hi, flo, fhi)
     else:
-        hit = next(_counted_roots(grid, _KAPPA_FLOOR, math.sqrt(grid.sup_abs), _SAMPLES), None)
+        hit = _smallest_root(grid)
         if hit is None:
             return None
         root, froot, its = hit
     return root, abs(froot), 2 + its
+
+
+def _smallest_root(grid: _CoefficientGrid) -> Optional[tuple[float, float, int]]:
+    """The smallest counted root of the real mismatch in (kappa_floor, sqrt(sup|V|)], or None.
+
+    Every real bound state has kappa^2 <= sup|V|, so that window holds them all.
+    """
+    hit = next(_counted_roots(grid, _KAPPA_FLOOR, math.sqrt(grid.sup_abs), _SAMPLES), None)
+    return None if hit is None else (hit[0], abs(hit[1]), hit[2])
 
 
 def _secant_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[complex, float, int]]:
@@ -585,9 +590,10 @@ def find_bound_state(
 ) -> Optional[BoundStateResult]:
     """Locate the bound state emerging near the spectral edge, or report absence.
 
-    Real potentials use Brent's method on a bracket seeded at kappa =
-    eps^2 * k2 when F changes sign across it, else the first root
-    ``scan_roots`` lists.  Complex potentials use damped secant steps from
+    Real potentials use Brent's method on the bracket [kappa0 / 10, 10 kappa0]
+    around the seed kappa0 = eps^2 * k2 when F changes sign across it, else
+    the first root ``scan_roots`` lists; so does a seed whose bracket would
+    reach sqrt(sup|V|).  Complex potentials use damped secant steps from
     the same seed.  ``bracket`` (real potentials only) overrides the seeding,
     which is also the route for potentials with a mean component.
 
@@ -615,10 +621,14 @@ def find_bound_state(
             kappa0 = seed.real
             if kappa0 <= 0:
                 return None
-            # every real bound state has kappa^2 <= sup|V|; a seed at or below
-            # the floor still brackets from just above it
-            hi = max(min(10.0 * kappa0, math.sqrt(V.sup_abs())), 2.0 * _KAPPA_FLOOR)
-            search, args = _real_root, (max(min(kappa0 / 10.0, 0.5 * hi), _KAPPA_FLOOR), hi)
+            if 10.0 * kappa0 < math.sqrt(V.sup_abs()):
+                # a seed at or below the floor still brackets from just above it
+                lo, hi = max(kappa0 / 10.0, _KAPPA_FLOOR), max(10.0 * kappa0, 2.0 * _KAPPA_FLOOR)
+                search, args = _real_root, (lo, hi)
+            else:
+                # every real bound state has kappa^2 <= sup|V|: a bracket clipped
+                # there can hold several roots, and Brent need not take the smallest
+                search, args = _smallest_root, ()
         else:
             start = seed if seed.real > _KAPPA_FLOOR else complex(abs(seed))
             if abs(start) <= _KAPPA_FLOOR:

@@ -59,6 +59,15 @@ def test_oscillatory_integral_matches_adaptive_reference(eps):
         assert mine == pytest.approx(ref, abs=5e-11)
 
 
+def test_oscillatory_integral_matches_the_canonical_closed_form():
+    # int_0^1 100 x^2 (1-x)^2 cos(w x) dx in closed form, w = 2 pi / eps; the envelope integrates to 10/3
+    u = TwoScaleFunction.from_cosine(1, poly_bump(100.0, 2, (0.0, 1.0)))
+    for eps in np.logspace(math.log10(0.003), -1, 25):
+        w = 2 * math.pi / eps
+        exact = -200 * math.sin(w) / w**3 - 1200 * (1 + math.cos(w)) / w**4 + 2400 * math.sin(w) / w**5
+        assert abs(oscillatory_integral(u, eps) - exact) <= 1e-13 * 10 / 3
+
+
 _ENDPOINT = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 3))
 
 

@@ -104,17 +104,9 @@ def test_points_per_period_below_the_floor_rejected():
 
 
 def make_record(with_num=True):
-    lam_num = complex(-9.9e-7) if with_num else None
-    return SweepRecord(
-        eps=0.1,
-        k2=complex(0.1),
-        lambda_pred=complex(-1e-6),
-        lambda_num=lam_num,
-        rel_err=0.01 if with_num else None,
-        remainder_ratio=0.5 if with_num else None,
-        verdict="Exists" if with_num else "Absent",
-        converged=True if with_num else None,
-    )
+    if with_num:
+        return SweepRecord(eps=0.1, k2=complex(0.1), verdict="Exists", lambda_num=complex(-9.9e-7), converged=True)
+    return SweepRecord(eps=0.1, k2=complex(0.1), verdict="Absent")
 
 
 def test_empty_record_list_gives_header_only():
@@ -137,18 +129,17 @@ def test_csv_uses_lf_and_trailing_newline():
     assert data.count(b"\n") == 2
 
 
-def test_record_invariant_on_partial_fields():
-    with pytest.raises(ValueError, match="exactly when"):
-        SweepRecord(
-            eps=0.1,
-            k2=0.1 + 0j,
-            lambda_pred=-1e-6 + 0j,
-            lambda_num=None,
-            rel_err=0.5,
-            remainder_ratio=None,
-            verdict="Exists",
-            converged=True,
-        )
+def test_comparison_columns_exist_exactly_when_lambda_num_does():
+    eps, k2 = 0.07, 0.31 - 0.02j
+    lam_pred = predict_lambda(k2, eps)
+    for lambda_num in (None, 0j, complex(-9.9e-7), -1.2e-6 + 3e-8j):
+        record = SweepRecord(eps=eps, k2=k2, verdict="Exists", lambda_num=lambda_num, converged=False)
+        assert record.lambda_pred == lam_pred
+        if lambda_num is None:
+            assert record.rel_err is None and record.remainder_ratio is None
+        else:
+            assert record.rel_err == abs(lambda_num - lam_pred) / abs(lam_pred)
+            assert record.remainder_ratio == abs(lambda_num - lam_pred) / eps**5
 
 
 # ---------------------------------------------------------------- sweeps
@@ -181,7 +172,7 @@ def test_run_sweep_absent_branch():
 
 def test_solve_record_reports_solver_errors_and_lets_bugs_through(monkeypatch, capsys):
     V = canonical_potential()
-    k2 = compute_k2(V).value
+    rep = compute_k2(V)
 
     def raising(exc):
         def find_bound_state(*args, **kwargs):
@@ -190,12 +181,12 @@ def test_solve_record_reports_solver_errors_and_lets_bugs_through(monkeypatch, c
         return find_bound_state
 
     monkeypatch.setattr(solver, "find_bound_state", raising(ValueError("no admissible root")))
-    record = _solve_record(V, 0.1, k2, "Exists", True, solver.DEFAULT_SOLVER)
+    record = _solve_record(V, 0.1, rep, solver.DEFAULT_SOLVER)
     assert record.converged is False and record.lambda_num is None
     assert capsys.readouterr().err == "eps=0.1: no admissible root\n"
     monkeypatch.setattr(solver, "find_bound_state", raising(TypeError("a programming error")))
     with pytest.raises(TypeError, match="programming error"):
-        _solve_record(V, 0.1, k2, "Exists", True, solver.DEFAULT_SOLVER)
+        _solve_record(V, 0.1, rep, solver.DEFAULT_SOLVER)
 
 
 # ---------------------------------------------------------------- CLI

@@ -563,6 +563,17 @@ def test_an_even_number_of_roots_above_the_floor_is_still_found():
     assert res.kappa.real == scan.kappas[0] == 3.800194023266626
 
 
+@pytest.mark.parametrize("eps, kappa", [(0.1, 8.770717742363555), (0.035, 0.1758200885431692)])
+def test_a_seed_bracket_reaching_sqrt_sup_v_takes_the_smallest_root(eps, kappa):
+    # 10 eps^2 k2 >= sqrt(sup|V|) = 43.3: Brent on the bracket clipped there can return a larger root (18.7026, 5.49693)
+    V = canonical_potential(amplitude=3e4)
+    scan = scan_roots(V, eps)
+    assert scan.count >= 2
+    res = find_bound_state(V, eps)
+    assert res is not None
+    assert res.kappa.real == scan.kappas[0] == kappa
+
+
 # ---------------------------------------------------------------- guards
 
 
