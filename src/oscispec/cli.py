@@ -208,7 +208,7 @@ def _cmd_lemma(cfg: ExperimentConfig) -> tuple[bytes, int]:
         "# fitted_order=" + _fmt(fit.fitted_order),
         "# floor=" + _fmt(fit.floor),
         f"# floor_limited={1 if fit.floor_flag else 0}",
-        f"# points_used={fit.used}",
+        f"# points_used={sum(fit.used)}",
     ]
     return _csv("eps,remainder", rows, comments), 0
 

@@ -15,10 +15,10 @@ fast period so oscillatory truncation errors cancel over whole periods.
 
 Layout.  One stage grid (``_StageGrid``) fixes the steps across the hull --
 full steps of length h, then one partial step when the hull length is not a
-multiple of h -- and holds the coefficients of y' = [[0, 1], [a - lam, b]] y
-at the RK4 stage points as contiguous (start, middle, end) arrays, sampled
-once and reused for every kappa.  For H, a = V and b = 0; the
-gauge-conjugated operator has b = -2 eps^2 v'/q.
+multiple of h -- and samples the coefficients of y' = [[0, 1], [a - lam, b]] y
+once, at the step ends and then the midpoints: the (start, middle, end) stages
+are three contiguous views of that one array, reused for every kappa.  For H,
+a = V and b = 0; the gauge-conjugated operator has b = -2 eps^2 v'/q.
 
 One RK4 step body (``_rk4_step``), plain arithmetic, and one pairwise tree.
 A step of the linear ODE is a 2x2 matrix; a grid's ``step_maps`` builds
@@ -26,7 +26,7 @@ every step's at once as one (2, 2, n) stack, the step along the last axis.
 For H, lam enters the body only through a - lam, so each entry is a
 polynomial of degree <= 2 in lam: ``_CoefficientGrid`` stores its
 coefficients and evaluates them by Horner.  ``_GaugedGrid`` runs the body
-on the basis columns.  ``_pair`` multiplies neighbouring maps, later step
+once on both basis columns.  ``_pair`` multiplies neighbouring maps, later step
 on the left, all pairs of a level in five numpy calls on the stack.
 Pairwise products keep round-off growth at O(log n) (Higham, SIAM J. Sci.
 Comput. 14, 1993).  The tree serves two ways:
@@ -61,7 +61,6 @@ eps^4 prediction rather than a restatement of it.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -92,7 +91,7 @@ _STURM_STEP_PHASE = math.pi
 # numpy's ufunc buffer size inside the product tree, in elements.  With the default 8192 the
 # iterator copies both broadcast operands of a level narrower than that into buffers of the
 # level's size; at 16 it walks them in place.  Every operand of the tree has one dtype, so
-# nothing there needs a buffer to cast.
+# nothing there needs a buffer to cast.  np.errstate puts the caller's size back on leaving.
 _TREE_BUFSIZE = 16
 
 
@@ -150,12 +149,12 @@ class _StageGrid:
 
     ``steps`` holds the step lengths: ``n_full`` steps of length h, then one
     partial step of length ``h_last`` when the hull length is not an exact
-    multiple of h (else ``h_last`` is 0).  ``xs`` gives the stage points
-    x0 + j*h/2 for j = 0..2n over the full steps, then (mid, end) of the
-    partial step, so step k reads its samples at indices 2k, 2k+1, 2k+2.
-    Subclasses sample a (and b) there, store them with
-    ``_by_stage``, set ``real`` when the samples are real, and give the 2x2
-    RK4 maps at lam as one (2, 2, n) stack by ``step_maps``.
+    multiple of h (else ``h_last`` is 0); it ends on x1 because the envelope
+    may be only C^1 there, and a step straddling that kink loses the h^4
+    error decay (16 per halving) that ``convergence_study`` relies on.
+    Subclasses sample a (and b) at ``xs``, split them by ``_stages``, set
+    ``real`` when the samples are real, and give the 2x2 RK4 maps at lam as
+    one (2, 2, n) stack by ``step_maps``.
     """
 
     def __init__(self, hull: tuple[float, float], eps: float, h: float):
@@ -178,11 +177,17 @@ class _StageGrid:
 
     @property
     def xs(self) -> np.ndarray:
-        """The stage points, built on each read from (n_full, h_last): a grid keeps its samples, not these."""
-        xs = self.x0 + 0.5 * self.h * np.arange(2 * self.n_full + 1)
+        """The n + 1 step ends x0 + h k, then the n midpoints x0 + h (k + 1/2), a partial step's last in each."""
+        k = np.arange(self.n_full + 1.0)
+        ends, mids = self.x0 + self.h * k, self.x0 + self.h * (k[:-1] + 0.5)
         if self.h_last > 0.0:
-            xs = np.concatenate([xs, [self.x0 + self.n_full * self.h + 0.5 * self.h_last, self.x1]])
-        return xs
+            return np.concatenate([ends, [self.x1], mids, [self.x0 + self.n_full * self.h + 0.5 * self.h_last]])
+        return np.concatenate([ends, mids])
+
+    def _stages(self, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Samples at ``xs`` as the (start, middle, end) of every step: three contiguous views of vals."""
+        n = self.steps.size
+        return vals[:n], vals[n + 1 :], vals[1 : n + 1]
 
     def _kappa(self, kappa):
         """kappa in the physical half-plane: a float for a real grid and real kappa, else a complex."""
@@ -203,12 +208,6 @@ class _StageGrid:
         kappa = self._kappa(kappa)
         p = _prefixes(self.step_maps(-kappa * kappa))
         return kappa, p[0, 0] + p[0, 1] * kappa, p[1, 0, -1] + p[1, 1, -1] * kappa
-
-
-def _by_stage(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stage samples as contiguous (start, middle, end) arrays, one entry per step; start and end share one array."""
-    ends = vals[::2].copy()
-    return ends[:-1], vals[1::2].copy(), ends[1:]
 
 
 def _slope(a, b, u, w):
@@ -268,16 +267,6 @@ def _pair(m):
     return out
 
 
-@contextmanager
-def _tree_buffer():
-    """numpy's ufunc buffer at ``_TREE_BUFSIZE`` elements for the block, then back as it was."""
-    old = np.setbufsize(_TREE_BUFSIZE)
-    try:
-        yield
-    finally:
-        np.setbufsize(old)
-
-
 # a stack of one 2x2 identity
 _IDENTITY = np.eye(2)[..., np.newaxis]
 _IDENTITY.flags.writeable = False
@@ -287,7 +276,8 @@ def _compose(m):
     """Transfer matrix M[n-1] ... M[1] M[0] of a (2, 2, n) stack of step maps, as a 2x2 array."""
     if m.shape[-1] == 0:
         return np.eye(2, dtype=m.dtype)
-    with _tree_buffer():
+    with np.errstate():
+        np.setbufsize(_TREE_BUFSIZE)
         while m.shape[-1] > 1:
             m = _pair(m)
     return m[..., 0]
@@ -303,7 +293,8 @@ def _prefixes(m):
     position 2j > 0 is map 2j times the parent prefix j - 1.  So the last
     entry is ``_compose``'s total, bit for bit.
     """
-    with _tree_buffer():
+    with np.errstate():
+        np.setbufsize(_TREE_BUFSIZE)
         levels = [m]
         while levels[-1].shape[-1] > 1:
             levels.append(_pair(levels[-1]))
@@ -366,8 +357,7 @@ class _CoefficientGrid(_StageGrid):
             raise ValueError(f"step too large: h sqrt(sup|V|) = {phase:.3g} must stay below pi")
         vals = np.asarray(V.eval_fast(self.xs, eps))
         self.real = not np.iscomplexobj(vals)
-        self.a = _by_stage(vals)
-        del vals
+        self.a = self._stages(vals)
         self.coefficients = _quadratic_maps(self.steps, *self.a)
 
     def step_maps(self, lam):
@@ -752,8 +742,7 @@ def eigenfunction(
     grid = _CoefficientGrid(V, eps, h)
     _, us, w1 = grid.left_solution(kappa)
     kc, u1 = complex(kappa), us[-1]
-    # the even stage points are the step ends, x1 included after a partial step
-    xs = grid.xs[::2]
+    xs = grid.xs[: grid.steps.size + 1]  # the step ends, x1 included after a partial step
     defect = abs(w1 + kc * u1) / (abs(kc) * abs(u1) + abs(w1) + 1e-300)
     if defect > _MATCH_TOL:
         raise ValueError(
@@ -840,15 +829,13 @@ class _GaugedGrid(_StageGrid):
         alpha = eps * c.f / c.q
         beta = -2.0 * eps**2 * c.vprime / c.q
         self.real = not np.iscomplexobj(alpha)
-        self.a = _by_stage(alpha)
-        self.b = _by_stage(beta)
+        self.a = self._stages(alpha)
+        self.b = self._stages(beta)
 
     def step_maps(self, lam):
-        """Column j of a step's map is one ``_rk4_step`` from the basis vector e_j."""
-        a = [x - lam for x in self.a]
-        m00, m10 = _rk4_step(self.steps, 1.0, 0.0, a, self.b)
-        m01, m11 = _rk4_step(self.steps, 0.0, 1.0, a, self.b)
-        return np.array([[m00, m01], [m10, m11]])
+        """Column j of a step's map is the ``_rk4_step`` from e_j; one call steps both, (u, w) the rows of I."""
+        u, w = _rk4_step(self.steps, _IDENTITY[0], _IDENTITY[1], [x - lam for x in self.a], self.b)
+        return np.array([u, w])
 
 
 def gauged_mismatch(g: GaugeData, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> complex:

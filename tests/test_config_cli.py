@@ -12,6 +12,7 @@ from oscispec.asymptotics import compute_k2, predict_lambda
 from oscispec.cli import (
     CSV_HEADER,
     SweepRecord,
+    _COMMANDS,
     _solve_record,
     emit_csv,
     main,
@@ -19,6 +20,8 @@ from oscispec.cli import (
 )
 from oscispec.config import ConfigError, parse_config
 from oscispec.potentials import canonical_potential
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 CANONICAL_TEXT = """\
 # canonical single-mode experiment
@@ -288,6 +291,26 @@ def test_cli_scan_counts_one_root(tmp_path):
     code, out = run_cli(tmp_path, "scan", "--config", cfgp)
     assert code == 0
     assert b"# count=1" in out
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_command_exits_with_a_documented_code_and_one_number_per_comment_row(tmp_path, command, config):
+    # exit codes 0, 2 and 3 are the documented ones; a `# key=value` row holds one float, or nothing
+    code, out = run_cli(tmp_path, command, "--config", str(CONFIG_DIR / config))
+    assert code in (0, 2, 3)
+    for line in out.decode().splitlines():
+        if line.startswith("# "):
+            key, value = line[2:].split("=", 1)
+            assert key and (value == "" or parses_as_float(value)), line
+
+
+def parses_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def test_cli_lemma_table(tmp_path):

@@ -24,6 +24,7 @@ from oscispec.solver import (
     _brent,
     _CoefficientGrid,
     _compose,
+    _GaugedGrid,
     _prefixes,
     _quadratic_maps,
     _rk4_step,
@@ -301,6 +302,55 @@ def test_step_map_columns_are_one_rk4_step_from_the_basis(name, lam):
         value = -V.sup_abs() if lam == "-sup|V|" else lam
         reference = long_double_maps(grid.steps, grid.a, value)
         assert worst_column_error(grid.step_maps(value), reference) <= 2.0
+
+
+def assert_views_of_one_array(stages):
+    base = stages[0].base
+    assert base is not None and all(stage.base is base and np.shares_memory(stage, base) for stage in stages)
+    assert all(stage.flags.c_contiguous for stage in stages)
+
+
+@pytest.mark.parametrize("rotation", [1.0, 1j])
+@pytest.mark.parametrize("eps, partial", [(0.07, True), (0.1, False)])
+def test_stage_samples_are_three_views_of_one_array_at_the_rk4_stage_points(eps, partial, rotation):
+    V = canonical_potential().scaled(rotation)
+    grid = _CoefficientGrid(V, eps, eps / 40)
+    assert (grid.h_last > 0.0) == partial
+    h, k = grid.h, np.arange(grid.n_full, dtype=float)
+    starts = grid.x0 + h * np.arange(grid.steps.size, dtype=float)
+    middles, ends = grid.x0 + h * (k + 0.5), grid.x0 + h * (k + 1.0)
+    if partial:
+        middles = np.append(middles, grid.x0 + grid.n_full * h + 0.5 * grid.h_last)
+        ends = np.append(ends, grid.x1)
+    for stage, x in zip(grid.a, (starts, middles, ends)):
+        assert stage.tobytes() == np.asarray(V.eval_fast(x, eps)).tobytes()
+    assert_views_of_one_array(grid.a)
+
+
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+@pytest.mark.parametrize("eps", [0.1, 0.05])
+def test_gauged_step_maps_are_one_rk4_step_per_basis_column(name, eps, monkeypatch):
+    cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
+    grid = _GaugedGrid(build_gauge(cfg.build_potential(), eps), SolverConfig(cfg.points_per_period))
+    assert_views_of_one_array(grid.a)
+    assert_views_of_one_array(grid.b)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _rk4_step(*args)
+
+    monkeypatch.setattr(solver, "_rk4_step", counted)
+    for lam in (-1e-3, -0.01 + 0.004j):
+        # bit for bit the two column runs from e_0 and e_1, the step along the last axis
+        a = [x - lam for x in grid.a]
+        m00, m10 = _rk4_step(grid.steps, 1.0, 0.0, a, grid.b)
+        m01, m11 = _rk4_step(grid.steps, 0.0, 1.0, a, grid.b)
+        reference = np.array([[m00, m01], [m10, m11]])
+        maps = grid.step_maps(lam)
+        assert maps.shape == reference.shape == (2, 2, grid.steps.size)
+        assert maps.tobytes() == reference.tobytes()
+    assert len(calls) == 2
 
 
 # real and imaginary parts of a point in the unit disk
@@ -712,7 +762,7 @@ def test_eigenfunction_samples_the_interior_at_the_step_ends(canonical, canonica
     ef = eigenfunction(canonical, 0.07, res.kappa)
     x0, x1 = canonical.support_hull
     interior = ef.x[(ef.x >= x0) & (ef.x <= x1)]
-    assert interior.tobytes() == grid.xs[::2].tobytes()
+    assert interior.tobytes() == grid.xs[: grid.steps.size + 1].tobytes()
     assert interior[-1] == x1
 
 
