@@ -1,0 +1,133 @@
+"""One SHA-256 line over the library's numeric outputs, for comparing two checkouts.
+
+    python3 scripts/solver_digest.py [CHECKOUT]
+
+imports ``oscispec`` from CHECKOUT's ``src`` (default: the checkout holding
+this script) and feeds every output below, bit for bit, into one digest:
+
+* ``compute_k2`` of each potential;
+* ``find_bound_state``, ``min_mismatch_on_disk`` (eps >= 0.01) and
+  ``transfer_matrix`` at a real and a complex lambda, on the canonical and
+  two-mode configs times 1, i, e^{0.3i} and e^{0.8i}, at eps 0.1, 0.07, 0.01
+  and 1e-3;
+* ``scan_roots``, ``count_below``, ``eigenfunction``, ``gauged_mismatch`` and
+  ``compute_k_eps`` on the two real configs, and ``convergence_study``;
+* ``find_bound_state`` and ``scan_roots`` on the canonical potential at
+  amplitudes 0.03, 1e4, 3e4 and 1e5;
+* ``count_below`` and ``scan_roots`` on square wells of depth 2, 30, 100 and
+  400, and ``find_bound_state`` on a bracket across which the mismatch
+  changes sign and on one across which it does not.
+
+Two checkouts compute the same outputs exactly when
+
+    python3 scripts/solver_digest.py OTHER
+    python3 scripts/solver_digest.py
+
+print the same line.  A call that raises is named on stderr and the script
+then exits 1, so two checkouts that crash alike never compare equal.
+"""
+
+from __future__ import annotations
+
+import cmath
+import dataclasses
+import hashlib
+import sys
+import traceback
+from pathlib import Path
+
+import numpy as np
+
+ROTATIONS = {"1": 1.0, "i": 1j, "e^0.3i": cmath.exp(0.3j), "e^0.8i": cmath.exp(0.8j)}
+EPSILONS = (0.1, 0.07, 0.01, 1e-3)
+LAMBDAS = (-0.01, -0.01 + 0.004j)
+
+
+def feed(h, value) -> None:
+    """Hash a value exactly: arrays by dtype, shape and bytes, dataclasses field by field, scalars by repr."""
+    if dataclasses.is_dataclass(value):
+        value = (type(value).__name__, *((f.name, getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if isinstance(value, np.ndarray):
+        h.update(repr((value.dtype.str, value.shape)).encode() + value.tobytes())
+    elif isinstance(value, (tuple, list)):
+        h.update(b"(")
+        for item in value:
+            feed(h, item)
+        h.update(b")")
+    else:
+        h.update(repr(value).encode() + b";")
+
+
+def calls(root: Path):
+    """(label, thunk) for every output, in a fixed order."""
+    from oscispec import asymptotics as asym
+    from oscispec import config, gauge, potentials, solver
+
+    def at_root(V, eps):
+        kappa = solver.find_bound_state(V, eps).kappa
+        return solver.eigenfunction(V, eps, kappa), solver.gauged_mismatch(gauge.build_gauge(V, eps), kappa)
+
+    real = {
+        name: config.load_config(str(root / "configs" / f"{name}.cfg")).build_potential()
+        for name in ("canonical", "two_mode")
+    }
+
+    for name, V in real.items():
+        for rot_name, rot in ROTATIONS.items():
+            U = V.scaled(rot)
+            label = f"{name}*{rot_name}"
+            yield f"k2 {label}", lambda U=U: asym.compute_k2(U)
+            for eps in EPSILONS:
+                yield f"find {label} {eps}", lambda U=U, eps=eps: solver.find_bound_state(U, eps)
+                if eps >= 0.01:
+                    yield f"disk {label} {eps}", lambda U=U, eps=eps: solver.min_mismatch_on_disk(U, eps)
+                for lam in LAMBDAS:
+                    h = eps / solver.DEFAULT_SOLVER.points_per_fast_period
+                    yield f"tm {label} {eps} {lam}", lambda U=U, eps=eps, lam=lam, h=h: solver.transfer_matrix(
+                        U, eps, lam, h
+                    )
+
+    for name, V in real.items():
+        for eps in EPSILONS:
+            yield f"scan {name} {eps}", lambda V=V, eps=eps: solver.scan_roots(V, eps)
+            h = eps / solver.DEFAULT_SOLVER.points_per_fast_period
+            yield f"count {name} {eps}", lambda V=V, eps=eps, h=h: solver._CoefficientGrid(V, eps, h).count_below(0.05)
+            yield f"eigenfunction, gauged {name} {eps}", lambda V=V, eps=eps: at_root(V, eps)
+            yield f"keps {name} {eps}", lambda V=V, eps=eps: asym.compute_k_eps(V, eps)
+        yield f"convergence {name}", lambda V=V: solver.convergence_study(V, 0.1)
+
+    for amplitude in (0.03, 1e4, 3e4, 1e5):
+        V = potentials.canonical_potential(amplitude=amplitude)
+        for eps in (0.1, 0.05, 0.035):
+            yield f"find canonical@{amplitude} {eps}", lambda V=V, eps=eps: solver.find_bound_state(V, eps)
+            yield f"scan canonical@{amplitude} {eps}", lambda V=V, eps=eps: solver.scan_roots(V, eps)
+
+    for depth in (2.0, 30.0, 100.0, 400.0):
+        well = solver.SquareWell(depth=depth)
+        yield f"well count {depth}", lambda w=well: solver._CoefficientGrid(w, 0.1, 0.1 / 40).count_below(1e-9)
+        yield f"well scan {depth}", lambda w=well: solver.scan_roots(w, 0.1)
+    for depth, bracket in ((2.0, (0.1, 1.2)), (30.0, (4.0, 5.4)), (30.0, (0.01, 0.02))):
+        well = solver.SquareWell(depth=depth)
+        yield f"well find {depth} {bracket}", lambda w=well, b=bracket: solver.find_bound_state(w, 0.1, bracket=b)
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0]).resolve() if argv else Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "src"))
+    h = hashlib.sha256()
+    failed = []
+    for label, thunk in calls(root):
+        h.update(label.encode() + b"=")
+        try:
+            feed(h, thunk())
+        except Exception:
+            failed.append(label)
+            h.update(traceback.format_exc().encode())
+    print(h.hexdigest())
+    for label in failed:
+        print(f"raised: {label}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

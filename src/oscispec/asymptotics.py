@@ -29,14 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gauge as gauge_mod
-from .averaging import (
-    _NODES_PER_PANEL,
-    _breakpoint_integral,
-    _fast_rule,
-    _gauss_legendre,
-    _integration_matrix,
-    profile_product_integral,
-)
+from .averaging import _abs_kernel, _breakpoint_integral, _fast_rule, profile_product_integral
 from .potentials import TwoScaleFunction
 
 _TINY = 1e-300
@@ -122,8 +115,7 @@ def compute_k2(V: TwoScaleFunction) -> K2Report:
     closed *= 0.5
 
     # quadrature route
-    breaks = [x for p in V.modes.values() for x in p.support]
-    quad_val = 0.5 * _breakpoint_integral(lambda x: _pair_mean(V, x), breaks, _HULL_PANELS, _HULL_NODES)
+    quad_val = 0.5 * _breakpoint_integral(lambda x: _pair_mean(V, x), V.breakpoints, _HULL_PANELS, _HULL_NODES)
 
     value = closed
     agreement = abs(quad_val - closed) / (abs(value) + _TINY)
@@ -159,38 +151,16 @@ class KEpsReport:
 def compute_k_eps(V: TwoScaleFunction, eps: float) -> KEpsReport:
     """Two moments of L: m1 = int L[1], m2 = int L[G] with the |x-t| kernel.
 
-    L[1] reduces to -f/q.  G(x) = int |x-t| L[1](t) dt and its derivative
-    G'(x) = int sgn(x-t) L[1](t) dt are assembled from prefix integrals
-    C0(x) = int_{x0}^{x} L[1] and C1(x) = int_{x0}^{x} t L[1](t) dt:
-
-        G(x)  = 2x C0(x) - 2 C1(x) + S1 - x S0,
-        G'(x) = 2 C0(x) - S0,
-
-    with S0, S1 the full-interval values.  Splitting at x this way keeps the
-    kernel kink out of every quadrature panel, so the rule retains its full
-    order.  All quadratures ride the fast-period rule, eps/16 panels that tile
-    every interval between support endpoints, so no envelope kink sits inside a
-    panel either; inside a panel, C0 and C1 integrate the node samples'
-    interpolant (``averaging._integration_matrix``), so the gauge is sampled once.
+    L[1] reduces to -f/q, and G(x) = int |x-t| L[1](t) dt and its derivative
+    come from ``averaging._abs_kernel``.  All quadratures ride the fast-period
+    rule, eps/16 panels that tile every interval between support endpoints, so
+    no envelope kink sits inside a panel, and the gauge is sampled once.
     """
-    breaks = [x for p in V.modes.values() for x in p.support]
-    nodes, weights, _ = _fast_rule(breaks, eps, _KEPS_PANELS_PER_PERIOD)
+    nodes, weights, _ = _fast_rule(V.breakpoints, eps, _KEPS_PANELS_PER_PERIOD)
     coef = gauge_mod.build_gauge(V, eps).coefficients(nodes)
     l1 = -coef.f / coef.q
-    # rows C0, C1: the sum over earlier panels plus the node's own partial panel,
-    # half * S @ f = (S / gw) @ (w f) since a node weight is half * gw
-    n_per = _NODES_PER_PANEL
-    contrib = np.stack([weights * l1, weights * nodes * l1]).reshape(2, -1, n_per)
-    panel_sums = contrib.sum(axis=2)
-    s0, s1 = panel_sums.sum(axis=1)
-    partial = (_integration_matrix(n_per) / _gauss_legendre(n_per)[1]).T
-    c0, c1 = ((np.cumsum(panel_sums, axis=1) - panel_sums)[..., None] + contrib @ partial).reshape(2, -1)
-    m1 = complex(s0)
-
-    G = 2.0 * nodes * c0 - 2.0 * c1 + s1 - nodes * s0
-    Gp = 2.0 * c0 - s0
-    m2 = complex(np.sum(weights * (2.0 * eps * coef.vprime / coef.q * Gp + l1 * G)))
-
+    G, Gp, s0 = _abs_kernel(nodes, weights, l1)
+    m1, m2 = complex(s0), complex(np.sum(weights * (2.0 * eps * coef.vprime / coef.q * Gp + l1 * G)))
     k_eps = 0.5 * eps * m1 + 0.5 * eps**2 * m2
     return KEpsReport(eps=float(eps), m1=m1, m2=m2, k_eps=k_eps)
 

@@ -186,9 +186,8 @@ class TwoScaleFunction:
     def __post_init__(self) -> None:
         cleaned = {int(n): prof for n, prof in self.modes.items() if prof.amplitude != 0}
         object.__setattr__(self, "modes", cleaned)
-        supports = [p.support for p in cleaned.values()]
-        hull = (min(a for a, _ in supports), max(b for _, b in supports)) if supports else (0.0, 0.0)
-        object.__setattr__(self, "support_hull", hull)
+        breaks = self.breakpoints
+        object.__setattr__(self, "support_hull", (min(breaks), max(breaks)) if breaks else (0.0, 0.0))
 
     # -- construction helpers -------------------------------------------------
 
@@ -216,6 +215,11 @@ class TwoScaleFunction:
     @property
     def has_zero_mean(self) -> bool:
         return 0 not in self.modes
+
+    @property
+    def breakpoints(self) -> list[float]:
+        """Every envelope's support endpoints, where the slow dependence may kink."""
+        return [x for p in self.modes.values() for x in p.support]
 
     @cached_property
     def is_real(self) -> bool:

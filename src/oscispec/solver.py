@@ -46,12 +46,12 @@ the number of zeros of the left-decaying solution on the whole line
 ``scan_roots`` counts the roots in its window as N(low) - N(high), exactly.
 
 Roots of the real mismatch are isolated by the count and polished with
-Brent's method (``_brent``); a seed bracket across which F changes sign skips
-the count.  Every real bound state has kappa^2 <= sup|V|, so the count
-searches (kappa_floor, sqrt(sup|V|)].  Complex roots are found by damped
-secant steps.  Absence is certified by counting: F is entire in kappa, so
-``min_mismatch_on_disk`` counts the roots in a disk by the winding of F
-along its boundary, sampled one kappa at a time.
+Brent's method (``_brent``); a seed bracket across which F changes sign, or
+at whose end F vanishes, skips the count.  Every real bound state has
+kappa^2 <= sup|V|, so the count searches (kappa_floor, sqrt(sup|V|)].
+Complex roots are found by damped secant steps.  Absence is certified by
+counting: F is entire in kappa, so ``min_mismatch_on_disk`` counts the roots
+in a disk by the winding of F along its boundary, sampled one kappa at a time.
 
 This module never consumes the asymptotic machinery beyond an optional
 initial guess, which is what makes it a genuine cross-check of the
@@ -109,6 +109,11 @@ class SolverConfig:
 
 
 DEFAULT_SOLVER = SolverConfig()
+
+
+def _step(eps: float, cfg: SolverConfig) -> float:
+    """The RK4 step h that ``cfg`` sets at eps."""
+    return eps / cfg.points_per_fast_period
 
 
 @dataclass(frozen=True)
@@ -418,7 +423,7 @@ def transfer_matrix(V, eps: float, lam: complex, h: float) -> TransferMatrix:
 
 def mismatch(V, eps: float, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> complex:
     """Tail-matching defect F(kappa); zero exactly on bound states."""
-    return _CoefficientGrid(V, eps, eps / cfg.points_per_fast_period).mismatch(kappa)
+    return _CoefficientGrid(V, eps, _step(eps, cfg)).mismatch(kappa)
 
 
 @dataclass(frozen=True)
@@ -442,8 +447,11 @@ def _brent(f, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, floa
     Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4,
     in the formulation of scipy's ``brentq``, ported step for step so roots
     and iteration counts match it bit for bit.  The caller passes the end
-    values it already has; they must be nonzero and of opposite sign.
+    values it already has; they must be of opposite sign unless one is zero,
+    and a zero end is the root after one iteration, as in scipy.
     """
+    if flo == 0 or fhi == 0:
+        return (lo, flo, 1) if flo == 0 else (hi, fhi, 1)
     xpre, xcur, fpre, fcur = lo, hi, flo, fhi
     xblk = fblk = spre = scur = 0.0
     for it in range(1, _BRENT_MAXITER + 1):
@@ -485,9 +493,8 @@ def _counted_roots(grid: _CoefficientGrid, lo: float, hi: float, samples: int):
     """Yield (root, F(root), work) for each root of the real mismatch in (lo, hi], in increasing kappa.
 
     Bisection on N over ``samples`` evenly spaced kappas, then inside one
-    sample interval, leaves one root per bracket for Brent (a root at a
-    sample is taken as is).  work counts the Sturm counts and Brent
-    iterations since the previous root.
+    sample interval, leaves one root per bracket for Brent.  work counts the
+    Sturm counts and Brent iterations since the previous root.
     """
     ks = np.linspace(lo, hi, samples).tolist()
     # brackets (a, b) holding N(a) - N(b) roots, with (N, F) at both ends and,
@@ -499,7 +506,7 @@ def _counted_roots(grid: _CoefficientGrid, lo: float, hi: float, samples: int):
         if na <= nb:
             continue
         if na - nb == 1 and j - i <= 1:
-            root, froot, its = (b, 0.0, 0) if fb == 0.0 else _brent(grid.mismatch, a, b, fa, fb)
+            root, froot, its = _brent(grid.mismatch, a, b, fa, fb)
             yield root, froot, work + its
             work = 0
             continue
@@ -516,33 +523,26 @@ def _counted_roots(grid: _CoefficientGrid, lo: float, hi: float, samples: int):
         stack.append((a, c, (na, fa), mid, *left))
 
 
-def _real_root(grid: _CoefficientGrid, lo: float, hi: float) -> Optional[tuple[float, float, int]]:
-    """Brent root of the real mismatch on [lo, hi] when F changes sign there, else ``_smallest_root``."""
-    flo, fhi = grid.mismatch(lo), grid.mismatch(hi)
-    if flo == 0.0:
-        return lo, 0.0, 2
-    if fhi == 0.0:
-        return hi, 0.0, 2
-    if flo * fhi < 0:
-        root, froot, its = _brent(grid.mismatch, lo, hi, flo, fhi)
-    else:
-        hit = _smallest_root(grid)
-        if hit is None:
-            return None
-        root, froot, its = hit
-    return root, abs(froot), 2 + its
+def _real_root(grid: _CoefficientGrid, bracket: Optional[tuple[float, float]]) -> Optional[tuple[float, float, int]]:
+    """(root, F(root), work) for the real mismatch, or None.
 
-
-def _smallest_root(grid: _CoefficientGrid) -> Optional[tuple[float, float, int]]:
-    """The smallest counted root of the real mismatch in (kappa_floor, sqrt(sup|V|)], or None.
-
-    Every real bound state has kappa^2 <= sup|V|, so that window holds them all.
+    Brent on the bracket when F changes sign across it or vanishes at an end;
+    else, or with no bracket, the smallest counted root in
+    (kappa_floor, sqrt(sup|V|)], the window that holds every real bound state.
+    work adds the two evaluations at a bracket's ends.
     """
+    work = 0
+    if bracket is not None:
+        flo, fhi = grid.mismatch(bracket[0]), grid.mismatch(bracket[1])
+        if min(flo, fhi) <= 0.0 <= max(flo, fhi):
+            root, froot, its = _brent(grid.mismatch, *bracket, flo, fhi)
+            return root, froot, 2 + its
+        work = 2
     hit = next(_counted_roots(grid, _KAPPA_FLOOR, math.sqrt(grid.sup_abs), _SAMPLES), None)
-    return None if hit is None else (hit[0], abs(hit[1]), hit[2])
+    return None if hit is None else (hit[0], hit[1], work + hit[2])
 
 
-def _secant_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[complex, float, int]]:
+def _secant_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[complex, complex, int]]:
     """Damped secant on the analytic mismatch: the slope through the last two iterates.
 
     The first slope comes from kappa (1 + 1e-7), which stays in the
@@ -553,7 +553,7 @@ def _secant_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[compl
     f_prev, f = grid.mismatch(prev), grid.mismatch(kappa)
     for it in range(1, _SECANT_MAX_ITER + 1):
         if abs(f) <= SolverConfig.root_tol:
-            return kappa, abs(f), it
+            return kappa, f, it
         step = f * (kappa - prev) / (f - f_prev)
         damp = 1.0
         for _ in range(9):
@@ -566,9 +566,7 @@ def _secant_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[compl
             damp *= 0.5
         else:
             return None
-    if abs(f) <= SolverConfig.root_tol:
-        return kappa, abs(f), _SECANT_MAX_ITER
-    return None
+    return (kappa, f, _SECANT_MAX_ITER) if abs(f) <= SolverConfig.root_tol else None
 
 
 def find_bound_state(
@@ -593,15 +591,14 @@ def find_bound_state(
     and ``min_mismatch_on_disk`` certifies it by counting the roots in a disk
     around the seed (zero of them).
     """
-    h = eps / cfg.points_per_fast_period
     # sample the grid only after every early exit: it is most of a short call's cost
+    start = None  # the secant's start for a complex root, else the real route
     if bracket is not None:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        if not (0 < lo < hi):
+        bracket = float(bracket[0]), float(bracket[1])
+        if not (0 < bracket[0] < bracket[1]):
             raise ValueError("bracket must satisfy 0 < low < high")
         if not V.is_real:
             raise ValueError("an explicit bracket needs a real potential")
-        search, args = _real_root, (lo, hi)
     else:
         if not V.has_zero_mean:
             raise ValueError("provide an explicit bracket for potentials with a mean component")
@@ -611,30 +608,26 @@ def find_bound_state(
             kappa0 = seed.real
             if kappa0 <= 0:
                 return None
+            # a seed at or below the floor still brackets from just above it; a bracket reaching
+            # sqrt(sup|V|) can hold several roots, and Brent need not take the smallest
             if 10.0 * kappa0 < math.sqrt(V.sup_abs()):
-                # a seed at or below the floor still brackets from just above it
-                lo, hi = max(kappa0 / 10.0, _KAPPA_FLOOR), max(10.0 * kappa0, 2.0 * _KAPPA_FLOOR)
-                search, args = _real_root, (lo, hi)
-            else:
-                # every real bound state has kappa^2 <= sup|V|: a bracket clipped
-                # there can hold several roots, and Brent need not take the smallest
-                search, args = _smallest_root, ()
+                bracket = max(kappa0 / 10.0, _KAPPA_FLOOR), max(10.0 * kappa0, 2.0 * _KAPPA_FLOOR)
         else:
             start = seed if seed.real > _KAPPA_FLOOR else complex(abs(seed))
             if abs(start) <= _KAPPA_FLOOR:
                 return None
-            search, args = _secant_root, (start,)
-    hit = search(_CoefficientGrid(V, eps, h), *args)
+    grid = _CoefficientGrid(V, eps, _step(eps, cfg))
+    hit = _real_root(grid, bracket) if start is None else _secant_root(grid, start)
     if hit is None:
         return None
-    root, residual, its = hit
-    kappa = complex(root)
+    root, froot, its = hit
+    kappa, residual = complex(root), abs(froot)
     return BoundStateResult(
         kappa=kappa,
         eigenvalue=-kappa * kappa,
         mismatch_residual=residual,
         iterations=its,
-        step=h,
+        step=grid.h,
         converged=residual <= SolverConfig.root_tol and kappa.real > _KAPPA_FLOOR,
     )
 
@@ -672,7 +665,7 @@ def scan_roots(
     lo, hi = window if window is not None else (_KAPPA_FLOOR, math.sqrt(V.sup_abs()))
     if not (0 < lo < hi):
         raise ValueError("scan window must satisfy 0 < low < high")
-    grid = _CoefficientGrid(V, eps, eps / cfg.points_per_fast_period)
+    grid = _CoefficientGrid(V, eps, _step(eps, cfg))
     roots = [root for root, _, _ in _counted_roots(grid, lo, hi, samples)]
     return ScanResult(
         count=len(roots),
@@ -701,7 +694,7 @@ def min_mismatch_on_disk(
     center = eps * eps * complex(k2_hint if k2_hint is not None else asym.compute_k2(V).value)
     # the circle reaches past the cut: center.real + radius >= |center| > 0
     radius = _DISK_RADIUS_FACTOR * max(abs(center), 10.0 * _KAPPA_FLOOR)
-    grid = _CoefficientGrid(V, eps, eps / cfg.points_per_fast_period)
+    grid = _CoefficientGrid(V, eps, _step(eps, cfg))
     n = _CONTOUR_POINTS
     while n <= _CONTOUR_MAX_POINTS:
         # the circle, every point left of the cut moved onto it: the boundary of the cut disk
@@ -738,8 +731,7 @@ def eigenfunction(
     is not a root leaves a derivative defect at the right edge and is
     rejected loudly.
     """
-    h = eps / cfg.points_per_fast_period
-    grid = _CoefficientGrid(V, eps, h)
+    grid = _CoefficientGrid(V, eps, _step(eps, cfg))
     _, us, w1 = grid.left_solution(kappa)
     kc, u1 = complex(kappa), us[-1]
     xs = grid.xs[: grid.steps.size + 1]  # the step ends, x1 included after a partial step
@@ -751,7 +743,7 @@ def eigenfunction(
         )
 
     pad = 0.5 * (grid.x1 - grid.x0)
-    n_tail = max(2, int(math.ceil(pad / h)))
+    n_tail = max(2, int(math.ceil(pad / grid.h)))
     ts = np.linspace(-pad, 0.0, n_tail + 1)
     left_x = grid.x0 + ts[:-1]
     left_u = np.exp(kc * ts[:-1]) * us[0]
@@ -797,8 +789,7 @@ def convergence_study(
         level = SolverConfig(cfg.points_per_fast_period * 2**k)
         res = find_bound_state(V, eps, k2_hint=k2_hint, cfg=level, bracket=bracket)
         if res is None or not res.converged:
-            h = eps / level.points_per_fast_period
-            raise ValueError(f"solver failed to converge during the step study at h={h:g}")
+            raise ValueError(f"solver failed to converge during the step study at h={_step(eps, level):g}")
         hs.append(res.step)
         lams.append(res.eigenvalue)
     diffs = [abs(a - b) for a, b in zip(lams, lams[1:])]
@@ -824,7 +815,7 @@ class _GaugedGrid(_StageGrid):
 
     def __init__(self, g: GaugeData, cfg: SolverConfig = DEFAULT_SOLVER):
         eps = g.eps
-        super().__init__(g.potential.support_hull, eps, eps / cfg.points_per_fast_period)
+        super().__init__(g.potential.support_hull, eps, _step(eps, cfg))
         c = g.coefficients(self.xs)
         alpha = eps * c.f / c.q
         beta = -2.0 * eps**2 * c.vprime / c.q

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from oscispec.averaging import (
     _PANELS_PER_PERIOD,
+    _abs_kernel,
     _fast_rule,
     _gauss_legendre,
     _integration_matrix,
@@ -85,6 +86,21 @@ def test_every_support_endpoint_is_a_fast_panel_edge(supports, eps):
     hull = max(b for _, b in supports) - min(a for a, _ in supports)
     assert weights.sum() == pytest.approx(hull, rel=1e-13)
     assert nodes.min() > min(a for a, _ in supports) and nodes.max() < max(b for _, b in supports)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.037])
+def test_abs_kernel_is_exact_on_polynomials(eps):
+    # an interior breakpoint at 0.3; G(x) = int_0^1 |x-t| f(t) dt, G' and int f in closed form
+    x, weights, _ = _fast_rule([0.0, 0.3, 1.0], eps)
+    cases = [
+        (np.ones_like(x), x**2 / 2 + (1 - x) ** 2 / 2, 2 * x - 1, 1.0),
+        (x, x**3 / 3 - x / 2 + 1 / 3, x**2 - 0.5, 0.5),
+    ]
+    for f, g, gp, total in cases:
+        G, Gp, s0 = _abs_kernel(x, weights, f)
+        assert np.max(np.abs(G - g)) <= 1e-13
+        assert np.max(np.abs(Gp - gp)) <= 1e-13
+        assert abs(s0 - total) <= 1e-13
 
 
 @pytest.mark.parametrize("k", range(6))

@@ -459,6 +459,16 @@ def test_brent_reproduces_scipy_brentq_on_the_square_well_oracle(depth, bracket)
         assert froot == g(root)
 
 
+@pytest.mark.parametrize("lo, hi, flo, fhi", [(0.3, 1.0, 0.0, 0.7), (0.1, 0.3, -0.2, 0.0)], ids=["lower", "upper"])
+def test_brent_returns_a_zero_end_as_scipy_brentq_does(lo, hi, flo, fhi):
+    def f(x):
+        return x - 0.3
+
+    ref, info = optimize.brentq(f, lo, hi, xtol=1e-17, rtol=8.9e-16, maxiter=200, full_output=True)
+    assert ref == 0.3
+    assert _brent(f, lo, hi, flo, fhi) == (ref, 0.0, info.iterations)
+
+
 @pytest.mark.parametrize("depth, states", [(2.0, 1), (30.0, 2), (100.0, 4), (400.0, 7)])
 def test_sturm_count_matches_the_square_well_oracle(depth, states):
     # a well of depth D on (0, 1) holds ceil(sqrt(D) / pi) bound states, each with kappa < sqrt(D)
@@ -601,6 +611,29 @@ def test_a_bracket_without_a_sign_change_falls_back_on_the_smallest_counted_root
     # the work counts every Sturm count, and Brent's iterations are its evaluations plus the converging one
     assert "count_below" in calls
     assert res.iterations == len(calls) + 1
+
+
+@pytest.mark.parametrize(
+    "amplitude, rotation, mismatches, counts, iterations",
+    [
+        (100.0, 1.0, 7, 0, 8),  # Brent on the seed bracket
+        (0.03, 1.0, 5, 12, 18),  # a seed below the floor: F keeps its sign across the bracket
+        (3e4, 1.0, 4, 13, 18),  # a seed bracket reaching sqrt(sup|V|): no bracket, the count alone
+        (100.0, cmath.exp(0.3j), 5, 0, 4),  # a complex seed: the secant
+    ],
+    ids=["seed-bracket", "seed-below-floor", "seed-past-cap", "complex"],
+)
+def test_iterations_count_the_work_on_every_route(amplitude, rotation, mismatches, counts, iterations, monkeypatch):
+    # real routes: every evaluation, plus Brent's converging iteration; the secant: its evaluations less one
+    V = canonical_potential(amplitude=amplitude).scaled(rotation)
+    calls = []
+    for name in ("count_below", "mismatch"):
+        f = getattr(_CoefficientGrid, name)
+        monkeypatch.setattr(_CoefficientGrid, name, lambda grid, k, f=f, name=name: calls.append(name) or f(grid, k))
+    res = find_bound_state(V, 0.1)
+    assert res is not None
+    assert (calls.count("mismatch"), calls.count("count_below")) == (mismatches, counts)
+    assert res.iterations == iterations
 
 
 def test_an_even_number_of_roots_above_the_floor_is_still_found():
