@@ -14,6 +14,10 @@ this script) and feeds every output below, bit for bit, into one digest:
   ``compute_k_eps`` on the two real configs, and ``convergence_study``;
 * ``find_bound_state`` and ``scan_roots`` on the canonical potential at
   amplitudes 0.03, 1e4, 3e4 and 1e5;
+* ``scan_roots`` and ``find_bound_state`` at eps 0.1 and 0.035 on three
+  real multi-harmonic potentials built here: two poly envelopes on offset
+  supports, two smooth envelopes on disjoint supports, and three harmonics
+  mixing both kinds;
 * ``count_below`` and ``scan_roots`` on square wells of depth 2, 30, 100 and
   400, and ``find_bound_state`` on a bracket across which the mismatch
   changes sign and on one across which it does not.
@@ -67,6 +71,12 @@ def calls(root: Path):
         kappa = solver.find_bound_state(V, eps).kappa
         return solver.eigenfunction(V, eps, kappa), solver.gauged_mismatch(gauge.build_gauge(V, eps), kappa)
 
+    def harmonics(*parts):
+        """The real potential summing ``make(n, profile)``, a cosine or sine harmonic, over (make, n, profile)."""
+        return potentials.TwoScaleFunction(
+            modes={k: c for make, n, profile in parts for k, c in make(n, profile).modes.items()}
+        )
+
     real = {
         name: config.load_config(str(root / "configs" / f"{name}.cfg")).build_potential()
         for name in ("canonical", "two_mode")
@@ -101,6 +111,20 @@ def calls(root: Path):
         for eps in (0.1, 0.05, 0.035):
             yield f"find canonical@{amplitude} {eps}", lambda V=V, eps=eps: solver.find_bound_state(V, eps)
             yield f"scan canonical@{amplitude} {eps}", lambda V=V, eps=eps: solver.scan_roots(V, eps)
+
+    cos, sin = potentials.TwoScaleFunction.from_cosine, potentials.TwoScaleFunction.from_sine
+    poly, smooth = potentials.poly_bump, potentials.smooth_bump
+    mixed = {
+        "offset poly": harmonics((cos, 1, poly(120.0, 2, (0.0, 1.0))), (sin, 2, poly(80.0, 3, (0.3, 1.4)))),
+        "disjoint smooth": harmonics((cos, 1, smooth(30.0, (0.0, 0.6))), (sin, 3, smooth(20.0, (0.9, 1.5)))),
+        "three harmonics": harmonics(
+            (cos, 1, poly(150.0, 2, (0.0, 1.0))), (sin, 2, smooth(40.0, (0.2, 0.9))), (cos, 3, poly(30.0, 1, (0.5, 1.2)))
+        ),
+    }
+    for name, V in mixed.items():
+        for eps in (0.1, 0.035):
+            yield f"scan {name} {eps}", lambda V=V, eps=eps: solver.scan_roots(V, eps)
+            yield f"find {name} {eps}", lambda V=V, eps=eps: solver.find_bound_state(V, eps)
 
     for depth in (2.0, 30.0, 100.0, 400.0):
         well = solver.SquareWell(depth=depth)

@@ -46,9 +46,12 @@ the number of zeros of the left-decaying solution on the whole line
 ``scan_roots`` counts the roots in its window as N(low) - N(high), exactly.
 
 Roots of the real mismatch are isolated by the count and polished with
-Brent's method (``_brent``); a seed bracket across which F changes sign, or
-at whose end F vanishes, skips the count.  Every real bound state has
-kappa^2 <= sup|V|, so the count searches (kappa_floor, sqrt(sup|V|)].
+Brent's method (``_brent``).  The count splits only brackets that hold
+several roots; once a bracket holds one, with F of opposite signs at its
+ends, the sign of F walks it down to one sample interval.  A seed bracket
+across which F changes sign, or at whose end F vanishes, skips the count.
+Every real bound state has kappa^2 <= sup|V|, so the count searches
+(kappa_floor, sqrt(sup|V|)].
 Complex roots are found by damped secant steps.  Absence is certified by
 counting: F is entire in kappa, so ``min_mismatch_on_disk`` counts the roots
 in a disk by the winding of F along its boundary, sampled one kappa at a time.
@@ -429,9 +432,10 @@ def mismatch(V, eps: float, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> comple
 @dataclass(frozen=True)
 class BoundStateResult:
     """A located root.  ``iterations`` is the work spent on it: for a real
-    potential, the two mismatch evaluations at the bracket ends, the Sturm
-    counts a fallback makes when F keeps its sign there, and Brent's
-    iterations; for a complex one, the secant iterations."""
+    potential, the two mismatch evaluations at the bracket ends, the
+    evaluations of the isolation loop a fallback runs when F keeps its sign
+    there (each Sturm count and sign probe one, a probe where F is 0 two),
+    and Brent's iterations; for a complex one, the secant iterations."""
 
     kappa: complex
     eigenvalue: complex
@@ -492,9 +496,15 @@ def _brent(f, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, floa
 def _counted_roots(grid: _CoefficientGrid, lo: float, hi: float, samples: int):
     """Yield (root, F(root), work) for each root of the real mismatch in (lo, hi], in increasing kappa.
 
-    Bisection on N over ``samples`` evenly spaced kappas, then inside one
-    sample interval, leaves one root per bracket for Brent.  work counts the
-    Sturm counts and Brent iterations since the previous root.
+    Bisection over ``samples`` evenly spaced kappas, then inside one sample
+    interval, leaves one root per bracket for Brent.  A bracket that holds
+    one root, with F of opposite signs at its ends, is split by the sign of
+    F: F has a simple zero there (Sturm oscillation theorem), so the
+    midpoint's sign picks the half that N would, at the cost of one
+    mismatch.  Every other bracket, and a midpoint where F is exactly 0, is
+    split by N.  work counts the evaluations since the previous root: the
+    window's two counts, one per split (two where a zero probe is counted
+    after all), and Brent's iterations.
     """
     ks = np.linspace(lo, hi, samples).tolist()
     # brackets (a, b) holding N(a) - N(b) roots, with (N, F) at both ends and,
@@ -517,8 +527,18 @@ def _counted_roots(grid: _CoefficientGrid, lo: float, hi: float, samples: int):
             c, left, right = 0.5 * (a + b), (i, j), (i, j)
             if not a < c < b:
                 raise RuntimeError(f"cannot separate {na - nb} roots of the mismatch at kappa={a!r}")
-        mid = grid.count_below(c)
         work += 1
+        if na - nb == 1 and fa * fb < 0:
+            fc = grid.mismatch(c)
+            if fc != 0:
+                # the root lies on the side whose end F has the opposite sign to F(c)
+                if (fc < 0) == (fa < 0):
+                    stack.append((c, b, (na, fc), (nb, fb), *right))
+                else:
+                    stack.append((a, c, (na, fa), (nb, fc), *left))
+                continue
+            work += 1
+        mid = grid.count_below(c)
         stack.append((c, b, mid, (nb, fb), *right))
         stack.append((a, c, (na, fa), mid, *left))
 
@@ -654,9 +674,11 @@ def scan_roots(
     admissible real bound state.  The count is N(low) - N(high), N from the
     Sturm oscillation count (``_CoefficientGrid.count_below``), so only real
     potentials qualify, and the step must satisfy h sqrt(sup|V|) < pi.
-    Bisection on N over ``samples`` evenly spaced kappas isolates the roots
+    Bisection over ``samples`` evenly spaced kappas isolates the roots, by N
+    while a bracket holds several and by the sign of F once it holds one,
     and Brent's method polishes each (``_counted_roots``, which
-    ``find_bound_state`` shares).
+    ``find_bound_state`` shares).  ``samples`` is capped like every grid,
+    at ``potentials.MAX_GRID_SIZE``.
     """
     if not V.is_real:
         raise ValueError("root scan requires a real potential")
@@ -665,6 +687,7 @@ def scan_roots(
     lo, hi = window if window is not None else (_KAPPA_FLOOR, math.sqrt(V.sup_abs()))
     if not (0 < lo < hi):
         raise ValueError("scan window must satisfy 0 < low < high")
+    check_grid_size(samples, "samples", eps, (lo, hi))
     grid = _CoefficientGrid(V, eps, _step(eps, cfg))
     roots = [root for root, _, _ in _counted_roots(grid, lo, hi, samples)]
     return ScanResult(

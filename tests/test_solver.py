@@ -16,7 +16,7 @@ from oscispec import solver
 from oscispec.asymptotics import Existence, compute_k2, predict_lambda
 from oscispec.config import load_config
 from oscispec.gauge import build_gauge
-from oscispec.potentials import TwoScaleFunction, canonical_potential, poly_bump
+from oscispec.potentials import MAX_GRID_SIZE, TwoScaleFunction, canonical_potential, poly_bump
 from oscispec.solver import (
     DEFAULT_SOLVER,
     SolverConfig,
@@ -617,8 +617,8 @@ def test_a_bracket_without_a_sign_change_falls_back_on_the_smallest_counted_root
     "amplitude, rotation, mismatches, counts, iterations",
     [
         (100.0, 1.0, 7, 0, 8),  # Brent on the seed bracket
-        (0.03, 1.0, 5, 12, 18),  # a seed below the floor: F keeps its sign across the bracket
-        (3e4, 1.0, 4, 13, 18),  # a seed bracket reaching sqrt(sup|V|): no bracket, the count alone
+        (0.03, 1.0, 15, 2, 18),  # a seed below the floor: F keeps its sign across the bracket
+        (3e4, 1.0, 13, 4, 18),  # a seed bracket reaching sqrt(sup|V|): no bracket, the window search alone
         (100.0, cmath.exp(0.3j), 5, 0, 4),  # a complex seed: the secant
     ],
     ids=["seed-bracket", "seed-below-floor", "seed-past-cap", "complex"],
@@ -634,6 +634,82 @@ def test_iterations_count_the_work_on_every_route(amplitude, rotation, mismatche
     assert res is not None
     assert (calls.count("mismatch"), calls.count("count_below")) == (mismatches, counts)
     assert res.iterations == iterations
+
+
+def reference_counted_roots(grid, lo, hi, samples):
+    """The roots of the real mismatch in (lo, hi], every bracket split by ``count_below``, each root by Brent."""
+    ks = np.linspace(lo, hi, samples).tolist()
+    stack = [(ks[0], ks[-1], grid.count_below(ks[0]), grid.count_below(ks[-1]), 0, samples - 1)]
+    roots = []
+    while stack:
+        a, b, (na, fa), (nb, fb), i, j = stack.pop()
+        if na <= nb:
+            continue
+        if na - nb == 1 and j - i <= 1:
+            roots.append(_brent(grid.mismatch, a, b, fa, fb)[0])
+            continue
+        if j - i > 1:
+            m = (i + j) // 2
+            c, left, right = ks[m], (i, m), (m, j)
+        else:
+            c, left, right = 0.5 * (a + b), (i, j), (i, j)
+        mid = grid.count_below(c)
+        stack.append((c, b, mid, (nb, fb), *right))
+        stack.append((a, c, (na, fa), mid, *left))
+    return roots
+
+
+SCANNED = {
+    **{f"well {depth}": (lambda depth=depth: SquareWell(depth=depth), (0.1,)) for depth in (2.0, 30.0, 100.0, 400.0)},
+    **{
+        f"canonical@{amplitude}": (lambda amplitude=amplitude: canonical_potential(amplitude=amplitude), (0.1, 0.035))
+        for amplitude in (0.03, 1e3, 1e4, 3e4)
+    },
+    **{name: (lambda name=name: shipped_grid(name)[0], (0.1, 0.01)) for name in ("canonical", "two_mode")},
+}
+
+
+@pytest.mark.parametrize("name, eps", [(name, eps) for name, (_, epss) in SCANNED.items() for eps in epss])
+def test_the_sign_walk_isolates_the_roots_the_count_walk_did(name, eps, monkeypatch):
+    # inside a bracket that holds one root, F's sign at the midpoint picks the half N would:
+    # the same roots, bit for bit, from as many evaluations, and Sturm counts only where N decides
+    V = SCANNED[name][0]()
+    calls = []
+    for method in ("count_below", "mismatch"):
+        f = getattr(_CoefficientGrid, method)
+        monkeypatch.setattr(_CoefficientGrid, method, lambda grid, k, f=f, m=method: calls.append(m) or f(grid, k))
+    scan = scan_roots(V, eps)
+    walked, counts = len(calls), calls.count("count_below")
+    calls.clear()
+    grid = _CoefficientGrid(V, eps, eps / DEFAULT_SOLVER.points_per_fast_period)
+    roots = reference_counted_roots(grid, *scan.window, scan.samples)
+    assert scan.count == len(roots)
+    assert scan.kappas == tuple(roots)
+    assert walked == len(calls)
+    if (name, eps) == ("canonical", 0.1):
+        # the window's two ends: its one root is isolated by the sign of F
+        assert counts == 2
+
+
+def test_a_probe_where_f_is_exactly_zero_is_counted():
+    # the sign of 0 picks no half: the count at that midpoint splits the bracket, one evaluation more
+    _, _, grid = shipped_grid("canonical")
+    window = solver._KAPPA_FLOOR, math.sqrt(grid.sup_abs)
+    walked = list(solver._counted_roots(grid, *window, solver._SAMPLES))
+    one_kappa, count_below = grid.mismatch, grid.count_below
+    calls = []
+
+    def first_probe_zero(kappa):
+        calls.append("mismatch")
+        return 0.0 if calls.count("mismatch") == 1 else one_kappa(kappa)
+
+    grid.mismatch = first_probe_zero
+    grid.count_below = lambda k: calls.append("count_below") or count_below(k)
+    counted = list(solver._counted_roots(grid, *window, solver._SAMPLES))
+    assert [hit[:2] for hit in counted] == [hit[:2] for hit in walked]
+    assert [hit[2] for hit in counted] == [hit[2] + 1 for hit in walked]
+    assert calls[:4] == ["count_below", "count_below", "mismatch", "count_below"]
+    assert calls.count("count_below") == 3
 
 
 def test_an_even_number_of_roots_above_the_floor_is_still_found():
@@ -703,6 +779,15 @@ def test_early_exits_build_no_coefficient_grid(monkeypatch):
     # the Sturm count behind a bracket's fallback holds for real potentials only
     with pytest.raises(ValueError, match="bracket needs a real potential"):
         find_bound_state(canonical_potential().scaled(1j), 0.1, bracket=(0.01, 0.5))
+
+
+def test_scan_refuses_more_samples_than_the_grid_budget_before_any_grid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coefficient grid built before the sample budget was checked")
+
+    monkeypatch.setattr(solver, "_CoefficientGrid", refuse)
+    with pytest.raises(ValueError, match="resolution budget exceeded: .* samples"):
+        scan_roots(canonical_potential(), 0.1, samples=MAX_GRID_SIZE + 1)
 
 
 def test_scan_rejects_complex_potentials(canonical):
