@@ -6,10 +6,13 @@ imports ``oscispec`` from CHECKOUT's ``src`` (default: the checkout holding
 this script) and feeds every output below, bit for bit, into one digest:
 
 * ``compute_k2`` of each potential;
-* ``find_bound_state``, ``min_mismatch_on_disk`` (eps >= 0.01) and
+* ``find_bound_state``, ``min_mismatch_on_disk`` (eps >= 0.01, and 1e-3
+  times i, where a batch of the contour holds one kappa) and
   ``transfer_matrix`` at a real and a complex lambda, on the canonical and
   two-mode configs times 1, i, e^{0.3i} and e^{0.8i}, at eps 0.1, 0.07, 0.01
   and 1e-3;
+* ``min_mismatch_on_disk`` from a 4-point contour, which it must refine, on
+  the canonical config times 1 and i at eps 0.1;
 * ``scan_roots``, ``count_below``, ``eigenfunction``, ``gauged_mismatch`` and
   ``compute_k_eps`` on the two real configs, and ``convergence_study``;
 * ``find_bound_state`` and ``scan_roots`` on the canonical potential at
@@ -71,6 +74,14 @@ def calls(root: Path):
         kappa = solver.find_bound_state(V, eps).kappa
         return solver.eigenfunction(V, eps, kappa), solver.gauged_mismatch(gauge.build_gauge(V, eps), kappa)
 
+    def refined_disk(U, eps):
+        points = solver._CONTOUR_POINTS
+        solver._CONTOUR_POINTS = 4
+        try:
+            return solver.min_mismatch_on_disk(U, eps)
+        finally:
+            solver._CONTOUR_POINTS = points
+
     def harmonics(*parts):
         """The real potential summing ``make(n, profile)``, a cosine or sine harmonic, over (make, n, profile)."""
         return potentials.TwoScaleFunction(
@@ -89,13 +100,17 @@ def calls(root: Path):
             yield f"k2 {label}", lambda U=U: asym.compute_k2(U)
             for eps in EPSILONS:
                 yield f"find {label} {eps}", lambda U=U, eps=eps: solver.find_bound_state(U, eps)
-                if eps >= 0.01:
+                if eps >= 0.01 or rot_name == "i":
                     yield f"disk {label} {eps}", lambda U=U, eps=eps: solver.min_mismatch_on_disk(U, eps)
                 for lam in LAMBDAS:
                     h = eps / solver.DEFAULT_SOLVER.points_per_fast_period
                     yield f"tm {label} {eps} {lam}", lambda U=U, eps=eps, lam=lam, h=h: solver.transfer_matrix(
                         U, eps, lam, h
                     )
+
+    for rot_name in ("1", "i"):
+        U = real["canonical"].scaled(ROTATIONS[rot_name])
+        yield f"refined disk canonical*{rot_name}", lambda U=U: refined_disk(U, 0.1)
 
     for name, V in real.items():
         for eps in EPSILONS:

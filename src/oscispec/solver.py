@@ -22,18 +22,20 @@ a = V and b = 0; the gauge-conjugated operator has b = -2 eps^2 v'/q.
 
 One RK4 step body (``_rk4_step``), plain arithmetic, and one pairwise tree.
 A step of the linear ODE is a 2x2 matrix; a grid's ``step_maps`` builds
-every step's at once as one (2, 2, n) stack, the step along the last axis.
+every step's at once as one (2, 2, n) stack, the step along the last axis,
+or a (2, 2, K, n) stack for K values of lam, one per row of the batch axis.
 For H, lam enters the body only through a - lam, so each entry is a
 polynomial of degree <= 2 in lam: ``_CoefficientGrid`` stores its
 coefficients and evaluates them by Horner.  ``_GaugedGrid`` runs the body
 once on both basis columns.  ``_pair`` multiplies neighbouring maps, later step
-on the left, all pairs of a level in five numpy calls on the stack.
+on the left, all pairs of a level in five numpy calls on the stack,
+whatever its leading shape.
 Pairwise products keep round-off growth at O(log n) (Higham, SIAM J. Sci.
 Comput. 14, 1993).  The tree serves two ways:
 
 * ``_compose`` climbs it to the transfer matrix alone, in log2(n) levels
-  that keep nothing behind.  Root finding, ``transfer_matrix`` and the
-  gauged mismatch take this path.
+  that keep nothing behind, for one lam or for a batch.  Root finding,
+  ``transfer_matrix``, the gauged mismatch and the disk count take this path.
 * ``_prefixes`` keeps the levels and sweeps back down (Blelloch, "Prefix sums
   and their applications", CMU-CS-90-190, 1990) to every partial product
   P_k = M_k ... M_0: u at every step end, for ``eigenfunction`` and for the
@@ -54,7 +56,8 @@ Every real bound state has kappa^2 <= sup|V|, so the count searches
 (kappa_floor, sqrt(sup|V|)].
 Complex roots are found by damped secant steps.  Absence is certified by
 counting: F is entire in kappa, so ``min_mismatch_on_disk`` counts the roots
-in a disk by the winding of F along its boundary, sampled one kappa at a time.
+in a disk by the winding of F along its boundary, the whole contour passed to
+``mismatch`` as one batch, and on refinement only the new points.
 
 This module never consumes the asymptotic machinery beyond an optional
 initial guess, which is what makes it a genuine cross-check of the
@@ -93,9 +96,14 @@ _MATCH_TOL = 1e-6
 _STURM_STEP_PHASE = math.pi
 # numpy's ufunc buffer size inside the product tree, in elements.  With the default 8192 the
 # iterator copies both broadcast operands of a level narrower than that into buffers of the
-# level's size; at 16 it walks them in place.  Every operand of the tree has one dtype, so
-# nothing there needs a buffer to cast.  np.errstate puts the caller's size back on leaving.
+# level's size; at 16 it walks them in place, the batch axis of a (2, 2, K, n) stack
+# included.  Every operand of the tree has one dtype, so nothing there needs a buffer to
+# cast.  np.errstate puts the caller's size back on leaving.
 _TREE_BUFSIZE = 16
+# most step maps in one batch of a batched mismatch: K = max(1, _BATCH_MAPS // n) kappas.
+# A batch of 16 at 40k steps cost twice as much per kappa as one kappa alone, and at 4000
+# steps a batch holds one kappa, so the disk count peaks like one mismatch.
+_BATCH_MAPS = 4096
 
 
 @dataclass(frozen=True)
@@ -162,7 +170,8 @@ class _StageGrid:
     error decay (16 per halving) that ``convergence_study`` relies on.
     Subclasses sample a (and b) at ``xs``, split them by ``_stages``, set
     ``real`` when the samples are real, and give the 2x2 RK4 maps at lam as
-    one (2, 2, n) stack by ``step_maps``.
+    one (2, 2, n) stack by ``step_maps``, or at a (K,) array of lam as one
+    (2, 2, K, n) stack.
     """
 
     def __init__(self, hull: tuple[float, float], eps: float, h: float):
@@ -198,17 +207,38 @@ class _StageGrid:
         return vals[:n], vals[n + 1 :], vals[1 : n + 1]
 
     def _kappa(self, kappa):
-        """kappa in the physical half-plane: a float for a real grid and real kappa, else a complex."""
-        if not np.real(kappa) > 0:
+        """kappa in the physical half-plane: a float for a real grid and real kappa, else a complex;
+        a 1-D array as one float array when the grid and every kappa are real, else complex."""
+        if isinstance(kappa, np.ndarray) and kappa.ndim:
+            kappa = kappa.real.astype(float) if self.real and not np.any(kappa.imag) else kappa.astype(complex)
+            inside = np.all(kappa.real > 0)
+        else:
+            kappa = float(np.real(kappa)) if self.real and np.imag(kappa) == 0 else complex(kappa)
+            inside = kappa.real > 0
+        if not inside:
             raise ValueError("not in the physical half-plane: Re kappa must be positive")
-        return float(np.real(kappa)) if self.real and np.imag(kappa) == 0 else complex(kappa)
+        return kappa
 
     def mismatch(self, kappa):
-        """F(kappa) at one kappa: a float for a real grid and real kappa, else a complex."""
+        """F(kappa) at one kappa: a float for a real grid and real kappa, else a complex.
+
+        At a 1-D array of kappas, F at each, as one array of the dtype
+        ``_kappa`` gives it: the step maps of K = max(1, _BATCH_MAPS // n)
+        kappas at a time climb the product tree as one (2, 2, K, n) stack.
+        lam and the last step to F are taken per kappa in Python arithmetic,
+        as for one kappa (numpy's complex multiply rounds differently), so
+        each value is ``mismatch`` at that kappa bit for bit.
+        """
         kappa = self._kappa(kappa)
-        (t00, t01), (t10, t11) = _compose(self.step_maps(-kappa * kappa)).tolist()
-        u, w = t00 + t01 * kappa, t10 + t11 * kappa
-        return w + kappa * u
+        if not isinstance(kappa, np.ndarray):
+            return _match(kappa, *_compose(self.step_maps(-kappa * kappa)).tolist())
+        f, ks = np.empty_like(kappa), kappa.tolist()
+        size = max(1, _BATCH_MAPS // self.steps.size)
+        for start in range(0, len(ks), size):
+            batch = ks[start : start + size]
+            top, bottom = _compose(self.step_maps(np.array([-k * k for k in batch]))).tolist()
+            f[start : start + size] = list(map(_match, batch, zip(*top), zip(*bottom)))
+        return f
 
     def left_solution(self, kappa):
         """(kappa coerced as in ``mismatch``, u at x0 and every step end, u' at x1) from the
@@ -216,6 +246,13 @@ class _StageGrid:
         kappa = self._kappa(kappa)
         p = _prefixes(self.step_maps(-kappa * kappa))
         return kappa, p[0, 0] + p[0, 1] * kappa, p[1, 0, -1] + p[1, 1, -1] * kappa
+
+
+def _match(kappa, top, bottom):
+    """F = w + kappa u for (u, w) = T (1, kappa), T's rows (t00, t01) and (t10, t11)."""
+    (t00, t01), (t10, t11) = top, bottom
+    u, w = t00 + t01 * kappa, t10 + t11 * kappa
+    return w + kappa * u
 
 
 def _slope(a, b, u, w):
@@ -253,7 +290,7 @@ def _rk4_step(h, u, w, a, b):
 
 
 def _product(left, right, out):
-    """out = left @ right over stacks of 2x2 maps (2, 2, k): entry (i, j) is
+    """out = left @ right over stacks of 2x2 maps (2, 2, ..., k): entry (i, j) is
     left[i, 0] * right[0, j] + left[i, 1] * right[1, j].
 
     The first products go into out in one call; the second are added one
@@ -264,11 +301,14 @@ def _product(left, right, out):
         out[i] += left[i, 1] * right[1]
 
 
-def _pair(m):
-    """One level of the pairwise tree over a (2, 2, n) stack: map 2j+1 times map 2j, an odd last map carried."""
+def _pair(m, lead):
+    """One level of the pairwise tree over a (*lead, n) stack: map 2j+1 times map 2j, an odd last map carried.
+
+    ``lead`` is m.shape[:-1], passed in so that a level does not rebuild it.
+    """
     size = m.shape[-1]
     n = size - size % 2
-    out = np.empty((2, 2, n // 2 + size % 2), m.dtype)
+    out = np.empty(lead + (n // 2 + size % 2,), m.dtype)
     _product(m[..., 1:n:2], m[..., 0:n:2], out[..., : n // 2])
     if n < size:
         out[..., -1] = m[..., -1]
@@ -281,13 +321,14 @@ _IDENTITY.flags.writeable = False
 
 
 def _compose(m):
-    """Transfer matrix M[n-1] ... M[1] M[0] of a (2, 2, n) stack of step maps, as a 2x2 array."""
+    """Transfer matrix M[n-1] ... M[1] M[0] of a (2, 2, ..., n) stack of step maps, as a (2, 2, ...) array."""
+    lead = m.shape[:-1]
     if m.shape[-1] == 0:
-        return np.eye(2, dtype=m.dtype)
+        return np.broadcast_to(np.eye(2, dtype=m.dtype).reshape(2, 2, *[1] * (len(lead) - 2)), lead)
     with np.errstate():
         np.setbufsize(_TREE_BUFSIZE)
         while m.shape[-1] > 1:
-            m = _pair(m)
+            m = _pair(m, lead)
     return m[..., 0]
 
 
@@ -305,7 +346,7 @@ def _prefixes(m):
         np.setbufsize(_TREE_BUFSIZE)
         levels = [m]
         while levels[-1].shape[-1] > 1:
-            levels.append(_pair(levels[-1]))
+            levels.append(_pair(levels[-1], m.shape[:-1]))
         p = np.concatenate((_IDENTITY, levels.pop()), axis=-1)
         for m in reversed(levels):
             size = m.shape[-1]
@@ -370,7 +411,11 @@ class _CoefficientGrid(_StageGrid):
 
     def step_maps(self, lam):
         p0, p1, p2 = self.coefficients
-        out = np.empty((4, self.steps.size), np.result_type(lam, p0))
+        batch = lam.shape if isinstance(lam, np.ndarray) else ()
+        if batch:
+            lam = lam[:, np.newaxis]
+            p0, p1, p2 = p0[:, np.newaxis], p1[:, np.newaxis], p2[:, np.newaxis]
+        out = np.empty((4, *batch, self.steps.size), np.result_type(lam, p0))
         q, diagonal, m01 = out[:3], out[1:3], out[3]
         np.multiply(lam, p2, out=q)
         np.add(p1, q, out=q)
@@ -382,7 +427,7 @@ class _CoefficientGrid(_StageGrid):
         np.add(self.steps, m01, out=m01)
         # rows m10, m11, m00, m01, so the Horner entries and the diagonal are each one block of
         # rows; swapping the two row pairs back reads [[m00, m01], [m10, m11]]
-        return out.reshape(2, 2, -1)[::-1]
+        return out.reshape(2, 2, *batch, -1)[::-1]
 
     def count_below(self, kappa: float) -> tuple[int, float]:
         """(N(kappa), F(kappa)): the number of eigenvalues below -kappa^2, and the mismatch.
@@ -452,7 +497,8 @@ def _brent(f, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, floa
     in the formulation of scipy's ``brentq``, ported step for step so roots
     and iteration counts match it bit for bit.  The caller passes the end
     values it already has; they must be of opposite sign unless one is zero,
-    and a zero end is the root after one iteration, as in scipy.
+    and a zero end is the root after one iteration.  scipy returns the same
+    root there, but its iteration count at a zero end is left undefined.
     """
     if flo == 0 or fhi == 0:
         return (lo, flo, 1) if flo == 0 else (hi, fhi, 1)
@@ -713,17 +759,25 @@ def min_mismatch_on_disk(
     2 pi, exact once every step is below pi/2.  With no root inside, |F| is
     smallest on the boundary (minimum modulus principle), so the least
     boundary sample is the floor.
+
+    The contour's points go to ``mismatch`` as one batch.  Each doubling of
+    the point count keeps the samples it has, the even points of the new
+    contour bit for bit, and evaluates only the new odd points, again as one
+    batch.
     """
     center = eps * eps * complex(k2_hint if k2_hint is not None else asym.compute_k2(V).value)
     # the circle reaches past the cut: center.real + radius >= |center| > 0
     radius = _DISK_RADIUS_FACTOR * max(abs(center), 10.0 * _KAPPA_FLOOR)
     grid = _CoefficientGrid(V, eps, _step(eps, cfg))
-    n = _CONTOUR_POINTS
+    n, f = _CONTOUR_POINTS, None
     while n <= _CONTOUR_MAX_POINTS:
         # the circle, every point left of the cut moved onto it: the boundary of the cut disk
         z = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
         z = np.where(z.real > _KAPPA_FLOOR, z, _KAPPA_FLOOR + 1j * z.imag)
-        f = np.array([grid.mismatch(k) for k in z.tolist()], dtype=complex)
+        if f is None:
+            f = grid.mismatch(z).astype(complex)
+        else:  # the even points are the last contour's, bit for bit
+            f = np.column_stack((f, grid.mismatch(z[1::2]))).ravel()
         if np.any(f == 0):
             return 0.0
         steps = np.angle(np.roll(f, -1) / f)
@@ -848,7 +902,10 @@ class _GaugedGrid(_StageGrid):
 
     def step_maps(self, lam):
         """Column j of a step's map is the ``_rk4_step`` from e_j; one call steps both, (u, w) the rows of I."""
-        u, w = _rk4_step(self.steps, _IDENTITY[0], _IDENTITY[1], [x - lam for x in self.a], self.b)
+        e = _IDENTITY
+        if isinstance(lam, np.ndarray):
+            lam, e = lam[:, np.newaxis], e[..., np.newaxis]
+        u, w = _rk4_step(self.steps, e[0], e[1], [x - lam for x in self.a], self.b)
         return np.array([u, w])
 
 

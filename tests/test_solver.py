@@ -214,6 +214,38 @@ def test_disk_floor_samples_only_the_boundary_of_the_cut_disk(canonical, canonic
     assert on_circle.any() and on_cut.any() and np.all(on_circle | on_cut)
 
 
+def recorded_mismatch(monkeypatch):
+    """The kappas of every call to ``_CoefficientGrid.mismatch``, one entry per call."""
+    seen = []
+    one_call = _CoefficientGrid.mismatch
+    monkeypatch.setattr(_CoefficientGrid, "mismatch", lambda grid, kappa: seen.append(kappa) or one_call(grid, kappa))
+    return seen
+
+
+def test_the_disk_passes_its_whole_contour_to_mismatch_at_once(canonical, canonical_k2, monkeypatch):
+    seen = recorded_mismatch(monkeypatch)
+    min_mismatch_on_disk(canonical.scaled(1j), 0.1, k2_hint=-canonical_k2.value)
+    assert len(seen) == 1 and np.shape(seen[0]) == (solver._CONTOUR_POINTS,)
+
+
+@pytest.mark.parametrize("rotation", [1.0, 1j], ids=["1", "i"])
+def test_contour_refinement_samples_each_point_once(canonical, canonical_k2, rotation, monkeypatch):
+    # the doubled contour's even points are the last contour's: each doubling samples only the new ones
+    monkeypatch.setattr(solver, "_CONTOUR_POINTS", 4)
+    seen = recorded_mismatch(monkeypatch)
+    k2 = canonical_k2.value * rotation**2
+    floor = min_mismatch_on_disk(canonical.scaled(rotation), 0.1, k2_hint=k2)
+    sizes = [np.size(z) for z in seen]
+    assert sizes == [4 * 2 ** max(0, j - 1) for j in range(len(sizes))]
+    total = np.concatenate(seen)
+    assert np.unique(total).size == total.size
+    # the same verdict and floor as sampling each doubled contour whole
+    calls = len(seen)
+    monkeypatch.setattr(solver, "_CONTOUR_POINTS", sum(sizes))
+    assert min_mismatch_on_disk(canonical.scaled(rotation), 0.1, k2_hint=k2) == floor
+    assert len(seen) == calls + 1 and np.array_equal(np.sort_complex(seen[-1]), np.sort_complex(total))
+
+
 def test_disk_count_refines_a_coarse_contour_up_to_its_cap(canonical, canonical_k2, monkeypatch):
     # a winding of 1 over 4 samples forces a phase step of at least pi/2: the count must refine
     monkeypatch.setattr(solver, "_CONTOUR_POINTS", 4)
@@ -464,9 +496,11 @@ def test_brent_returns_a_zero_end_as_scipy_brentq_does(lo, hi, flo, fhi):
     def f(x):
         return x - 0.3
 
-    ref, info = optimize.brentq(f, lo, hi, xtol=1e-17, rtol=8.9e-16, maxiter=200, full_output=True)
+    # scipy's root is the oracle; its iteration count at a zero end is not (uninitialized in
+    # scipy 1.17.1: 0, 1 or garbage from call to call), so the count is _brent's own: one
+    ref = optimize.brentq(f, lo, hi, xtol=1e-17, rtol=8.9e-16, maxiter=200)
     assert ref == 0.3
-    assert _brent(f, lo, hi, flo, fhi) == (ref, 0.0, info.iterations)
+    assert _brent(f, lo, hi, flo, fhi) == (ref, 0.0, 1)
 
 
 @pytest.mark.parametrize("depth, states", [(2.0, 1), (30.0, 2), (100.0, 4), (400.0, 7)])
@@ -504,6 +538,41 @@ def test_prefixes_end_in_the_composed_transfer_matrix(name):
         assert prefixes.shape == (2, 2, grid.steps.size + 1)
         assert prefixes[..., 0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert prefixes[..., -1].tobytes() == _compose(maps).tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 16, 25])
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+def test_a_batched_mismatch_equals_one_kappa_at_a_time(name, eps, width):
+    # 400 and 600 steps at eps 0.1 put 10 and 6 kappas in a batch, so 16 and 25 kappas span
+    # several; at eps 0.01 a batch holds one kappa
+    V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
+    grid = _CoefficientGrid(V, eps, eps / 40)
+    gauged = _GaugedGrid(build_gauge(V, eps))
+    ks = np.linspace(0.02, 0.9, width)
+    zs = ks * cmath.exp(0.4j)
+    cases = [
+        (grid, ks),  # real kappas on a real grid: floats
+        (grid, np.append(zs[1:], ks[:1])),  # complex kappas on a real grid, one of them real
+        (_CoefficientGrid(V.scaled(cmath.exp(0.3j)), eps, eps / 40), zs),
+        (gauged, ks),
+        (gauged, zs),
+    ]
+    for g, kappas in cases:
+        batch = g.mismatch(kappas)
+        one = [g.mismatch(k) for k in kappas]
+        assert batch.shape == (width,)
+        assert batch.dtype == (float if all(type(f) is float for f in one) else complex)
+        assert batch.tolist() == one
+
+
+@pytest.mark.parametrize("outside", [0.0, -0.1, -1e-3 + 0.2j, math.nan])
+def test_a_batch_with_one_kappa_outside_the_half_plane_raises(canonical, outside):
+    grid = _CoefficientGrid(canonical, 0.1, 0.1 / 40)
+    with pytest.raises(ValueError, match="half-plane"):
+        grid.mismatch(np.array([0.1, 0.2 + 0.1j, outside, 0.3]))
+    with pytest.raises(ValueError, match="half-plane"):
+        grid.mismatch(np.array([0.1, outside.real]))
 
 
 def reference_product(left, right):
@@ -556,6 +625,19 @@ def test_the_tree_multiplies_like_the_entrywise_pairwise_reference(n, dtype):
     total = [x[-1] for x in prefixes]
     assert np.ravel(_compose(maps)).tobytes() == np.array(total).tobytes()
     assert _prefixes(maps).reshape(4, n + 1).tobytes() == np.array(prefixes).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 400])
+def test_the_tree_composes_each_row_of_a_batch_as_alone(n, dtype):
+    rng = np.random.default_rng(n)
+    maps = np.eye(2)[..., np.newaxis, np.newaxis] + 0.1 * rng.standard_normal((2, 2, 5, n))
+    if dtype is complex:
+        maps = maps + 0.1j * rng.standard_normal((2, 2, 5, n))
+    total = _compose(maps)
+    assert total.shape == (2, 2, 5) and total.dtype == dtype
+    for k in range(5):
+        assert total[:, :, k].tobytes() == _compose(np.ascontiguousarray(maps[:, :, k])).tobytes()
 
 
 def test_the_tree_puts_numpy_s_ufunc_buffer_size_back():
