@@ -13,6 +13,9 @@ this script) and feeds every output below, bit for bit, into one digest:
   and 1e-3;
 * ``min_mismatch_on_disk`` from a 4-point contour, which it must refine, on
   the canonical config times 1 and i at eps 0.1;
+* the arrays ``mismatch`` returns on the disk's contour, on the canonical
+  and two-mode configs times i at eps 0.1 and 1e-3, so that a last-bit move
+  in a contour sample shows even where the disk's floor does not move;
 * ``scan_roots``, ``count_below``, ``eigenfunction``, ``gauged_mismatch`` and
   ``compute_k_eps`` on the two real configs, and ``convergence_study``;
 * ``find_bound_state`` and ``scan_roots`` on the canonical potential at
@@ -82,6 +85,21 @@ def calls(root: Path):
         finally:
             solver._CONTOUR_POINTS = points
 
+    def disk_samples(U, eps):
+        """The floor, then every array ``_StageGrid.mismatch`` returns during the disk call."""
+        one_call, samples = solver._StageGrid.mismatch, []
+
+        def recorded(grid, kappa):
+            f = one_call(grid, kappa)
+            samples.append(f)
+            return f
+
+        solver._StageGrid.mismatch = recorded
+        try:
+            return solver.min_mismatch_on_disk(U, eps), samples
+        finally:
+            solver._StageGrid.mismatch = one_call
+
     def harmonics(*parts):
         """The real potential summing ``make(n, profile)``, a cosine or sine harmonic, over (make, n, profile)."""
         return potentials.TwoScaleFunction(
@@ -111,6 +129,10 @@ def calls(root: Path):
     for rot_name in ("1", "i"):
         U = real["canonical"].scaled(ROTATIONS[rot_name])
         yield f"refined disk canonical*{rot_name}", lambda U=U: refined_disk(U, 0.1)
+    for name, V in real.items():
+        for eps in (0.1, 1e-3):
+            U = V.scaled(ROTATIONS["i"])
+            yield f"disk samples {name}*i {eps}", lambda U=U, eps=eps: disk_samples(U, eps)
 
     for name, V in real.items():
         for eps in EPSILONS:

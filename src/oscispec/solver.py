@@ -49,8 +49,8 @@ the number of zeros of the left-decaying solution on the whole line
 
 Roots of the real mismatch are isolated by the count and polished with
 Brent's method (``_brent``).  The count splits only brackets that hold
-several roots; once a bracket holds one, with F of opposite signs at its
-ends, the sign of F walks it down to one sample interval.  A seed bracket
+several roots; a bracket that holds one goes to Brent as it stands once
+F changes sign across it or vanishes at its upper end.  A seed bracket
 across which F changes sign, or at whose end F vanishes, skips the count.
 Every real bound state has kappa^2 <= sup|V|, so the count searches
 (kappa_floor, sqrt(sup|V|)].
@@ -477,10 +477,10 @@ def mismatch(V, eps: float, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> comple
 @dataclass(frozen=True)
 class BoundStateResult:
     """A located root.  ``iterations`` is the work spent on it: for a real
-    potential, the two mismatch evaluations at the bracket ends, the
-    evaluations of the isolation loop a fallback runs when F keeps its sign
-    there (each Sturm count and sign probe one, a probe where F is 0 two),
-    and Brent's iterations; for a complex one, the secant iterations."""
+    potential, the two mismatch evaluations at the bracket ends, the Sturm
+    counts of the isolation loop a fallback runs when F keeps its sign
+    there, and Brent's iterations; for a complex one, the secant
+    iterations."""
 
     kappa: complex
     eigenvalue: complex
@@ -542,15 +542,13 @@ def _brent(f, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, floa
 def _counted_roots(grid: _CoefficientGrid, lo: float, hi: float, samples: int):
     """Yield (root, F(root), work) for each root of the real mismatch in (lo, hi], in increasing kappa.
 
-    Bisection over ``samples`` evenly spaced kappas, then inside one sample
-    interval, leaves one root per bracket for Brent.  A bracket that holds
-    one root, with F of opposite signs at its ends, is split by the sign of
-    F: F has a simple zero there (Sturm oscillation theorem), so the
-    midpoint's sign picks the half that N would, at the cost of one
-    mismatch.  Every other bracket, and a midpoint where F is exactly 0, is
-    split by N.  work counts the evaluations since the previous root: the
-    window's two counts, one per split (two where a zero probe is counted
-    after all), and Brent's iterations.
+    Bisection by N, over ``samples`` evenly spaced kappas and then at
+    midpoints, splits every bracket that holds several roots.  A bracket
+    that holds one (N(a) - N(b) = 1) goes to Brent as it stands once F
+    changes sign across it or vanishes at b: F has a simple zero there
+    (Sturm oscillation theorem).  work counts the evaluations since the
+    previous root: the window's two counts, one per split, and Brent's
+    iterations.
     """
     ks = np.linspace(lo, hi, samples).tolist()
     # brackets (a, b) holding N(a) - N(b) roots, with (N, F) at both ends and,
@@ -561,7 +559,7 @@ def _counted_roots(grid: _CoefficientGrid, lo: float, hi: float, samples: int):
         a, b, (na, fa), (nb, fb), i, j = stack.pop()
         if na <= nb:
             continue
-        if na - nb == 1 and j - i <= 1:
+        if na - nb == 1 and (fb == 0 or fa * fb < 0):
             root, froot, its = _brent(grid.mismatch, a, b, fa, fb)
             yield root, froot, work + its
             work = 0
@@ -574,16 +572,6 @@ def _counted_roots(grid: _CoefficientGrid, lo: float, hi: float, samples: int):
             if not a < c < b:
                 raise RuntimeError(f"cannot separate {na - nb} roots of the mismatch at kappa={a!r}")
         work += 1
-        if na - nb == 1 and fa * fb < 0:
-            fc = grid.mismatch(c)
-            if fc != 0:
-                # the root lies on the side whose end F has the opposite sign to F(c)
-                if (fc < 0) == (fa < 0):
-                    stack.append((c, b, (na, fc), (nb, fb), *right))
-                else:
-                    stack.append((a, c, (na, fa), (nb, fc), *left))
-                continue
-            work += 1
         mid = grid.count_below(c)
         stack.append((c, b, mid, (nb, fb), *right))
         stack.append((a, c, (na, fa), mid, *left))
@@ -670,7 +658,7 @@ def find_bound_state(
             raise ValueError("provide an explicit bracket for potentials with a mean component")
         k2 = complex(k2_hint if k2_hint is not None else asym.compute_k2(V).value)
         seed = eps * eps * k2
-        if V.is_real and abs(k2.imag) <= 1e-10 * max(abs(k2), 1.0):
+        if V.is_real:
             kappa0 = seed.real
             if kappa0 <= 0:
                 return None
@@ -720,11 +708,11 @@ def scan_roots(
     admissible real bound state.  The count is N(low) - N(high), N from the
     Sturm oscillation count (``_CoefficientGrid.count_below``), so only real
     potentials qualify, and the step must satisfy h sqrt(sup|V|) < pi.
-    Bisection over ``samples`` evenly spaced kappas isolates the roots, by N
-    while a bracket holds several and by the sign of F once it holds one,
-    and Brent's method polishes each (``_counted_roots``, which
-    ``find_bound_state`` shares).  ``samples`` is capped like every grid,
-    at ``potentials.MAX_GRID_SIZE``.
+    Bisection by N over ``samples`` evenly spaced kappas splits the brackets
+    that hold several roots, and Brent's method polishes each root from the
+    bracket that isolates it (``_counted_roots``, which ``find_bound_state``
+    shares).  ``samples`` is capped like every grid, at
+    ``potentials.MAX_GRID_SIZE``.
     """
     if not V.is_real:
         raise ValueError("root scan requires a real potential")

@@ -16,7 +16,7 @@ from oscispec import solver
 from oscispec.asymptotics import Existence, compute_k2, predict_lambda
 from oscispec.config import load_config
 from oscispec.gauge import build_gauge
-from oscispec.potentials import MAX_GRID_SIZE, TwoScaleFunction, canonical_potential, poly_bump
+from oscispec.potentials import MAX_GRID_SIZE, TwoScaleFunction, canonical_potential, combine, poly_bump, smooth_bump
 from oscispec.solver import (
     DEFAULT_SOLVER,
     SolverConfig,
@@ -699,8 +699,8 @@ def test_a_bracket_without_a_sign_change_falls_back_on_the_smallest_counted_root
     "amplitude, rotation, mismatches, counts, iterations",
     [
         (100.0, 1.0, 7, 0, 8),  # Brent on the seed bracket
-        (0.03, 1.0, 15, 2, 18),  # a seed below the floor: F keeps its sign across the bracket
-        (3e4, 1.0, 13, 4, 18),  # a seed bracket reaching sqrt(sup|V|): no bracket, the window search alone
+        (0.03, 1.0, 5, 2, 8),  # a seed below the floor: F keeps its sign across the bracket
+        (3e4, 1.0, 12, 4, 17),  # a seed bracket reaching sqrt(sup|V|): no bracket, the window search alone
         (100.0, cmath.exp(0.3j), 5, 0, 4),  # a complex seed: the secant
     ],
     ids=["seed-bracket", "seed-below-floor", "seed-past-cap", "complex"],
@@ -751,47 +751,104 @@ SCANNED = {
 }
 
 
+def within_brent_tolerance(kappa, reference):
+    """|kappa - reference| <= 2 (xtol + rtol reference): two Brent runs that stop on the same sign change of F."""
+    return abs(kappa - reference) <= 2.0 * (solver._BRENT_XTOL + solver._BRENT_RTOL * reference)
+
+
 @pytest.mark.parametrize("name, eps", [(name, eps) for name, (_, epss) in SCANNED.items() for eps in epss])
-def test_the_sign_walk_isolates_the_roots_the_count_walk_did(name, eps, monkeypatch):
-    # inside a bracket that holds one root, F's sign at the midpoint picks the half N would:
-    # the same roots, bit for bit, from as many evaluations, and Sturm counts only where N decides
+def test_brent_on_a_one_root_bracket_finds_the_count_walk_roots_within_tolerance(name, eps, monkeypatch):
+    # a bracket that holds one root goes to Brent as it stands: the same roots within Brent's
+    # tolerance, from no more evaluations, and Sturm counts only where N decides
     V = SCANNED[name][0]()
     calls = []
     for method in ("count_below", "mismatch"):
         f = getattr(_CoefficientGrid, method)
         monkeypatch.setattr(_CoefficientGrid, method, lambda grid, k, f=f, m=method: calls.append(m) or f(grid, k))
     scan = scan_roots(V, eps)
-    walked, counts = len(calls), calls.count("count_below")
+    isolated, counts = len(calls), calls.count("count_below")
     calls.clear()
     grid = _CoefficientGrid(V, eps, eps / DEFAULT_SOLVER.points_per_fast_period)
     roots = reference_counted_roots(grid, *scan.window, scan.samples)
     assert scan.count == len(roots)
-    assert scan.kappas == tuple(roots)
-    assert walked == len(calls)
+    assert all(map(within_brent_tolerance, scan.kappas, roots))
+    assert isolated <= len(calls)
     if (name, eps) == ("canonical", 0.1):
-        # the window's two ends: its one root is isolated by the sign of F
+        # the window's two ends: its one root goes to Brent on the whole window
         assert counts == 2
 
 
-def test_a_probe_where_f_is_exactly_zero_is_counted():
-    # the sign of 0 picks no half: the count at that midpoint splits the bracket, one evaluation more
-    _, _, grid = shipped_grid("canonical")
-    window = solver._KAPPA_FLOOR, math.sqrt(grid.sup_abs)
-    walked = list(solver._counted_roots(grid, *window, solver._SAMPLES))
-    one_kappa, count_below = grid.mismatch, grid.count_below
-    calls = []
+@pytest.mark.parametrize(
+    "V, states",
+    [(SquareWell(depth=400.0), 7), (canonical_potential(amplitude=3e4), 4)],
+    ids=["well 400.0", "canonical@30000.0"],
+)
+def test_roots_sharing_one_sample_interval_are_split_at_midpoints(V, states):
+    # with two samples the whole window is one sample interval: only the count's midpoint splits separate its roots
+    scan, coarse = scan_roots(V, 0.1), scan_roots(V, 0.1, samples=2)
+    assert scan.count == coarse.count == states
+    assert all(map(within_brent_tolerance, coarse.kappas, scan.kappas))
 
-    def first_probe_zero(kappa):
-        calls.append("mismatch")
-        return 0.0 if calls.count("mismatch") == 1 else one_kappa(kappa)
 
-    grid.mismatch = first_probe_zero
-    grid.count_below = lambda k: calls.append("count_below") or count_below(k)
-    counted = list(solver._counted_roots(grid, *window, solver._SAMPLES))
-    assert [hit[:2] for hit in counted] == [hit[:2] for hit in walked]
-    assert [hit[2] for hit in counted] == [hit[2] + 1 for hit in walked]
-    assert calls[:4] == ["count_below", "count_below", "mismatch", "count_below"]
-    assert calls.count("count_below") == 3
+def test_a_zero_of_f_at_a_bracket_end_is_a_root_only_at_the_upper_end():
+    # a window (lo, hi] holds the roots above lo: F = 0 at hi goes to Brent as the root,
+    # F = 0 at lo is split off by the count
+    roots = (0.3, 0.6)
+
+    def f(k):
+        return (k - 0.3) * (k - 0.6)
+
+    grid = SimpleNamespace(mismatch=f, count_below=lambda k: (sum(r > k for r in roots), f(k)))
+    assert list(solver._counted_roots(grid, 0.1, 0.3, 5)) == [(0.3, 0.0, 3)]
+    [hit] = solver._counted_roots(grid, 0.3, 0.9, 4)
+    assert within_brent_tolerance(hit[0], 0.6)
+
+
+@st.composite
+def real_mode_sets(draw):
+    """1-3 cosine or sine harmonics in 1..5 with poly or smooth envelopes, amplitudes in +-50, as in criterion 6."""
+    total = None
+    for n in draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)):
+        a = draw(st.floats(-1.0, 1.0))
+        support = (a, a + draw(st.floats(0.3, 1.5)))
+        amp = draw(st.floats(-50.0, 50.0).filter(lambda v: abs(v) > 1e-3))
+        if draw(st.booleans()):
+            envelope = poly_bump(amp, draw(st.integers(2, 4)), support)
+        else:
+            envelope = smooth_bump(amp, support)
+        make = TwoScaleFunction.from_cosine if draw(st.booleans()) else TwoScaleFunction.from_sine
+        piece = make(n, envelope)
+        total = piece if total is None else combine(total, piece, 1.0, 1.0)
+    return total
+
+
+@given(V=real_mode_sets(), eps=st.sampled_from([0.1, 0.035]))
+@settings(max_examples=60, deadline=None)
+def test_brent_on_a_one_root_bracket_agrees_with_the_count_walk_on_random_potentials(V, eps):
+    iterations = []
+
+    def brent(*args):
+        hit = _brent(*args)
+        iterations.append(hit[2])
+        return hit
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_brent", brent)
+        scan = scan_roots(V, eps)
+    grid = _CoefficientGrid(V, eps, eps / DEFAULT_SOLVER.points_per_fast_period)
+    roots = reference_counted_roots(grid, *scan.window, scan.samples)
+    assert scan.count == len(roots) == len(iterations)
+    assert all(map(within_brent_tolerance, scan.kappas, roots))
+    assert max(iterations, default=0) < 20
+
+
+def test_a_real_potential_takes_brent_whatever_the_imaginary_part_of_the_hint(canonical, canonical_k2):
+    # both hints seed the same bracket from their real part, so the roots agree bit for bit
+    k2 = canonical_k2.value
+    real = find_bound_state(canonical, 0.1, k2_hint=k2)
+    complex_hint = find_bound_state(canonical, 0.1, k2_hint=k2 + 1e-3j)
+    assert complex_hint.kappa == real.kappa
+    assert complex_hint.kappa.imag == 0.0
 
 
 def test_an_even_number_of_roots_above_the_floor_is_still_found():
@@ -801,10 +858,10 @@ def test_an_even_number_of_roots_above_the_floor_is_still_found():
     scan = scan_roots(V, 0.05)
     assert scan.count == 2
     assert res is not None and res.converged
-    assert res.kappa.real == scan.kappas[0] == 3.800194023266626
+    assert res.kappa.real == scan.kappas[0] == 3.8001940232666267
 
 
-@pytest.mark.parametrize("eps, kappa", [(0.1, 8.770717742363555), (0.035, 0.1758200885431692)])
+@pytest.mark.parametrize("eps, kappa", [(0.1, 8.770717742363559), (0.035, 0.1758200885431691)])
 def test_a_seed_bracket_reaching_sqrt_sup_v_takes_the_smallest_root(eps, kappa):
     # 10 eps^2 k2 >= sqrt(sup|V|) = 43.3: Brent on the bracket clipped there can return a larger root (18.7026, 5.49693)
     V = canonical_potential(amplitude=3e4)
