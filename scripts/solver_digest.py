@@ -16,6 +16,10 @@ this script) and feeds every output below, bit for bit, into one digest:
 * the arrays ``mismatch`` returns on the disk's contour, on the canonical
   and two-mode configs times i at eps 0.1 and 1e-3, so that a last-bit move
   in a contour sample shows even where the disk's floor does not move;
+* a ``_CoefficientGrid``'s stage samples and step-map coefficients, on the
+  canonical and two-mode configs times 1 and i at eps 0.1, 0.07 (a partial
+  last step) and 1e-3, so that a sampling change shows even where no root
+  moves;
 * ``scan_roots``, ``count_below``, ``eigenfunction``, ``gauged_mismatch`` and
   ``compute_k_eps`` on the two real configs, and ``convergence_study``;
 * ``find_bound_state`` and ``scan_roots`` on the canonical potential at
@@ -100,6 +104,11 @@ def calls(root: Path):
         finally:
             solver._StageGrid.mismatch = one_call
 
+    def grid_arrays(U, eps):
+        """The stage samples (start, middle, end) and the step-map coefficients of a solve's grid."""
+        grid = solver._CoefficientGrid(U, eps, eps / solver.DEFAULT_SOLVER.points_per_fast_period)
+        return grid.a, grid.coefficients
+
     def harmonics(*parts):
         """The real potential summing ``make(n, profile)``, a cosine or sine harmonic, over (make, n, profile)."""
         return potentials.TwoScaleFunction(
@@ -133,6 +142,11 @@ def calls(root: Path):
         for eps in (0.1, 1e-3):
             U = V.scaled(ROTATIONS["i"])
             yield f"disk samples {name}*i {eps}", lambda U=U, eps=eps: disk_samples(U, eps)
+    for name, V in real.items():
+        for rot_name in ("1", "i"):
+            U = V.scaled(ROTATIONS[rot_name])
+            for eps in (0.1, 0.07, 1e-3):
+                yield f"grid {name}*{rot_name} {eps}", lambda U=U, eps=eps: grid_arrays(U, eps)
 
     for name, V in real.items():
         for eps in EPSILONS:

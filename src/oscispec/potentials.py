@@ -20,7 +20,7 @@ import cmath
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping
 
 import numpy as np
@@ -51,6 +51,31 @@ _BLOCK = 4096
 # prefactors there would produce inf*0, so the cutoff is applied to value and
 # derivatives alike, and the bump is evaluated inside it only.
 _SMOOTH_CUT = 1.35e-3
+
+
+def _block_waves(runs, tables: dict, m: int, wave, lo: int, hi: int) -> np.ndarray:
+    """wave(2 pi m xi) at the points lo..hi - 1 of the runs (start, stop, xi, period) that cover them.
+
+    xi holds the fast variable at every point of a run, or with a period at
+    its first period points, which repeat modulo 1: that wave is tabled over
+    one period, repeated to the block (or run) length plus one period, and
+    sliced.
+    """
+    parts = []
+    for k, (start, stop, xi, period) in enumerate(runs):
+        a, b = max(lo, start), min(hi, stop)
+        if a >= b:
+            continue
+        if period is None:
+            parts.append(wave(TWO_PI * m * xi[a - start : b - start]))
+            continue
+        if (m, wave, k) not in tables:
+            table = np.empty((-(-min(_BLOCK, stop - start) // period) + 1, period))
+            table[:] = wave(TWO_PI * m * xi)
+            tables[m, wave, k] = table.ravel()
+        j = (a - start) % period
+        parts.append(tables[m, wave, k][j : j + b - a])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _ipow(u: np.ndarray, p: int) -> np.ndarray:
@@ -238,6 +263,17 @@ class TwoScaleFunction:
     def _mode_sums(self, x, xi, terms) -> list[np.ndarray]:
         """sum_n (2 pi i n)^dxi * c_n^(dx)(x) * exp(2 pi i n xi) for every (dx, dxi) in terms.
 
+        x and xi broadcast against each other; ``_walk`` takes each block's
+        waves at its own xi.
+        """
+        x, xi = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
+        shape, x, xi = x.shape, x.ravel(), xi.ravel()
+        sums = self._walk(x, terms, lambda m, wave, lo, hi: wave(TWO_PI * m * xi[lo:hi]))
+        return [acc.reshape(shape) for acc in sums]
+
+    def _walk(self, x, terms, waves_at) -> list[np.ndarray]:
+        """``_mode_sums`` over a flat x, whose cos or sin of 2 pi m xi over x[lo:hi] is waves_at(m, wave, lo, hi).
+
         With theta = 2 pi |n| xi, s e^{i theta} + s' e^{-i theta} =
         (s + s') cos(theta) + i (s - s') sin(theta) for any s and s', so the
         weights are first summed into one cos and one sin factor per term,
@@ -246,10 +282,8 @@ class TwoScaleFunction:
         keep temporaries in cache: each shape once for all orders, cos and
         sin once per |n|.  A real function has c_{-n} = conj(c_n) and
         w(-n) = conj(w(n)), so its factors are exactly real and its sums are
-        float arrays.  x and xi broadcast against each other.
+        float arrays.
         """
-        x, xi = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
-        shape, x, xi = x.shape, x.ravel(), xi.ravel()
         entries: dict = {}  # (|n|, envelope shape) -> (profile, [cos factor, sin factor] per term)
         for n, prof in sorted(self.modes.items(), key=lambda item: abs(item[0])):
             key = (abs(n), (prof.kind, prof.support, prof.power))
@@ -263,8 +297,9 @@ class TwoScaleFunction:
         orders = sorted({dx for dx, _ in terms})
         sums = [np.zeros(x.size, dtype=float if self.is_real else complex) for _ in terms]
         for lo in range(0, x.size, _BLOCK):
-            xb, xib = x[lo : lo + _BLOCK], xi[lo : lo + _BLOCK]
-            accs = [acc[lo : lo + _BLOCK] for acc in sums]
+            hi = min(lo + _BLOCK, x.size)
+            xb = x[lo:hi]
+            accs = [acc[lo:hi] for acc in sums]
             envs: dict = {}  # every order of an envelope shape: the modes of a pair share them
             waves: dict = {}  # cos and sin of theta by |n|
             for (m, env_key), (prof, factors) in entries.items():
@@ -274,9 +309,9 @@ class TwoScaleFunction:
                     for f, wave in zip(pair, (np.cos, np.sin)):
                         if f:
                             if (m, wave) not in waves:
-                                waves[m, wave] = wave(TWO_PI * m * xib)
+                                waves[m, wave] = waves_at(m, wave, lo, hi)
                             acc += (f * envs[env_key][dx]) * waves[m, wave]
-        return [acc.reshape(shape) for acc in sums]
+        return sums
 
     def eval(self, x, xi, dx: int = 0, dxi: int = 0):
         """Evaluate d^dx/dx^dx d^dxi/dxi^dxi u at (x, xi).
@@ -293,6 +328,28 @@ class TwoScaleFunction:
             raise ValueError("eps must be positive")
         x = np.asarray(x, dtype=float)
         return self.eval(x, x / eps)
+
+    def eval_fast_lattice(self, x, eps: float, x0: float, h: float, runs):
+        """``eval_fast`` at a flat x whose runs (lo, hi, offset) cover it in order: a run on the
+        lattice of step h has x[lo + k] = x0 + h (offset + k); offset None marks points off it.
+
+        When h = eps / P for an integer P, a lattice run's fast variable
+        repeats every P points, modulo 1, so its waves come from P values per
+        |n| at fmod(x0, eps) / eps + (offset + j) / P: rounded near 1, not
+        near x / eps, which keeps every run on the lattice to about 1e-16 of
+        a period.  Other points, and all when h is no such step, are
+        ``eval_fast``'s bit for bit.
+        """
+        period = round(eps / h)
+        if period < 1 or eps / period != h:
+            return self.eval_fast(x, eps)
+        theta = math.fmod(x0, eps) / eps
+        runs = [
+            (lo, hi, x[lo:hi] / eps, None) if offset is None or hi - lo <= period
+            else (lo, hi, theta + (offset + np.arange(period)) / period, period)
+            for lo, hi, offset in runs
+        ]
+        return self._walk(x, ((0, 0),), partial(_block_waves, runs, {}))[0]
 
 
 def combine(u: TwoScaleFunction, w: TwoScaleFunction, alpha: complex = 1.0, beta: complex = 1.0) -> TwoScaleFunction:

@@ -159,6 +159,10 @@ class SquareWell:
         a, b = self.support
         return np.where((x >= a) & (x <= b), -float(self.depth), 0.0)
 
+    def eval_fast_lattice(self, x, eps: float, x0: float, h: float, runs):
+        """The well has no fast phase: ``eval_fast`` at x."""
+        return self.eval_fast(x, eps)
+
 
 class _StageGrid:
     """Fixed RK4 steps across the support hull and the ODE coefficients at their stages.
@@ -200,6 +204,14 @@ class _StageGrid:
         if self.h_last > 0.0:
             return np.concatenate([ends, [self.x1], mids, [self.x0 + self.n_full * self.h + 0.5 * self.h_last]])
         return np.concatenate([ends, mids])
+
+    @property
+    def runs(self) -> list[tuple[int, int, float | None]]:
+        """``xs`` as runs (lo, hi, offset) with xs[lo + k] = x0 + h (offset + k), offset None off that lattice."""
+        n = self.n_full
+        if self.h_last > 0.0:
+            return [(0, n + 1, 0.0), (n + 1, n + 2, None), (n + 2, 2 * n + 2, 0.5), (2 * n + 2, 2 * n + 3, None)]
+        return [(0, n + 1, 0.0), (n + 1, 2 * n + 1, 0.5)]
 
     def _stages(self, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Samples at ``xs`` as the (start, middle, end) of every step: three contiguous views of vals."""
@@ -363,36 +375,89 @@ def _prefixes(m):
     return p
 
 
-def _quadratic_maps(h, a0, a1, a2):
+def _quadratic_maps(h: float, h_last: float, a0, a1, a2):
     """Per step, (P0, P1, P2) with M(lam) = I + P0 + lam P1 + lam^2 P2 in the entries m10, m11 and m00:
     the expansion of ``_rk4_step(h, e_j, (a0 - lam, a1 - lam, a2 - lam), None)``.
 
+    Every step has length h but a last partial one of length h_last > 0.
     Each P is stacked (3, n), rows m10, m11, m00; P2 depends on h alone, so
-    it stays real for a complex potential.
+    it stays real for a complex potential.  A partial step's column is
+    ``_step_coefficients`` in Python floats for real samples, which round as
+    numpy's float loops do; numpy's complex product rounds unlike Python's.
     """
-    p0, p1 = np.empty((3, h.size), a1.dtype), np.empty((3, h.size), a1.dtype)
-    p2 = np.empty((3, h.size))
-    h2 = h * h
-    h3_6, h4_24 = p2[0], p2[1]
-    np.divide(h * h2, 6.0, out=h3_6)
-    np.divide(h2 * h2, 24.0, out=h4_24)
-    p2[2] = h4_24
-    p0[0] = h / 6.0 * (a0 + 4.0 * a1 + a2) + 0.5 * h3_6 * a1 * (a0 + a2)
-    p1[0] = -(h + 0.5 * h3_6 * (a0 + 2.0 * a1 + a2))
-    p0[1] = h2 / 6.0 * (2.0 * a1 + a2) + h4_24 * a1 * a2
-    p1[1] = -(0.5 * h2 + h4_24 * (a1 + a2))
-    p0[2] = h2 / 6.0 * (a0 + 2.0 * a1) + h4_24 * a0 * a1
-    p1[2] = -(0.5 * h2 + h4_24 * (a0 + a1))
+    n = a1.size
+    p0, p1 = np.empty((3, n), a1.dtype), np.empty((3, n), a1.dtype)
+    p2 = np.empty((3, n))
+    full = n - (h_last > 0.0)
+    _fill_quadratic_maps(h, a0[:full], a1[:full], a2[:full], p0[:, :full], p1[:, :full], p2[:, :full])
+    if full < n:
+        last = [a[full:] if np.iscomplexobj(a) else float(a[full]) for a in (a0, a1, a2)]
+        for p, column in zip((p0, p1, p2), _step_coefficients(h_last, *last)):
+            p[:, full] = np.ravel(column)
     return p0, p1, p2
+
+
+def _step_coefficients(h: float, a0, a1, a2):
+    """``_quadratic_maps``' (P0, P1, P2) of steps of length h, each as its rows (m10, m11, m00)."""
+    h2 = h * h
+    h3_6, h4_24 = h * h2 / 6.0, h2 * h2 / 24.0
+    p0 = (
+        h / 6.0 * (a0 + 4.0 * a1 + a2) + 0.5 * h3_6 * a1 * (a0 + a2),
+        h2 / 6.0 * (2.0 * a1 + a2) + h4_24 * a1 * a2,
+        h2 / 6.0 * (a0 + 2.0 * a1) + h4_24 * a0 * a1,
+    )
+    p1 = (-(h + 0.5 * h3_6 * (a0 + 2.0 * a1 + a2)), -(0.5 * h2 + h4_24 * (a1 + a2)), -(0.5 * h2 + h4_24 * (a0 + a1)))
+    return p0, p1, (h3_6, h4_24, h4_24)
+
+
+def _fill_quadratic_maps(h: float, a0, a1, a2, p0, p1, p2) -> None:
+    """``_step_coefficients`` in place, into the rows of p0, p1 and p2: the h-terms taken once,
+    and every product and sum with its operands and order, row by row m10, m11, m00."""
+    h2 = h * h
+    h3_6, h4_24 = h * h2 / 6.0, h2 * h2 / 24.0
+    h_6, h2_6, half_h2, half_h3_6 = h / 6.0, h2 / 6.0, 0.5 * h2, 0.5 * h3_6
+    p2[0], p2[1:] = h3_6, h4_24
+    two_a1 = 2.0 * a1
+    s = a0 + two_a1
+    np.add(s, a2, out=p1[0])
+    np.multiply(half_h3_6, p1[0], out=p1[0])
+    np.add(h, p1[0], out=p1[0])
+    np.negative(p1[0], out=p1[0])
+    np.add(two_a1, a2, out=p0[1])
+    np.multiply(h2_6, p0[1], out=p0[1])
+    np.multiply(h4_24, a1, out=p1[1])
+    np.multiply(p1[1], a2, out=p1[1])
+    np.add(p0[1], p1[1], out=p0[1])
+    np.add(a1, a2, out=p1[1])
+    np.multiply(h2_6, s, out=p0[2])
+    np.multiply(h4_24, a0, out=p1[2])
+    np.multiply(p1[2], a1, out=p1[2])
+    np.add(p0[2], p1[2], out=p0[2])
+    np.add(a0, a1, out=p1[2])
+    rows = p1[1:]
+    np.multiply(h4_24, rows, out=rows)
+    np.add(half_h2, rows, out=rows)
+    np.negative(rows, out=rows)
+    # m10's P0 last, when two_a1 and s are free: 4 a1 = 2 a1 + 2 a1 exactly
+    np.add(two_a1, two_a1, out=p0[0])
+    np.add(a0, p0[0], out=p0[0])
+    np.add(p0[0], a2, out=p0[0])
+    np.multiply(h_6, p0[0], out=p0[0])
+    np.add(a0, a2, out=s)
+    np.multiply(half_h3_6, a1, out=two_a1)
+    np.multiply(two_a1, s, out=two_a1)
+    np.add(p0[0], two_a1, out=p0[0])
 
 
 class _CoefficientGrid(_StageGrid):
     """Potential samples at the RK4 stage points and the H step maps as quadratics in lam.
 
-    ``coefficients`` holds ``_quadratic_maps`` for every step, built once;
-    ``step_maps`` evaluates them by Horner, four in-place passes over the
-    three stacked entries, and m01 = h + h^3/6 (a1 - lam) from the samples,
-    which saves storing two more arrays.  The identity is added last, so a
+    V samples the stage points by ``eval_fast_lattice`` over ``runs``: with
+    h = eps / P, the fast phases of the step ends and of the midpoints come
+    from one period of each.  ``coefficients`` holds ``_quadratic_maps`` for
+    every step, built once; ``step_maps`` evaluates them by Horner, four
+    in-place passes over the three stacked entries, and m01 = h + h^3/6
+    (a1 - lam) from the samples, which saves storing two more arrays.  The identity is added last, so a
     diagonal entry is rounded once near 1, as in the RK4 body.  For real
     potentials the samples are floats, so a real lam keeps the propagation
     real.
@@ -404,10 +469,10 @@ class _CoefficientGrid(_StageGrid):
         phase = self.h * math.sqrt(self.sup_abs)
         if not phase < _STURM_STEP_PHASE:
             raise ValueError(f"step too large: h sqrt(sup|V|) = {phase:.3g} must stay below pi")
-        vals = np.asarray(V.eval_fast(self.xs, eps))
+        vals = np.asarray(V.eval_fast_lattice(self.xs, eps, self.x0, self.h, self.runs))
         self.real = not np.iscomplexobj(vals)
         self.a = self._stages(vals)
-        self.coefficients = _quadratic_maps(self.steps, *self.a)
+        self.coefficients = _quadratic_maps(self.h, self.h_last, *self.a)
 
     def step_maps(self, lam):
         p0, p1, p2 = self.coefficients
