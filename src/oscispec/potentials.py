@@ -20,7 +20,7 @@ import cmath
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -51,31 +51,6 @@ _BLOCK = 4096
 # prefactors there would produce inf*0, so the cutoff is applied to value and
 # derivatives alike, and the bump is evaluated inside it only.
 _SMOOTH_CUT = 1.35e-3
-
-
-def _block_waves(runs, tables: dict, m: int, wave, lo: int, hi: int) -> np.ndarray:
-    """wave(2 pi m xi) at the points lo..hi - 1 of the runs (start, stop, xi, period) that cover them.
-
-    xi holds the fast variable at every point of a run, or with a period at
-    its first period points, which repeat modulo 1: that wave is tabled over
-    one period, repeated to the block (or run) length plus one period, and
-    sliced.
-    """
-    parts = []
-    for k, (start, stop, xi, period) in enumerate(runs):
-        a, b = max(lo, start), min(hi, stop)
-        if a >= b:
-            continue
-        if period is None:
-            parts.append(wave(TWO_PI * m * xi[a - start : b - start]))
-            continue
-        if (m, wave, k) not in tables:
-            table = np.empty((-(-min(_BLOCK, stop - start) // period) + 1, period))
-            table[:] = wave(TWO_PI * m * xi)
-            tables[m, wave, k] = table.ravel()
-        j = (a - start) % period
-        parts.append(tables[m, wave, k][j : j + b - a])
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _ipow(u: np.ndarray, p: int) -> np.ndarray:
@@ -330,26 +305,39 @@ class TwoScaleFunction:
         return self.eval(x, x / eps)
 
     def eval_fast_lattice(self, x, eps: float, x0: float, h: float, runs):
-        """``eval_fast`` at a flat x whose runs (lo, hi, offset) cover it in order: a run on the
-        lattice of step h has x[lo + k] = x0 + h (offset + k); offset None marks points off it.
+        """``eval_fast`` at a flat x laid out as runs (size, i) in order: size points x0 + h (i + 2j) / 2
+        on the half-step lattice, or, where i is None, points off it.
 
-        When h = eps / P for an integer P, a lattice run's fast variable
-        repeats every P points, modulo 1, so its waves come from P values per
-        |n| at fmod(x0, eps) / eps + (offset + j) / P: rounded near 1, not
-        near x / eps, which keeps every run on the lattice to about 1e-16 of
-        a period.  Other points, and all when h is no such step, are
-        ``eval_fast``'s bit for bit.
+        When h = eps / P for an integer P, the fast variable at half step i
+        is fmod(x0, eps) / eps + i / 2P modulo 1, so a run's waves are every
+        other value, from i mod 2P on, of one table of 2P values per |n|,
+        repeated to cover a block: rounded near 1, not near x / eps, which
+        keeps them on the lattice to about 1e-16 of a period.  Points off it,
+        and all points when h is no such step, are ``eval_fast``'s bit for bit.
         """
-        period = round(eps / h)
-        if period < 1 or eps / period != h:
+        steps = round(eps / h)
+        if steps < 1 or eps / steps != h:
             return self.eval_fast(x, eps)
-        theta = math.fmod(x0, eps) / eps
-        runs = [
-            (lo, hi, x[lo:hi] / eps, None) if offset is None or hi - lo <= period
-            else (lo, hi, theta + (offset + np.arange(period)) / period, period)
-            for lo, hi, offset in runs
-        ]
-        return self._walk(x, ((0, 0),), partial(_block_waves, runs, {}))[0]
+        period = 2 * steps  # half steps per fast period
+        xi = math.fmod(x0, eps) / eps + np.arange(period) / period
+        repeats = 2 * min(_BLOCK, x.size) // period + 2
+        tables: dict = {}
+
+        def waves_at(m, wave, lo, hi):
+            if (m, wave) not in tables:
+                tables[m, wave] = np.tile(wave(TWO_PI * m * xi), repeats)
+            parts, start = [], 0
+            for size, i in runs:
+                a, b = max(lo, start), min(hi, start + size)
+                if a < b and i is None:
+                    parts.append(wave(TWO_PI * m * (x[a:b] / eps)))
+                elif a < b:
+                    j = (i + 2 * (a - start)) % period
+                    parts.append(tables[m, wave][j : j + 2 * (b - a) : 2])
+                start += size
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+        return self._walk(x, ((0, 0),), waves_at)[0]
 
 
 def combine(u: TwoScaleFunction, w: TwoScaleFunction, alpha: complex = 1.0, beta: complex = 1.0) -> TwoScaleFunction:

@@ -197,21 +197,25 @@ class _StageGrid:
         self.steps = np.append(np.full(n_full, self.h), [h_last] if h_last > 0.0 else [])
 
     @property
-    def xs(self) -> np.ndarray:
-        """The n + 1 step ends x0 + h k, then the n midpoints x0 + h (k + 1/2), a partial step's last in each."""
-        k = np.arange(self.n_full + 1.0)
-        ends, mids = self.x0 + self.h * k, self.x0 + self.h * (k[:-1] + 0.5)
-        if self.h_last > 0.0:
-            return np.concatenate([ends, [self.x1], mids, [self.x0 + self.n_full * self.h + 0.5 * self.h_last]])
-        return np.concatenate([ends, mids])
-
-    @property
-    def runs(self) -> list[tuple[int, int, float | None]]:
-        """``xs`` as runs (lo, hi, offset) with xs[lo + k] = x0 + h (offset + k), offset None off that lattice."""
+    def runs(self) -> list[tuple[int, int | None]]:
+        """``xs`` as runs (size, i): size points x0 + h (i + 2j) / 2 on the half-step lattice, or one
+        point off it where i is None: the n + 1 step ends, then the n midpoints, a partial step's
+        end and midpoint last in each."""
         n = self.n_full
         if self.h_last > 0.0:
-            return [(0, n + 1, 0.0), (n + 1, n + 2, None), (n + 2, 2 * n + 2, 0.5), (2 * n + 2, 2 * n + 3, None)]
-        return [(0, n + 1, 0.0), (n + 1, 2 * n + 1, 0.5)]
+            return [(n + 1, 0), (1, None), (n, 1), (1, None)]
+        return [(n + 1, 0), (n, 1)]
+
+    @property
+    def xs(self) -> np.ndarray:
+        """The points of ``runs``: x0 + h k at the step ends, x0 + h (k + 1/2) at the midpoints."""
+        off = iter((self.x1, self.x0 + self.n_full * self.h + 0.5 * self.h_last))
+        return np.concatenate(
+            [
+                [next(off)] if i is None else self.x0 + 0.5 * self.h * np.arange(i, i + 2 * size, 2.0)
+                for size, i in self.runs
+            ]
+        )
 
     def _stages(self, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Samples at ``xs`` as the (start, middle, end) of every step: three contiguous views of vals."""
@@ -381,9 +385,7 @@ def _quadratic_maps(h: float, h_last: float, a0, a1, a2):
 
     Every step has length h but a last partial one of length h_last > 0.
     Each P is stacked (3, n), rows m10, m11, m00; P2 depends on h alone, so
-    it stays real for a complex potential.  A partial step's column is
-    ``_step_coefficients`` in Python floats for real samples, which round as
-    numpy's float loops do; numpy's complex product rounds unlike Python's.
+    it stays real for a complex potential.
     """
     n = a1.size
     p0, p1 = np.empty((3, n), a1.dtype), np.empty((3, n), a1.dtype)
@@ -391,28 +393,14 @@ def _quadratic_maps(h: float, h_last: float, a0, a1, a2):
     full = n - (h_last > 0.0)
     _fill_quadratic_maps(h, a0[:full], a1[:full], a2[:full], p0[:, :full], p1[:, :full], p2[:, :full])
     if full < n:
-        last = [a[full:] if np.iscomplexobj(a) else float(a[full]) for a in (a0, a1, a2)]
-        for p, column in zip((p0, p1, p2), _step_coefficients(h_last, *last)):
-            p[:, full] = np.ravel(column)
+        _fill_quadratic_maps(h_last, a0[full:], a1[full:], a2[full:], p0[:, full:], p1[:, full:], p2[:, full:])
     return p0, p1, p2
 
 
-def _step_coefficients(h: float, a0, a1, a2):
-    """``_quadratic_maps``' (P0, P1, P2) of steps of length h, each as its rows (m10, m11, m00)."""
-    h2 = h * h
-    h3_6, h4_24 = h * h2 / 6.0, h2 * h2 / 24.0
-    p0 = (
-        h / 6.0 * (a0 + 4.0 * a1 + a2) + 0.5 * h3_6 * a1 * (a0 + a2),
-        h2 / 6.0 * (2.0 * a1 + a2) + h4_24 * a1 * a2,
-        h2 / 6.0 * (a0 + 2.0 * a1) + h4_24 * a0 * a1,
-    )
-    p1 = (-(h + 0.5 * h3_6 * (a0 + 2.0 * a1 + a2)), -(0.5 * h2 + h4_24 * (a1 + a2)), -(0.5 * h2 + h4_24 * (a0 + a1)))
-    return p0, p1, (h3_6, h4_24, h4_24)
-
-
 def _fill_quadratic_maps(h: float, a0, a1, a2, p0, p1, p2) -> None:
-    """``_step_coefficients`` in place, into the rows of p0, p1 and p2: the h-terms taken once,
-    and every product and sum with its operands and order, row by row m10, m11, m00."""
+    """``_quadratic_maps`` of steps of length h in place, into the rows of p0, p1 and p2: the
+    h-terms taken once, and every product and sum of the per-step expansion with its operands and
+    order, row by row m10, m11, m00."""
     h2 = h * h
     h3_6, h4_24 = h * h2 / 6.0, h2 * h2 / 24.0
     h_6, h2_6, half_h2, half_h3_6 = h / 6.0, h2 / 6.0, 0.5 * h2, 0.5 * h3_6
@@ -454,13 +442,13 @@ class _CoefficientGrid(_StageGrid):
 
     V samples the stage points by ``eval_fast_lattice`` over ``runs``: with
     h = eps / P, the fast phases of the step ends and of the midpoints come
-    from one period of each.  ``coefficients`` holds ``_quadratic_maps`` for
-    every step, built once; ``step_maps`` evaluates them by Horner, four
-    in-place passes over the three stacked entries, and m01 = h + h^3/6
-    (a1 - lam) from the samples, which saves storing two more arrays.  The identity is added last, so a
-    diagonal entry is rounded once near 1, as in the RK4 body.  For real
-    potentials the samples are floats, so a real lam keeps the propagation
-    real.
+    from one table of 2P half steps.  ``coefficients`` holds
+    ``_quadratic_maps`` for every step, built once; ``step_maps`` evaluates
+    them by Horner, four in-place passes over the three stacked entries, and
+    m01 = h + h^3/6 (a1 - lam) from the samples, which saves storing two
+    more arrays.  The identity is added last, so a diagonal entry is rounded
+    once near 1, as in the RK4 body.  For real potentials the samples are
+    floats, so a real lam keeps the propagation real.
     """
 
     def __init__(self, V, eps: float, h: float):
