@@ -78,10 +78,14 @@ from .potentials import MIN_POINTS_PER_PERIOD, check_grid_size
 
 _STEP_SLACK = 1.0 + 1e-9
 
-# Brent tolerances: the tightest that scipy's brentq accepts, so roots agree with it to the bit.
+# Brent's bracket test: the tightest tolerances scipy's brentq accepts, so with ftol = 0 roots
+# agree with it to the bit.  The callers pass ftol = root_tol: Brent then also stops at an
+# iterate with |F| <= root_tol whose next step is at most _ROOT_RTOL |kappa|, six orders below
+# RK4's own error in kappa (3.7e-6 relative or more at 40 points per fast period).
 _BRENT_XTOL = 1e-17
 _BRENT_RTOL = 8.9e-16
 _BRENT_MAXITER = 200
+_ROOT_RTOL = 1e-12
 
 # an admissible root has Re kappa above this floor
 _KAPPA_FLOOR = 1e-9
@@ -125,6 +129,11 @@ DEFAULT_SOLVER = SolverConfig()
 def _step(eps: float, cfg: SolverConfig) -> float:
     """The RK4 step h that ``cfg`` sets at eps."""
     return eps / cfg.points_per_fast_period
+
+
+def _is_root(f) -> bool:
+    """Whether a mismatch value counts as a root: |F| <= root_tol."""
+    return abs(f) <= SolverConfig.root_tol
 
 
 @dataclass(frozen=True)
@@ -529,11 +538,13 @@ def mismatch(V, eps: float, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> comple
 
 @dataclass(frozen=True)
 class BoundStateResult:
-    """A located root.  ``iterations`` is the work spent on it: for a real
-    potential, the two mismatch evaluations at the bracket ends, the Sturm
-    counts of the isolation loop a fallback runs when F keeps its sign
-    there, and Brent's iterations; for a complex one, the secant
-    iterations."""
+    """A located root.  A real one is Brent's first iterate with |F| <=
+    root_tol whose next step is at most 1e-12 |kappa| (``_ROOT_RTOL``), or
+    else the root of Brent's bracket test.  ``iterations`` is the work spent
+    on it: for a real potential, the two mismatch evaluations at the bracket
+    ends, the Sturm counts of the isolation loop a fallback runs when F
+    keeps its sign there, and Brent's iterations; for a complex one, the
+    secant iterations."""
 
     kappa: complex
     eigenvalue: complex
@@ -543,15 +554,19 @@ class BoundStateResult:
     converged: bool
 
 
-def _brent(f, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, float, int]:
+def _brent(f, lo: float, hi: float, flo: float, fhi: float, ftol: float = 0.0) -> tuple[float, float, int]:
     """Root of f on [lo, hi] by Brent's method: (root, f(root), iterations).
 
     Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4,
-    in the formulation of scipy's ``brentq``, ported step for step so roots
-    and iteration counts match it bit for bit.  The caller passes the end
-    values it already has; they must be of opposite sign unless one is zero,
-    and a zero end is the root after one iteration.  scipy returns the same
-    root there, but its iteration count at a zero end is left undefined.
+    in the formulation of scipy's ``brentq``.  With ftol = 0 it is ported
+    step for step, so roots and iteration counts match it bit for bit.  With
+    ftol > 0 it also returns the current iterate, with no further
+    evaluation, once |f| <= ftol there and the step just computed from it is
+    at most ``_ROOT_RTOL`` |x|; the bracket test stays the fallback.  The
+    caller passes the end values it already has; they must be of opposite
+    sign unless one is zero, and a zero end is the root after one iteration.
+    scipy returns the same root there, but its iteration count at a zero end
+    is left undefined.
     """
     if flo == 0 or fhi == 0:
         return (lo, flo, 1) if flo == 0 else (hi, fhi, 1)
@@ -581,6 +596,8 @@ def _brent(f, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, floa
                 spre = scur = sbis
         else:
             spre = scur = sbis
+        if abs(fcur) <= ftol and abs(scur) <= _ROOT_RTOL * abs(xcur):
+            return xcur, fcur, it
         xpre, fpre = xcur, fcur
         if abs(scur) > delta:
             xcur += scur
@@ -613,7 +630,7 @@ def _counted_roots(grid: _CoefficientGrid, lo: float, hi: float, samples: int):
         if na <= nb:
             continue
         if na - nb == 1 and (fb == 0 or fa * fb < 0):
-            root, froot, its = _brent(grid.mismatch, a, b, fa, fb)
+            root, froot, its = _brent(grid.mismatch, a, b, fa, fb, SolverConfig.root_tol)
             yield root, froot, work + its
             work = 0
             continue
@@ -642,7 +659,7 @@ def _real_root(grid: _CoefficientGrid, bracket: Optional[tuple[float, float]]) -
     if bracket is not None:
         flo, fhi = grid.mismatch(bracket[0]), grid.mismatch(bracket[1])
         if min(flo, fhi) <= 0.0 <= max(flo, fhi):
-            root, froot, its = _brent(grid.mismatch, *bracket, flo, fhi)
+            root, froot, its = _brent(grid.mismatch, *bracket, flo, fhi, SolverConfig.root_tol)
             return root, froot, 2 + its
         work = 2
     hit = next(_counted_roots(grid, _KAPPA_FLOOR, math.sqrt(grid.sup_abs), _SAMPLES), None)
@@ -659,7 +676,7 @@ def _secant_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[compl
     prev, kappa = start * (1.0 + 1e-7), start
     f_prev, f = grid.mismatch(prev), grid.mismatch(kappa)
     for it in range(1, _SECANT_MAX_ITER + 1):
-        if abs(f) <= SolverConfig.root_tol:
+        if _is_root(f):
             return kappa, f, it
         step = f * (kappa - prev) / (f - f_prev)
         damp = 1.0
@@ -673,7 +690,7 @@ def _secant_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[compl
             damp *= 0.5
         else:
             return None
-    return (kappa, f, _SECANT_MAX_ITER) if abs(f) <= SolverConfig.root_tol else None
+    return (kappa, f, _SECANT_MAX_ITER) if _is_root(f) else None
 
 
 def find_bound_state(
@@ -735,7 +752,7 @@ def find_bound_state(
         mismatch_residual=residual,
         iterations=its,
         step=grid.h,
-        converged=residual <= SolverConfig.root_tol and kappa.real > _KAPPA_FLOOR,
+        converged=_is_root(residual) and kappa.real > _KAPPA_FLOOR,
     )
 
 

@@ -615,6 +615,48 @@ def test_brent_returns_a_zero_end_as_scipy_brentq_does(lo, hi, flo, fhi):
     assert _brent(f, lo, hi, flo, fhi) == (ref, 0.0, 1)
 
 
+def roots_and_evaluations(call, exact):
+    """The roots ``call`` returns and the mismatch evaluations it makes; ``exact`` runs Brent with ftol = 0."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        f = _CoefficientGrid.mismatch
+        mp.setattr(_CoefficientGrid, "mismatch", lambda grid, k: calls.append(k) or f(grid, k))
+        if exact:
+            mp.setattr(solver, "_brent", lambda f, lo, hi, flo, fhi, ftol: _brent(f, lo, hi, flo, fhi))
+        roots = call()
+    return roots, len(calls)
+
+
+WELL_BRACKETS = {"well 2.0": (2.0, (0.1, 1.2)), "well 30.0": (30.0, (4.0, 5.4))}
+
+
+@pytest.mark.parametrize(
+    "name, eps",
+    [(name, eps) for name in ("canonical", "two_mode") for eps in (0.1, 0.01, 1e-3)]
+    + [(name, 0.1) for name in WELL_BRACKETS],
+)
+@pytest.mark.parametrize("route", ["find", "scan"])
+def test_brent_stops_at_a_root_within_the_relative_step_of_scipys_root(name, eps, route):
+    # ftol = root_tol ends Brent at an iterate that is a root and whose next step is at most _ROOT_RTOL kappa
+    if name in WELL_BRACKETS:
+        depth, bracket = WELL_BRACKETS[name]
+        V, cfg = SquareWell(depth=depth), DEFAULT_SOLVER
+    else:
+        V, shipped, _ = shipped_grid(name)
+        cfg, bracket = SolverConfig(points_per_fast_period=shipped.points_per_period), None
+    call = {
+        "find": lambda: [find_bound_state(V, eps, cfg=cfg, bracket=bracket).kappa.real],
+        "scan": lambda: list(scan_roots(V, eps, cfg=cfg).kappas),
+    }[route]
+    roots, evaluations = roots_and_evaluations(call, False)
+    exact, exact_evaluations = roots_and_evaluations(call, True)
+    grid = _CoefficientGrid(V, eps, eps / cfg.points_per_fast_period)
+    assert len(roots) == len(exact) >= 1
+    assert all(solver._is_root(grid.mismatch(kappa)) for kappa in roots)
+    assert all(abs(kappa - ref) <= 2.0 * solver._ROOT_RTOL * ref for kappa, ref in zip(roots, exact))
+    assert evaluations < exact_evaluations if eps == 1e-3 else evaluations <= exact_evaluations
+
+
 @pytest.mark.parametrize("depth, states", [(2.0, 1), (30.0, 2), (100.0, 4), (400.0, 7)])
 def test_sturm_count_matches_the_square_well_oracle(depth, states):
     # a well of depth D on (0, 1) holds ceil(sqrt(D) / pi) bound states, each with kappa < sqrt(D)
@@ -810,7 +852,7 @@ def test_a_bracket_without_a_sign_change_falls_back_on_the_smallest_counted_root
 @pytest.mark.parametrize(
     "amplitude, rotation, mismatches, counts, iterations",
     [
-        (100.0, 1.0, 7, 0, 8),  # Brent on the seed bracket
+        (100.0, 1.0, 5, 0, 6),  # Brent on the seed bracket
         (0.03, 1.0, 5, 2, 8),  # a seed below the floor: F keeps its sign across the bracket
         (3e4, 1.0, 13, 4, 18),  # a seed bracket reaching sqrt(sup|V|): no bracket, the window search alone
         (100.0, cmath.exp(0.3j), 5, 0, 4),  # a complex seed: the secant
@@ -840,7 +882,7 @@ def reference_counted_roots(grid, lo, hi, samples):
         if na <= nb:
             continue
         if na - nb == 1 and j - i <= 1:
-            roots.append(_brent(grid.mismatch, a, b, fa, fb)[0])
+            roots.append(_brent(grid.mismatch, a, b, fa, fb, SolverConfig.root_tol)[0])
             continue
         if j - i > 1:
             m = (i + j) // 2
@@ -864,8 +906,8 @@ SCANNED = {
 
 
 def within_brent_tolerance(kappa, reference):
-    """|kappa - reference| <= 2 (xtol + rtol reference): two Brent runs that stop on the same sign change of F."""
-    return abs(kappa - reference) <= 2.0 * (solver._BRENT_XTOL + solver._BRENT_RTOL * reference)
+    """|kappa - reference| <= 2 (xtol + _ROOT_RTOL reference): two Brent runs that stop at the same root of F."""
+    return abs(kappa - reference) <= 2.0 * (solver._BRENT_XTOL + solver._ROOT_RTOL * reference)
 
 
 @pytest.mark.parametrize("name, eps", [(name, eps) for name, (_, epss) in SCANNED.items() for eps in epss])
@@ -973,7 +1015,7 @@ def test_an_even_number_of_roots_above_the_floor_is_still_found():
     assert res.kappa.real == scan.kappas[0] == 3.800194023266643
 
 
-@pytest.mark.parametrize("eps, kappa", [(0.1, 8.770717742363532), (0.035, 0.17582008854320627)])
+@pytest.mark.parametrize("eps, kappa", [(0.1, 8.770717742363532), (0.035, 0.17582008854319817)])
 def test_a_seed_bracket_reaching_sqrt_sup_v_takes_the_smallest_root(eps, kappa):
     # 10 eps^2 k2 >= sqrt(sup|V|) = 43.3: Brent on the bracket clipped there can return a larger root (18.7026, 5.49693)
     V = canonical_potential(amplitude=3e4)
