@@ -150,7 +150,7 @@ class GaugeData:
 
 def build_gauge(V: TwoScaleFunction, eps: float) -> GaugeData:
     """Build the gauge data, rejecting eps too large for invertibility."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     v = build_corrector(V)
     if eps**2 * v.sup_abs() >= _GAUGE_MARGIN:

@@ -299,43 +299,37 @@ class TwoScaleFunction:
 
     def eval_fast(self, x, eps: float):
         """Trace along the fast diagonal: u(x, x/eps)."""
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("eps must be positive")
         x = np.asarray(x, dtype=float)
         return self.eval(x, x / eps)
 
-    def eval_fast_lattice(self, x, eps: float, x0: float, h: float, runs):
-        """``eval_fast`` at a flat x laid out as runs (size, i) in order: size points x0 + h (i + 2j) / 2
-        on the half-step lattice, or, where i is None, points off it.
+    def eval_fast_lattice(self, x, eps: float, h: float, size: int):
+        """``eval_fast`` at a flat x whose first ``size`` points lie on the half-step lattice,
+        x[k] = x[0] + h k / 2.
 
-        When h = eps / P for an integer P, the fast variable at half step i
-        is fmod(x0, eps) / eps + i / 2P modulo 1, so a run's waves are every
-        other value, from i mod 2P on, of one table of 2P values per |n|,
-        repeated to cover a block: rounded near 1, not near x / eps, which
-        keeps them on the lattice to about 1e-16 of a period.  Points off it,
-        and all points when h is no such step, are ``eval_fast``'s bit for bit.
+        When h = eps / P for an integer P, the fast variable at half step k
+        is fmod(x[0], eps) / eps + k / 2P modulo 1, so the lattice points'
+        waves are one contiguous slice, from k mod 2P on, of one table of 2P
+        values per |n|, repeated to cover a block: rounded near 1, not near
+        x / eps, which keeps them on the lattice to about 1e-16 of a period.
+        The points after ``size``, and all points when h is no such step, are
+        ``eval_fast``'s bit for bit.
         """
         steps = round(eps / h)
         if steps < 1 or eps / steps != h:
             return self.eval_fast(x, eps)
         period = 2 * steps  # half steps per fast period
-        xi = math.fmod(x0, eps) / eps + np.arange(period) / period
-        repeats = 2 * min(_BLOCK, x.size) // period + 2
+        xi = math.fmod(x[0], eps) / eps + np.arange(period) / period
+        repeats = min(_BLOCK, size) // period + 2
         tables: dict = {}
 
         def waves_at(m, wave, lo, hi):
             if (m, wave) not in tables:
                 tables[m, wave] = np.tile(wave(TWO_PI * m * xi), repeats)
-            parts, start = [], 0
-            for size, i in runs:
-                a, b = max(lo, start), min(hi, start + size)
-                if a < b and i is None:
-                    parts.append(wave(TWO_PI * m * (x[a:b] / eps)))
-                elif a < b:
-                    j = (i + 2 * (a - start)) % period
-                    parts.append(tables[m, wave][j : j + 2 * (b - a) : 2])
-                start += size
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            mid = max(lo, min(hi, size))
+            on = tables[m, wave][lo % period : lo % period + mid - lo]
+            return on if mid == hi else np.concatenate((on, wave(TWO_PI * m * (x[mid:hi] / eps))))
 
         return self._walk(x, ((0, 0),), waves_at)[0]
 

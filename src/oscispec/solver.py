@@ -16,8 +16,9 @@ fast period so oscillatory truncation errors cancel over whole periods.
 Layout.  One stage grid (``_StageGrid``) fixes the steps across the hull --
 full steps of length h, then one partial step when the hull length is not a
 multiple of h -- and samples the coefficients of y' = [[0, 1], [a - lam, b]] y
-once, at the step ends and then the midpoints: the (start, middle, end) stages
-are three contiguous views of that one array, reused for every kappa.  For H,
+once, at the stage points in increasing x (the half-step lattice x0 + h k / 2,
+then a partial step's midpoint and x1): the (start, middle, end) stages are
+three stride-2 views of that one array, reused for every kappa.  For H,
 a = V and b = 0; the gauge-conjugated operator has b = -2 eps^2 v'/q.
 
 One RK4 step body (``_rk4_step``), plain arithmetic, and one pairwise tree.
@@ -168,7 +169,7 @@ class SquareWell:
         a, b = self.support
         return np.where((x >= a) & (x <= b), -float(self.depth), 0.0)
 
-    def eval_fast_lattice(self, x, eps: float, x0: float, h: float, runs):
+    def eval_fast_lattice(self, x, eps: float, h: float, size: int):
         """The well has no fast phase: ``eval_fast`` at x."""
         return self.eval_fast(x, eps)
 
@@ -188,7 +189,7 @@ class _StageGrid:
     """
 
     def __init__(self, hull: tuple[float, float], eps: float, h: float):
-        if eps <= 0 or h <= 0:
+        if not (eps > 0 and h > 0):
             raise ValueError("eps and h must be positive")
         h_max = eps / MIN_POINTS_PER_PERIOD
         if h > h_max * _STEP_SLACK:
@@ -206,30 +207,18 @@ class _StageGrid:
         self.steps = np.append(np.full(n_full, self.h), [h_last] if h_last > 0.0 else [])
 
     @property
-    def runs(self) -> list[tuple[int, int | None]]:
-        """``xs`` as runs (size, i): size points x0 + h (i + 2j) / 2 on the half-step lattice, or one
-        point off it where i is None: the n + 1 step ends, then the n midpoints, a partial step's
-        end and midpoint last in each."""
-        n = self.n_full
-        if self.h_last > 0.0:
-            return [(n + 1, 0), (1, None), (n, 1), (1, None)]
-        return [(n + 1, 0), (n, 1)]
-
-    @property
     def xs(self) -> np.ndarray:
-        """The points of ``runs``: x0 + h k at the step ends, x0 + h (k + 1/2) at the midpoints."""
-        off = iter((self.x1, self.x0 + self.n_full * self.h + 0.5 * self.h_last))
-        return np.concatenate(
-            [
-                [next(off)] if i is None else self.x0 + 0.5 * self.h * np.arange(i, i + 2 * size, 2.0)
-                for size, i in self.runs
-            ]
-        )
+        """The stage points in increasing x: the first ``2 n_full + 1`` on the half-step lattice,
+        x0 + h k / 2, then a partial step's midpoint and x1."""
+        xs = self.x0 + 0.5 * self.h * np.arange(2 * self.n_full + 1.0)
+        if self.h_last > 0.0:
+            xs = np.append(xs, (self.x0 + self.n_full * self.h + 0.5 * self.h_last, self.x1))
+        return xs
 
-    def _stages(self, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Samples at ``xs`` as the (start, middle, end) of every step: three contiguous views of vals."""
-        n = self.steps.size
-        return vals[:n], vals[n + 1 :], vals[1 : n + 1]
+    @staticmethod
+    def _stages(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Samples at ``xs`` as the (start, middle, end) of every step: three stride-2 views of vals."""
+        return vals[:-1:2], vals[1::2], vals[2::2]
 
     def _kappa(self, kappa):
         """kappa in the physical half-plane: a float for a real grid and real kappa, else a complex;
@@ -449,9 +438,9 @@ def _fill_quadratic_maps(h: float, a0, a1, a2, p0, p1, p2) -> None:
 class _CoefficientGrid(_StageGrid):
     """Potential samples at the RK4 stage points and the H step maps as quadratics in lam.
 
-    V samples the stage points by ``eval_fast_lattice`` over ``runs``: with
-    h = eps / P, the fast phases of the step ends and of the midpoints come
-    from one table of 2P half steps.  ``coefficients`` holds
+    V samples the stage points by ``eval_fast_lattice``, told how many lead
+    on the half-step lattice: with h = eps / P, their fast phases are one
+    slice of a table of 2P half steps.  ``coefficients`` holds
     ``_quadratic_maps`` for every step, built once; ``step_maps`` evaluates
     them by Horner, four in-place passes over the three stacked entries, and
     m01 = h + h^3/6 (a1 - lam) from the samples, which saves storing two
@@ -466,7 +455,7 @@ class _CoefficientGrid(_StageGrid):
         phase = self.h * math.sqrt(self.sup_abs)
         if not phase < _STURM_STEP_PHASE:
             raise ValueError(f"step too large: h sqrt(sup|V|) = {phase:.3g} must stay below pi")
-        vals = np.asarray(V.eval_fast_lattice(self.xs, eps, self.x0, self.h, self.runs))
+        vals = np.asarray(V.eval_fast_lattice(self.xs, eps, self.h, 2 * self.n_full + 1))
         self.real = not np.iscomplexobj(vals)
         self.a = self._stages(vals)
         self.coefficients = _quadratic_maps(self.h, self.h_last, *self.a)
@@ -715,6 +704,8 @@ def find_bound_state(
     and ``min_mismatch_on_disk`` certifies it by counting the roots in a disk
     around the seed (zero of them).
     """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     # sample the grid only after every early exit: it is most of a short call's cost
     start = None  # the secant's start for a complex root, else the real route
     if bracket is not None:
@@ -869,7 +860,7 @@ def eigenfunction(
     grid = _CoefficientGrid(V, eps, _step(eps, cfg))
     _, us, w1 = grid.left_solution(kappa)
     kc, u1 = complex(kappa), us[-1]
-    xs = grid.xs[: grid.steps.size + 1]  # the step ends, x1 included after a partial step
+    xs = grid.xs[::2]  # the step ends, x1 included after a partial step
     defect = abs(w1 + kc * u1) / (abs(kc) * abs(u1) + abs(w1) + 1e-300)
     if defect > _MATCH_TOL:
         raise ValueError(

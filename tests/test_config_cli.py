@@ -103,6 +103,32 @@ def test_points_per_period_below_the_floor_rejected():
     assert parse_config("mode = cos 1 poly 1 2\npoints_per_period = 20\n").points_per_period == 20
 
 
+REJECTED_LINES = [
+    ("mode = cos 1 poly", True, "mode needs 'form n kind amplitude [power]', got 3 fields"),
+    ("mode = cos one poly 1 2", True, "mode number 'one' is not an integer"),
+    ("mode = sin 0 poly 1 2", False, "a sin mode with n = 0 vanishes identically"),
+    ("mode = cos 1 poly big 2", True, "amplitude 'big' is not a number"),
+    ("mode = cos 1 poly 1 2.5", True, "power '2.5' is not an integer"),
+    ("mode = cos 1 poly 1 0", True, "power must be at least 1, got 0"),
+    ("support 0 1", True, "expected 'key = value', got 'support 0 1'"),
+    ("support = 0 1 2", True, "support needs two endpoints"),
+    ("support = 0 one", True, "support endpoints must be numbers"),
+    ("support = 1 1", True, "support must satisfy left < right"),
+    ("eps = 0.1 small", True, "eps value 'small' is not a number"),
+    ("eps = 1.5", True, "eps must lie in (0, 1), got 1.5"),
+    ("eps =", True, "eps needs at least one value"),
+    ("points_per_period = 40.5", True, "points_per_period must be an integer"),
+]
+
+
+@pytest.mark.parametrize("line, require_zero_mean, message", REJECTED_LINES, ids=[line for line, _, _ in REJECTED_LINES])
+def test_each_rejected_line_names_its_own_problem(line, require_zero_mean, message):
+    # after one valid mode line, the bad line is line 2 and the only problem
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"mode = cos 1 poly 1 2\n{line}\n", require_zero_mean=require_zero_mean)
+    assert err.value.problems == [f"line 2: {message}"]
+
+
 # ---------------------------------------------------------------- records and csv
 
 

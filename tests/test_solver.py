@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from oscispec import solver
-from oscispec.asymptotics import Existence, compute_k2, predict_lambda
+from oscispec.asymptotics import Existence, compute_k2, compute_k_eps, predict_lambda
+from oscispec.averaging import decay_order_fit, oscillatory_integral
 from oscispec.config import load_config
 from oscispec.gauge import build_gauge
 from oscispec.potentials import MAX_GRID_SIZE, TwoScaleFunction, canonical_potential, combine, poly_bump, smooth_bump
@@ -339,7 +340,7 @@ def test_step_map_columns_are_one_rk4_step_from_the_basis(name, lam):
 def assert_views_of_one_array(stages):
     base = stages[0].base
     assert base is not None and all(stage.base is base and np.shares_memory(stage, base) for stage in stages)
-    assert all(stage.flags.c_contiguous for stage in stages)
+    assert all(stage.strides == (2 * base.itemsize,) for stage in stages)
 
 
 def long_double_trace(V, x, eps):
@@ -405,6 +406,19 @@ def test_stage_samples_are_three_views_of_one_array_closer_to_the_trace_than_eva
         off = np.array([laid[2][-1], laid[1][-1]])
         assert np.array([grid.a[2][-1], grid.a[1][-1]]).tobytes() == np.asarray(V.eval_fast(off, eps)).tobytes()
     assert_views_of_one_array(grid.a)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.07])
+def test_stage_points_lie_in_increasing_x_with_the_step_ends_at_even_positions(canonical, eps):
+    # the midpoints sit between the ends; a partial step's midpoint and x1 (the last of stage_points'
+    # ends) close the array
+    grid = _CoefficientGrid(canonical, eps, eps / 40)
+    assert (grid.h_last > 0.0) == (eps == 0.07)
+    (starts, middles, ends), _ = stage_points(grid, eps, 40)
+    xs = grid.xs
+    assert xs.size == 2 * grid.steps.size + 1 and np.all(np.diff(xs) > 0)
+    assert xs[::2].tobytes() == np.append(starts[:1], ends).tobytes()
+    assert xs[1::2].tobytes() == middles.tobytes()
 
 
 def test_a_step_that_is_not_eps_over_an_integer_samples_as_eval_fast(canonical, monkeypatch):
@@ -1058,6 +1072,34 @@ def test_mean_component_requires_explicit_bracket():
         find_bound_state(u, 0.1)
 
 
+# every entry that takes eps, with the eps under test; transfer_matrix is called twice, the
+# second time with the value as its step h
+EPS_ENTRIES = {
+    "find_bound_state": lambda V, eps: find_bound_state(V, eps),
+    "scan_roots": lambda V, eps: scan_roots(V, eps),
+    "min_mismatch_on_disk": lambda V, eps: min_mismatch_on_disk(V, eps, k2_hint=1.0),
+    "mismatch": lambda V, eps: mismatch(V, eps, 0.01),
+    "eigenfunction": lambda V, eps: eigenfunction(V, eps, 0.01),
+    "transfer_matrix": lambda V, eps: transfer_matrix(V, eps, -0.01, 0.0025),
+    "transfer_matrix h": lambda V, eps: transfer_matrix(V, 0.1, -0.01, eps),
+    "build_gauge": lambda V, eps: build_gauge(V, eps),
+    "eval_fast": lambda V, eps: V.eval_fast(np.linspace(0.0, 1.0, 5), eps),
+    "oscillatory_integral": lambda V, eps: oscillatory_integral(V, eps),
+    "compute_k_eps": lambda V, eps: compute_k_eps(V, eps),
+    "predict_lambda": lambda V, eps: predict_lambda(1.0, eps),
+    "decay_order_fit": lambda V, eps: decay_order_fit(V, [0.2, 0.1, eps]),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("entry", list(EPS_ENTRIES))
+def test_an_eps_that_is_not_positive_is_refused(canonical, entry, eps):
+    # a NaN fails every comparison, so each guard asks for eps > 0; find_bound_state asks before
+    # the seed's early exit, which would otherwise report absence at eps 0
+    with pytest.raises(ValueError, match="must be positive"):
+        EPS_ENTRIES[entry](canonical, eps)
+
+
 def test_early_exits_build_no_coefficient_grid(monkeypatch):
     # a negative real k2 seeds no kappa > 0: absence is reported without sampling a grid
     def refuse(*args, **kwargs):
@@ -1173,7 +1215,7 @@ def test_eigenfunction_samples_the_interior_at_the_step_ends(canonical, canonica
     ef = eigenfunction(canonical, 0.07, res.kappa)
     x0, x1 = canonical.support_hull
     interior = ef.x[(ef.x >= x0) & (ef.x <= x1)]
-    assert interior.tobytes() == grid.xs[: grid.steps.size + 1].tobytes()
+    assert interior.tobytes() == grid.xs[::2].tobytes()
     assert interior[-1] == x1
 
 

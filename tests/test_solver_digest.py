@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -29,3 +30,12 @@ def test_a_call_that_raises_fails_the_digest(monkeypatch, capsys):
     raised = captured.err.splitlines()
     assert "raised: find canonical*1 0.1" in raised and "raised: well find 30.0 (0.01, 0.02)" in raised
     assert not any(line.startswith(("raised: k2 ", "raised: keps ")) for line in raised)
+
+
+def test_every_hashed_call_runs_through(monkeypatch, capsys):
+    # on the library as it stands no call raises: one digest line, nothing on stderr, exit 0
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert load_script().main([str(ROOT)]) == 0
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"[0-9a-f]{64}\n", captured.out)
+    assert captured.err == ""
