@@ -20,6 +20,10 @@ this script) and feeds every output below, bit for bit, into one digest:
   canonical and two-mode configs times 1 and i at eps 0.1, 0.07 (a partial
   last step) and 1e-3, so that a sampling change shows even where no root
   moves;
+* the mismatches of one grid per real config at eps 0.1, taken in turn at a
+  real kappa, a complex one, batches of 1, 10 (real) and 6 kappas and the
+  real kappa again, so that each call's result shows whatever the grid's
+  earlier calls left behind;
 * ``scan_roots``, ``count_below``, ``eigenfunction``, ``gauged_mismatch`` and
   ``compute_k_eps`` on the two real configs, and ``convergence_study``;
 * ``find_bound_state`` and ``scan_roots`` on the canonical potential at
@@ -109,6 +113,12 @@ def calls(root: Path):
         grid = solver._CoefficientGrid(U, eps, eps / solver.DEFAULT_SOLVER.points_per_fast_period)
         return grid.a, grid.coefficients
 
+    def one_grid(V):
+        """One grid's mismatches at eps 0.1 in turn, batches of every size and dtype interleaved with single kappas."""
+        grid = solver._CoefficientGrid(V, 0.1, 0.1 / solver.DEFAULT_SOLVER.points_per_fast_period)
+        zs = np.linspace(0.02, 0.9, 10) * cmath.exp(0.4j)
+        return [grid.mismatch(kappa) for kappa in (0.3, 0.2 + 0.05j, zs[:1], zs.real, zs[:6], 0.3)]
+
     def harmonics(*parts):
         """The real potential summing ``make(n, profile)``, a cosine or sine harmonic, over (make, n, profile)."""
         return potentials.TwoScaleFunction(
@@ -147,6 +157,7 @@ def calls(root: Path):
             U = V.scaled(ROTATIONS[rot_name])
             for eps in (0.1, 0.07, 1e-3):
                 yield f"grid {name}*{rot_name} {eps}", lambda U=U, eps=eps: grid_arrays(U, eps)
+        yield f"one grid {name}", lambda V=V: one_grid(V)
 
     for name, V in real.items():
         for eps in EPSILONS:

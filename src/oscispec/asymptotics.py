@@ -132,7 +132,7 @@ def compute_k2(V: TwoScaleFunction) -> K2Report:
 
 def predict_lambda(k2: complex, eps: float) -> complex:
     """Leading-order emerging eigenvalue -eps^4 * k2^2 (square, not modulus)."""
-    if not eps > 0:
+    if not 0 < eps < math.inf:
         raise ValueError("eps must be positive")
     k2 = complex(k2)
     return -(eps**4) * k2 * k2

@@ -81,7 +81,7 @@ def _panel_rule(breaks, n_panels, n_nodes: int) -> tuple[np.ndarray, np.ndarray,
 
 def _fast_rule(breaks: Sequence[float], eps: float, per_period: int = _PANELS_PER_PERIOD) -> tuple[np.ndarray, ...]:
     """``_panel_rule`` between the breakpoints, in any order, on panels no wider than eps/per_period."""
-    if not eps > 0:
+    if not 0 < eps < math.inf:
         raise ValueError("eps must be positive")
     pts = sorted(set(breaks))
     counts = [max(1, math.ceil((hi - lo) / (eps / per_period))) for lo, hi in zip(pts, pts[1:])]
@@ -198,7 +198,7 @@ def decay_order_fit(u: TwoScaleFunction, epsilons: Sequence[float]) -> DecayFit:
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) < 3:
         raise ValueError("need at least three epsilons for a decay fit")
-    if any(not e > 0 for e in eps_list) or any(a <= b for a, b in zip(eps_list, eps_list[1:])):
+    if any(not 0 < e < math.inf for e in eps_list) or any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilons must be positive and strictly decreasing")
 
     limit = averaged_integral(u)

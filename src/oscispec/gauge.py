@@ -15,6 +15,7 @@ so the residual measures floating-point noise only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -150,7 +151,7 @@ class GaugeData:
 
 def build_gauge(V: TwoScaleFunction, eps: float) -> GaugeData:
     """Build the gauge data, rejecting eps too large for invertibility."""
-    if not eps > 0:
+    if not 0 < eps < math.inf:
         raise ValueError("eps must be positive")
     v = build_corrector(V)
     if eps**2 * v.sup_abs() >= _GAUGE_MARGIN:

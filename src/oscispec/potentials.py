@@ -299,7 +299,7 @@ class TwoScaleFunction:
 
     def eval_fast(self, x, eps: float):
         """Trace along the fast diagonal: u(x, x/eps)."""
-        if not eps > 0:
+        if not 0 < eps < math.inf:
             raise ValueError("eps must be positive")
         x = np.asarray(x, dtype=float)
         return self.eval(x, x / eps)

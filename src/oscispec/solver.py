@@ -28,19 +28,19 @@ or a (2, 2, K, n) stack for K values of lam, one per row of the batch axis.
 For H, lam enters the body only through a - lam, so each entry is a
 polynomial of degree <= 2 in lam: ``_CoefficientGrid`` stores its
 coefficients and evaluates them by Horner.  ``_GaugedGrid`` runs the body
-once on both basis columns.  ``_pair`` multiplies neighbouring maps, later step
-on the left, all pairs of a level in five numpy calls on the stack,
+once on both basis columns.  ``_product`` multiplies neighbouring maps, later
+step on the left, all pairs of a level in three numpy calls on the stack,
 whatever its leading shape.
 Pairwise products keep round-off growth at O(log n) (Higham, SIAM J. Sci.
 Comput. 14, 1993).  The tree serves two ways:
 
-* ``_compose`` climbs it to the transfer matrix alone, in log2(n) levels
-  that keep nothing behind, for one lam or for a batch.  Root finding,
-  ``transfer_matrix``, the gauged mismatch and the disk count take this path.
-* ``_prefixes`` keeps the levels and sweeps back down (Blelloch, "Prefix sums
-  and their applications", CMU-CS-90-190, 1990) to every partial product
-  P_k = M_k ... M_0: u at every step end, for ``eigenfunction`` and for the
-  Sturm count below.
+* ``_Tree`` plans the climb to the transfer matrix alone, once per grid,
+  for one lam or a batch.  Root finding, the gauged mismatch and the disk
+  count take it; ``_compose`` (``transfer_matrix``) climbs its own plan.
+* ``_prefixes`` keeps the levels of its own climb from the plan's leaf and
+  sweeps back down (Blelloch, "Prefix sums and their applications",
+  CMU-CS-90-190, 1990) to every partial product P_k = M_k ... M_0: u at
+  every step end, for ``eigenfunction`` and for the Sturm count below.
 
 For a real potential, the number N(kappa) of eigenvalues below -kappa^2 is
 the number of zeros of the left-decaying solution on the whole line
@@ -99,12 +99,10 @@ _DISK_RADIUS_FACTOR, _CONTOUR_POINTS, _CONTOUR_MAX_POINTS = 2.0, 16, 1024
 _MATCH_TOL = 1e-6
 # every coefficient grid needs h sqrt(sup|V|) < pi: a step then holds at most one zero of u (Sturm comparison)
 _STURM_STEP_PHASE = math.pi
-# numpy's ufunc buffer size inside the product tree, in elements.  With the default 8192 the
-# iterator copies both broadcast operands of a level narrower than that into buffers of the
-# level's size; at 16 it walks them in place, the batch axis of a (2, 2, K, n) stack
-# included.  Every operand of the tree has one dtype, so nothing there needs a buffer to
-# cast.  np.errstate puts the caller's size back on leaving.
-_TREE_BUFSIZE = 16
+# numpy's ufunc buffer size, in elements, for the Horner pass and the tree.  A complex mismatch on a real
+# 4000-step grid, whose Horner pass casts through buffers on top of the grid's plan, peaks at 8.8 step-sized
+# arrays with the default 8192, at 6.95 with 256, and at 6.8 with 16, where the cast runs 4.5 times slower.
+_TREE_BUFSIZE = 256
 # most step maps in one batch of a batched mismatch: K = max(1, _BATCH_MAPS // n) kappas.
 # A batch of 16 at 40k steps cost twice as much per kappa as one kappa alone, and at 4000
 # steps a batch holds one kappa, so the disk count peaks like one mismatch.
@@ -185,11 +183,11 @@ class _StageGrid:
     Subclasses sample a (and b) at ``xs``, split them by ``_stages``, set
     ``real`` when the samples are real, and give the 2x2 RK4 maps at lam as
     one (2, 2, n) stack by ``step_maps``, or at a (K,) array of lam as one
-    (2, 2, K, n) stack.
+    (2, 2, K, n) stack; ``_fill`` writes them into a plan's ``maps``.
     """
 
     def __init__(self, hull: tuple[float, float], eps: float, h: float):
-        if not (eps > 0 and h > 0):
+        if not (0 < eps < math.inf and 0 < h < math.inf):
             raise ValueError("eps and h must be positive")
         h_max = eps / MIN_POINTS_PER_PERIOD
         if h > h_max * _STEP_SLACK:
@@ -205,6 +203,7 @@ class _StageGrid:
             h_last = 0.0
         self.n_full, self.h_last = n_full, h_last
         self.steps = np.append(np.full(n_full, self.h), [h_last] if h_last > 0.0 else [])
+        self._tree = None
 
     @property
     def xs(self) -> np.ndarray:
@@ -245,20 +244,32 @@ class _StageGrid:
         """
         kappa = self._kappa(kappa)
         if not isinstance(kappa, np.ndarray):
-            return _match(kappa, *_compose(self.step_maps(-kappa * kappa)).tolist())
+            return _match(kappa, *self._planned(-kappa * kappa, _Tree.climb).tolist())
         f, ks = np.empty_like(kappa), kappa.tolist()
         size = max(1, _BATCH_MAPS // self.steps.size)
         for start in range(0, len(ks), size):
             batch = ks[start : start + size]
-            top, bottom = _compose(self.step_maps(np.array([-k * k for k in batch]))).tolist()
+            top, bottom = self._planned(np.array([-k * k for k in batch]), _Tree.climb).tolist()
             f[start : start + size] = list(map(_match, batch, zip(*top), zip(*bottom)))
         return f
 
+    def _planned(self, lam, then):
+        """then(plan) under _TREE_BUFSIZE, for the grid's one plan of lam's batch shape and dtype with the
+        step maps at lam in its leaf; a plan of another key is released before the new one is built."""
+        key = (lam.shape if isinstance(lam, np.ndarray) else ()), np.result_type(lam, self.a[1])
+        if self._tree is None or self._tree.key != key:
+            self._tree = None
+            self._tree = _Tree(*key, self.steps.size)
+        with np.errstate():
+            np.setbufsize(_TREE_BUFSIZE)
+            self._fill(lam, self._tree.maps)
+            return then(self._tree)
+
     def left_solution(self, kappa):
         """(kappa coerced as in ``mismatch``, u at x0 and every step end, u' at x1) from the
-        prefixes, for left tail data (1, kappa): F = w1 + kappa * u[-1]."""
+        prefixes of the plan's leaf, for left tail data (1, kappa): F = w1 + kappa * u[-1]."""
         kappa = self._kappa(kappa)
-        p = _prefixes(self.step_maps(-kappa * kappa))
+        p = self._planned(-kappa * kappa, lambda tree: _prefixes(tree.leaf))
         return kappa, p[0, 0] + p[0, 1] * kappa, p[1, 0, -1] + p[1, 1, -1] * kappa
 
 
@@ -303,35 +314,54 @@ def _rk4_step(h, u, w, a, b):
     return u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u), w + sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
 
 
-def _product(left, right, out):
-    """out = left @ right over stacks of 2x2 maps (2, 2, ..., k): entry (i, j) is
-    left[i, 0] * right[0, j] + left[i, 1] * right[1, j].
-
-    The first products go into out in one call; the second are added one
-    row of out at a time, so their temporary is half the size of out.
-    """
-    np.multiply(left[:, :1], right[:1], out=out)
-    for i in range(2):
-        out[i] += left[i, 1] * right[1]
+def _factors(left, right):
+    """The operands of left @ right over stacks of 2x2 maps (2, 2, ..., k), first products first."""
+    return left[:, :1], right[:1], left[:, 1:], right[1:]
 
 
-def _pair(m, lead):
-    """One level of the pairwise tree over a (*lead, n) stack: map 2j+1 times map 2j, an odd last map carried.
-
-    ``lead`` is m.shape[:-1], passed in so that a level does not rebuild it.
-    """
-    size = m.shape[-1]
-    n = size - size % 2
-    out = np.empty(lead + (n // 2 + size % 2,), m.dtype)
-    _product(m[..., 1:n:2], m[..., 0:n:2], out[..., : n // 2])
-    if n < size:
-        out[..., -1] = m[..., -1]
-    return out
+def _product(l0, r0, l1, r1, out, tmp):
+    """out = left @ right from ``_factors(left, right)``: entry (i, j) is left[i, 0] * right[0, j] +
+    left[i, 1] * right[1, j], the second products through tmp, a stack of out's shape."""
+    np.multiply(l0, r0, out=out)
+    np.multiply(l1, r1, out=tmp)
+    np.add(out, tmp, out=out)
 
 
-# a stack of one 2x2 identity
-_IDENTITY = np.eye(2)[..., np.newaxis]
-_IDENTITY.flags.writeable = False
+class _Tree:
+    """The pairwise tree over a (2, 2, *batch, n) stack of step maps (n >= 1), buffers and views built once.
+
+    The leaf ``maps`` holds the rows m10, m11, m00, m01; ``leaf`` reads them as [[m00, m01], [m10, m11]].
+    The levels alternate between the leaf's memory and one buffer half its size.  A level's second
+    products go into the free tail of its buffer; level 1 fills its buffer, so it takes them through a
+    temporary, max(512, n // 8) pairs at a time."""
+
+    def __init__(self, batch: tuple, dtype, n: int):
+        self.key, lead, width, chunk = (batch, dtype), (2, 2, *batch), 4 * math.prod(batch), max(512, n // 8)
+        self.maps = np.empty((4, *batch, n), dtype)
+        self.leaf = m = self.maps.reshape(lead + (n,))[::-1]
+        buffers = np.empty(width * ((n + 1) // 2), dtype), self.maps.reshape(-1)
+        tmp = np.empty(lead + (min(chunk, n // 2),), dtype)
+        self.levels = []
+        while (size := m.shape[-1]) > 1:
+            pairs, free = size // 2, buffers[len(self.levels) % 2]
+            out = free[: width * (size - pairs)].reshape(lead + (size - pairs,))
+            if self.levels:
+                tmp, chunk = free[width * (size - pairs) : width * size].reshape(lead + (pairs,)), pairs
+            left, right = m[..., 1 : 2 * pairs : 2], m[..., : 2 * pairs : 2]
+            spans = [(j, min(j + chunk, pairs)) for j in range(0, pairs, chunk)]
+            level = [(*_factors(left[..., j:k], right[..., j:k]), out[..., j:k], tmp[..., : k - j]) for j, k in spans]
+            self.levels.append((level, (out[..., -1], m[..., -1]) if size % 2 else None))
+            m = out
+        self.top = m[..., 0]
+
+    def climb(self):
+        """The transfer matrix M[n-1] ... M[0] of the maps in the leaf: a (2, 2, *batch) view into the plan."""
+        for level, carry in self.levels:
+            for product in level:
+                _product(*product)
+            if carry is not None:
+                np.copyto(*carry)
+        return self.top
 
 
 def _compose(m):
@@ -339,11 +369,16 @@ def _compose(m):
     lead = m.shape[:-1]
     if m.shape[-1] == 0:
         return np.broadcast_to(np.eye(2, dtype=m.dtype).reshape(2, 2, *[1] * (len(lead) - 2)), lead)
+    tree = _Tree(lead[2:], m.dtype, m.shape[-1])
     with np.errstate():
         np.setbufsize(_TREE_BUFSIZE)
-        while m.shape[-1] > 1:
-            m = _pair(m, lead)
-    return m[..., 0]
+        np.copyto(tree.maps, m[(1, 1, 0, 0), (0, 1, 0, 1)])
+        return tree.climb().copy()
+
+
+# a stack of one 2x2 identity
+_IDENTITY = np.eye(2)[..., np.newaxis]
+_IDENTITY.flags.writeable = False
 
 
 def _prefixes(m):
@@ -359,8 +394,11 @@ def _prefixes(m):
     with np.errstate():
         np.setbufsize(_TREE_BUFSIZE)
         levels = [m]
-        while levels[-1].shape[-1] > 1:
-            levels.append(_pair(levels[-1], m.shape[:-1]))
+        while (size := levels[-1].shape[-1]) > 1:  # map 2j+1 times map 2j, an odd last map carried
+            m, n = levels[-1], size - size % 2
+            levels.append(out := np.empty((2, 2, n // 2 + size % 2), m.dtype))
+            _product(*_factors(m[..., 1:n:2], m[..., 0:n:2]), out[..., : n // 2], np.empty((2, 2, n // 2), m.dtype))
+            out[..., n // 2 :] = m[..., n:]
         p = np.concatenate((_IDENTITY, levels.pop()), axis=-1)
         for m in reversed(levels):
             size = m.shape[-1]
@@ -370,7 +408,7 @@ def _prefixes(m):
             out[..., :1] = _IDENTITY
             out[..., 1] = m[..., 0]
             out[..., 2 : n + 1 : 2] = p[..., 1 : k + 1]
-            _product(m[..., 2:n:2], p[..., 1:k], out[..., 3 : n + 1 : 2])
+            _product(*_factors(m[..., 2:n:2], p[..., 1:k]), out[..., 3 : n + 1 : 2], np.empty((2, 2, k - 1), m.dtype))
             if n < size:
                 out[..., -1] = p[..., -1]
             p = out
@@ -435,18 +473,36 @@ def _fill_quadratic_maps(h: float, a0, a1, a2, p0, p1, p2) -> None:
     np.add(p0[0], two_a1, out=p0[0])
 
 
+def _horner(grid, lam, out) -> None:
+    """A ``_CoefficientGrid``'s step maps at lam (a value or a (K,) array) into out's (4, *batch, n) rows."""
+    p0, p1, p2 = grid.coefficients
+    if isinstance(lam, np.ndarray):
+        lam = lam[:, np.newaxis]
+        p0, p1, p2 = p0[:, np.newaxis], p1[:, np.newaxis], p2[:, np.newaxis]
+    q, diagonal, m01 = out[:3], out[1:3], out[3]
+    np.multiply(lam, p2, out=q)
+    np.add(p1, q, out=q)
+    np.multiply(lam, q, out=q)
+    np.add(p0, q, out=q)
+    np.add(1.0, diagonal, out=diagonal)
+    np.subtract(grid.a[1], lam, out=m01)
+    np.multiply(p2[0], m01, out=m01)
+    np.add(grid.steps, m01, out=m01)
+
+
 class _CoefficientGrid(_StageGrid):
     """Potential samples at the RK4 stage points and the H step maps as quadratics in lam.
 
     V samples the stage points by ``eval_fast_lattice``, told how many lead
     on the half-step lattice: with h = eps / P, their fast phases are one
     slice of a table of 2P half steps.  ``coefficients`` holds
-    ``_quadratic_maps`` for every step, built once; ``step_maps`` evaluates
-    them by Horner, four in-place passes over the three stacked entries, and
-    m01 = h + h^3/6 (a1 - lam) from the samples, which saves storing two
-    more arrays.  The identity is added last, so a diagonal entry is rounded
-    once near 1, as in the RK4 body.  For real potentials the samples are
-    floats, so a real lam keeps the propagation real.
+    ``_quadratic_maps`` for every step, built once; ``_horner`` evaluates
+    them, for ``step_maps`` or into a plan's leaf, in four in-place passes
+    over the three stacked entries, and m01 = h + h^3/6 (a1 - lam) from the
+    samples, which saves storing two more arrays.  The identity is added
+    last, so a diagonal entry is rounded once near 1, as in the RK4 body.
+    For real potentials the samples are floats, so a real lam keeps the
+    propagation real.
     """
 
     def __init__(self, V, eps: float, h: float):
@@ -461,24 +517,14 @@ class _CoefficientGrid(_StageGrid):
         self.coefficients = _quadratic_maps(self.h, self.h_last, *self.a)
 
     def step_maps(self, lam):
-        p0, p1, p2 = self.coefficients
         batch = lam.shape if isinstance(lam, np.ndarray) else ()
-        if batch:
-            lam = lam[:, np.newaxis]
-            p0, p1, p2 = p0[:, np.newaxis], p1[:, np.newaxis], p2[:, np.newaxis]
-        out = np.empty((4, *batch, self.steps.size), np.result_type(lam, p0))
-        q, diagonal, m01 = out[:3], out[1:3], out[3]
-        np.multiply(lam, p2, out=q)
-        np.add(p1, q, out=q)
-        np.multiply(lam, q, out=q)
-        np.add(p0, q, out=q)
-        np.add(1.0, diagonal, out=diagonal)
-        np.subtract(self.a[1], lam, out=m01)
-        np.multiply(p2[0], m01, out=m01)
-        np.add(self.steps, m01, out=m01)
+        out = np.empty((4, *batch, self.steps.size), np.result_type(lam, self.coefficients[0]))
+        _horner(self, lam, out)
         # rows m10, m11, m00, m01, so the Horner entries and the diagonal are each one block of
         # rows; swapping the two row pairs back reads [[m00, m01], [m10, m11]]
         return out.reshape(2, 2, *batch, -1)[::-1]
+
+    _fill = _horner
 
     def count_below(self, kappa: float) -> tuple[int, float]:
         """(N(kappa), F(kappa)): the number of eigenvalues below -kappa^2, and the mismatch.
@@ -704,7 +750,7 @@ def find_bound_state(
     and ``min_mismatch_on_disk`` certifies it by counting the roots in a disk
     around the seed (zero of them).
     """
-    if not eps > 0:
+    if not 0 < eps < math.inf:
         raise ValueError("eps must be positive")
     # sample the grid only after every early exit: it is most of a short call's cost
     start = None  # the secant's start for a complex root, else the real route
@@ -956,6 +1002,9 @@ class _GaugedGrid(_StageGrid):
             lam, e = lam[:, np.newaxis], e[..., np.newaxis]
         u, w = _rk4_step(self.steps, e[0], e[1], [x - lam for x in self.a], self.b)
         return np.array([u, w])
+
+    def _fill(self, lam, maps) -> None:
+        maps[2:], maps[:2] = self.step_maps(lam)  # the rows m10, m11, m00, m01 of ``_Tree.maps``
 
 
 def gauged_mismatch(g: GaugeData, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> complex:

@@ -734,6 +734,33 @@ def test_a_batched_mismatch_equals_one_kappa_at_a_time(name, eps, width):
         assert batch.tolist() == one
 
 
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+def test_one_grid_reuses_and_rebuilds_its_plan_bit_for_bit(name):
+    # at eps 0.1 a batch holds up to 10 kappas on canonical (400 steps) and 6 on two_mode (600):
+    # each call equals the same call on a fresh grid, whether the grid's plan is reused or rebuilt
+    V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
+    grid = _CoefficientGrid(V, 0.1, 0.1 / 40)
+    zs = np.linspace(0.02, 0.9, 10) * cmath.exp(0.4j)
+    sequence = [0.3, 0.3, 0.2 + 0.05j, zs[:1], zs.real, zs[:6], zs[4:], 0.3]
+    rebuilt = [True, False, True, True, True, True, False, True]
+    for kappa, new_plan in zip(sequence, rebuilt):
+        plan = grid._tree
+        f = grid.mismatch(kappa)
+        fresh = _CoefficientGrid(V, 0.1, 0.1 / 40).mismatch(kappa)
+        assert type(f) is type(fresh) and np.asarray(f).dtype == np.asarray(fresh).dtype
+        assert np.asarray(f).tobytes() == np.asarray(fresh).tobytes()
+        assert (grid._tree is not plan) == new_plan
+    # a returned stack or transfer matrix is the caller's: later mismatches on the grid leave it alone
+    lam = -0.01 + 0.004j
+    maps = grid.step_maps(lam)
+    total = _compose(maps)
+    kept = maps.copy(), total.copy()
+    grid.mismatch(0.2 + 0.05j)
+    grid.mismatch(zs)
+    assert maps.tobytes() == kept[0].tobytes() and total.tobytes() == kept[1].tobytes()
+    assert total.tobytes() == np.array(transfer_matrix(V, 0.1, lam, 0.1 / 40).matrix).tobytes()
+
+
 @pytest.mark.parametrize("outside", [0.0, -0.1, -1e-3 + 0.2j, math.nan])
 def test_a_batch_with_one_kappa_outside_the_half_plane_raises(canonical, outside):
     grid = _CoefficientGrid(canonical, 0.1, 0.1 / 40)
@@ -1091,11 +1118,11 @@ EPS_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
 @pytest.mark.parametrize("entry", list(EPS_ENTRIES))
 def test_an_eps_that_is_not_positive_is_refused(canonical, entry, eps):
-    # a NaN fails every comparison, so each guard asks for eps > 0; find_bound_state asks before
-    # the seed's early exit, which would otherwise report absence at eps 0
+    # a NaN fails every comparison, so each guard asks for 0 < eps < inf; find_bound_state asks
+    # before the seed's early exit, which would otherwise report absence at eps 0
     with pytest.raises(ValueError, match="must be positive"):
         EPS_ENTRIES[entry](canonical, eps)
 
@@ -1181,6 +1208,25 @@ def test_the_disk_count_peaks_like_one_mismatch():
     finally:
         tracemalloc.stop()
     assert disk <= held + one + 1024 * 16
+
+
+def test_a_new_plan_key_does_not_hold_two_plans():
+    # a scalar complex mismatch, then a batch of one kappa on the same 4000-step grid: the grid
+    # lets its first plan go before it builds the second, so the peak is that of one mismatch;
+    # kept alongside the new one, the old plan read 13.5 step-sized arrays
+    V = SquareWell(depth=30.0, support=(0.0, 0.1))
+    tracemalloc.start()
+    try:
+        grid = _CoefficientGrid(V, 1e-3, 1e-3 / 40)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grid.mismatch(1e-5 + 5e-6j)
+        grid.mismatch(np.array([2e-5 + 5e-6j]))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert grid.steps.size == 4000
+    assert peak <= 7.25 * 4000 * 16
 
 
 def test_solver_config_validation():
