@@ -24,8 +24,8 @@ this script) and feeds every output below, bit for bit, into one digest:
   real kappa, a complex one, batches of 1, 10 (real) and 6 kappas and the
   real kappa again, so that each call's result shows whatever the grid's
   earlier calls left behind;
-* ``scan_roots``, ``count_below``, ``eigenfunction``, ``gauged_mismatch`` and
-  ``compute_k_eps`` on the two real configs, and ``convergence_study``;
+* ``scan_roots``, ``count_below``, ``eigenfunction`` and ``compute_k_eps`` on
+  the two real configs, and ``convergence_study``;
 * ``find_bound_state`` and ``scan_roots`` on the canonical potential at
   amplitudes 0.03, 1e4, 3e4 and 1e5;
 * ``scan_roots`` and ``find_bound_state`` at eps 0.1 and 0.035 on three
@@ -79,11 +79,10 @@ def feed(h, value) -> None:
 def calls(root: Path):
     """(label, thunk) for every output, in a fixed order."""
     from oscispec import asymptotics as asym
-    from oscispec import config, gauge, potentials, solver
+    from oscispec import config, potentials, solver
 
     def at_root(V, eps):
-        kappa = solver.find_bound_state(V, eps).kappa
-        return solver.eigenfunction(V, eps, kappa), solver.gauged_mismatch(gauge.build_gauge(V, eps), kappa)
+        return solver.eigenfunction(V, eps, solver.find_bound_state(V, eps).kappa)
 
     def refined_disk(U, eps):
         points = solver._CONTOUR_POINTS
@@ -94,19 +93,19 @@ def calls(root: Path):
             solver._CONTOUR_POINTS = points
 
     def disk_samples(U, eps):
-        """The floor, then every array ``_StageGrid.mismatch`` returns during the disk call."""
-        one_call, samples = solver._StageGrid.mismatch, []
+        """The floor, then every array ``_CoefficientGrid.mismatch`` returns during the disk call."""
+        one_call, samples = solver._CoefficientGrid.mismatch, []
 
         def recorded(grid, kappa):
             f = one_call(grid, kappa)
             samples.append(f)
             return f
 
-        solver._StageGrid.mismatch = recorded
+        solver._CoefficientGrid.mismatch = recorded
         try:
             return solver.min_mismatch_on_disk(U, eps), samples
         finally:
-            solver._StageGrid.mismatch = one_call
+            solver._CoefficientGrid.mismatch = one_call
 
     def grid_arrays(U, eps):
         """The stage samples (start, middle, end) and the step-map coefficients of a solve's grid."""
@@ -164,7 +163,7 @@ def calls(root: Path):
             yield f"scan {name} {eps}", lambda V=V, eps=eps: solver.scan_roots(V, eps)
             h = eps / solver.DEFAULT_SOLVER.points_per_fast_period
             yield f"count {name} {eps}", lambda V=V, eps=eps, h=h: solver._CoefficientGrid(V, eps, h).count_below(0.05)
-            yield f"eigenfunction, gauged {name} {eps}", lambda V=V, eps=eps: at_root(V, eps)
+            yield f"eigenfunction {name} {eps}", lambda V=V, eps=eps: at_root(V, eps)
             yield f"keps {name} {eps}", lambda V=V, eps=eps: asym.compute_k_eps(V, eps)
         yield f"convergence {name}", lambda V=V: solver.convergence_study(V, 0.1)
 

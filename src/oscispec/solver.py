@@ -13,30 +13,28 @@ form there is no domain-truncation error: the only discretization is the
 fixed step h <= eps / points_per_fast_period, kept commensurate with the
 fast period so oscillatory truncation errors cancel over whole periods.
 
-Layout.  One stage grid (``_StageGrid``) fixes the steps across the hull --
-full steps of length h, then one partial step when the hull length is not a
-multiple of h -- and samples the coefficients of y' = [[0, 1], [a - lam, b]] y
-once, at the stage points in increasing x (the half-step lattice x0 + h k / 2,
-then a partial step's midpoint and x1): the (start, middle, end) stages are
-three stride-2 views of that one array, reused for every kappa.  For H,
-a = V and b = 0; the gauge-conjugated operator has b = -2 eps^2 v'/q.
+Layout.  One stage grid (``_CoefficientGrid``) fixes the steps across the
+hull -- full steps of length h, then one partial step when the hull length
+is not a multiple of h -- and samples a = V once, at the stage points in
+increasing x (the half-step lattice x0 + h k / 2, then a partial step's
+midpoint and x1): the (start, middle, end) stages are three stride-2 views
+of that one array, reused for every kappa.
 
 One RK4 step body (``_rk4_step``), plain arithmetic, and one pairwise tree.
-A step of the linear ODE is a 2x2 matrix; a grid's ``step_maps`` builds
+A step of the linear ODE is a 2x2 matrix; the grid's ``step_maps`` builds
 every step's at once as one (2, 2, n) stack, the step along the last axis,
 or a (2, 2, K, n) stack for K values of lam, one per row of the batch axis.
-For H, lam enters the body only through a - lam, so each entry is a
-polynomial of degree <= 2 in lam: ``_CoefficientGrid`` stores its
-coefficients and evaluates them by Horner.  ``_GaugedGrid`` runs the body
-once on both basis columns.  ``_product`` multiplies neighbouring maps, later
-step on the left, all pairs of a level in three numpy calls on the stack,
-whatever its leading shape.
+lam enters the body only through a - lam, so each entry is a polynomial of
+degree <= 2 in lam: the grid stores its coefficients, expanded from the
+body, and evaluates them by Horner.  ``_product`` multiplies neighbouring
+maps, later step on the left, all pairs of a level in three numpy calls on
+the stack, whatever its leading shape.
 Pairwise products keep round-off growth at O(log n) (Higham, SIAM J. Sci.
 Comput. 14, 1993).  The tree serves two ways:
 
 * ``_Tree`` plans the climb to the transfer matrix alone, once per grid,
-  for one lam or a batch.  Root finding, the gauged mismatch and the disk
-  count take it; ``_compose`` (``transfer_matrix``) climbs its own plan.
+  for one lam or a batch.  Root finding and the disk count take it;
+  ``_compose`` (``transfer_matrix``) climbs its own plan.
 * ``_prefixes`` keeps the levels of its own climb from the plan's leaf and
   sweeps back down (Blelloch, "Prefix sums and their applications",
   CMU-CS-90-190, 1990) to every partial product P_k = M_k ... M_0: u at
@@ -74,7 +72,6 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from . import asymptotics as asym
-from .gauge import GaugeData
 from .potentials import MIN_POINTS_PER_PERIOD, check_grid_size
 
 _STEP_SLACK = 1.0 + 1e-9
@@ -172,38 +169,56 @@ class SquareWell:
         return self.eval_fast(x, eps)
 
 
-class _StageGrid:
-    """Fixed RK4 steps across the support hull and the ODE coefficients at their stages.
+class _CoefficientGrid:
+    """Fixed RK4 steps across the support hull, V at their stages, and the step maps as quadratics in lam.
 
     ``steps`` holds the step lengths: ``n_full`` steps of length h, then one
     partial step of length ``h_last`` when the hull length is not an exact
     multiple of h (else ``h_last`` is 0); it ends on x1 because the envelope
     may be only C^1 there, and a step straddling that kink loses the h^4
-    error decay (16 per halving) that ``convergence_study`` relies on.
-    Subclasses sample a (and b) at ``xs``, split them by ``_stages``, set
-    ``real`` when the samples are real, and give the 2x2 RK4 maps at lam as
-    one (2, 2, n) stack by ``step_maps``, or at a (K,) array of lam as one
-    (2, 2, K, n) stack; ``_fill`` writes them into a plan's ``maps``.
+    error decay (16 per halving) that ``convergence_study`` relies on.  An
+    empty hull has no steps, and its transfer matrix is the identity.
+
+    V samples the stage points ``xs`` by ``eval_fast_lattice``, told how
+    many lead on the half-step lattice: with h = eps / P, their fast phases
+    are one slice of a table of 2P half steps.  ``a`` holds the samples as
+    the (start, middle, end) of every step; for real potentials they are
+    floats (``real``), so a real lam keeps the propagation real.
+    ``coefficients`` holds ``_quadratic_maps`` for every step, built once.
+    ``_horner`` evaluates them, for ``step_maps`` (one (2, 2, n) stack at
+    lam, or one (2, 2, K, n) stack at a (K,) array of lam) or into a plan's
+    leaf, in four in-place passes over the three stacked entries, and
+    m01 = h + h^3/6 (a1 - lam) from the samples, which saves storing two
+    more arrays.  The identity is added last, so a diagonal entry is
+    rounded once near 1, as in the RK4 body.
     """
 
-    def __init__(self, hull: tuple[float, float], eps: float, h: float):
+    def __init__(self, V, eps: float, h: float):
         if not (0 < eps < math.inf and 0 < h < math.inf):
             raise ValueError("eps and h must be positive")
         h_max = eps / MIN_POINTS_PER_PERIOD
         if h > h_max * _STEP_SLACK:
             raise ValueError(f"step too large for the fast scale: h={h:g} exceeds eps/{MIN_POINTS_PER_PERIOD}={h_max:g}")
-        x0, x1 = hull
+        x0, x1 = V.support_hull
         length = x1 - x0
         self.h = float(h)
         self.x0, self.x1 = float(x0), float(x1)
         n_full = int(math.floor(length / h + 1e-9))
-        check_grid_size(n_full, "steps", eps, hull)
+        check_grid_size(n_full, "steps", eps, V.support_hull)
         h_last = length - n_full * h
         if h_last < 1e-12 * max(1.0, length):
             h_last = 0.0
         self.n_full, self.h_last = n_full, h_last
         self.steps = np.append(np.full(n_full, self.h), [h_last] if h_last > 0.0 else [])
         self._tree = None
+        self.sup_abs = V.sup_abs()
+        phase = self.h * math.sqrt(self.sup_abs)
+        if not phase < _STURM_STEP_PHASE:
+            raise ValueError(f"step too large: h sqrt(sup|V|) = {phase:.3g} must stay below pi")
+        vals = np.asarray(V.eval_fast_lattice(self.xs, eps, self.h, 2 * self.n_full + 1))
+        self.real = not np.iscomplexobj(vals)
+        self.a = vals[:-1:2], vals[1::2], vals[2::2]  # three stride-2 views of vals
+        self.coefficients = _quadratic_maps(self.h, self.h_last, *self.a)
 
     @property
     def xs(self) -> np.ndarray:
@@ -213,11 +228,6 @@ class _StageGrid:
         if self.h_last > 0.0:
             xs = np.append(xs, (self.x0 + self.n_full * self.h + 0.5 * self.h_last, self.x1))
         return xs
-
-    @staticmethod
-    def _stages(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Samples at ``xs`` as the (start, middle, end) of every step: three stride-2 views of vals."""
-        return vals[:-1:2], vals[1::2], vals[2::2]
 
     def _kappa(self, kappa):
         """kappa in the physical half-plane: a float for a real grid and real kappa, else a complex;
@@ -246,7 +256,7 @@ class _StageGrid:
         if not isinstance(kappa, np.ndarray):
             return _match(kappa, *self._planned(-kappa * kappa, _Tree.climb).tolist())
         f, ks = np.empty_like(kappa), kappa.tolist()
-        size = max(1, _BATCH_MAPS // self.steps.size)
+        size = max(1, _BATCH_MAPS // max(1, self.steps.size))
         for start in range(0, len(ks), size):
             batch = ks[start : start + size]
             top, bottom = self._planned(np.array([-k * k for k in batch]), _Tree.climb).tolist()
@@ -262,7 +272,7 @@ class _StageGrid:
             self._tree = _Tree(*key, self.steps.size)
         with np.errstate():
             np.setbufsize(_TREE_BUFSIZE)
-            self._fill(lam, self._tree.maps)
+            _horner(self, lam, self._tree.maps)
             return then(self._tree)
 
     def left_solution(self, kappa):
@@ -272,6 +282,30 @@ class _StageGrid:
         p = self._planned(-kappa * kappa, lambda tree: _prefixes(tree.leaf))
         return kappa, p[0, 0] + p[0, 1] * kappa, p[1, 0, -1] + p[1, 1, -1] * kappa
 
+    def step_maps(self, lam):
+        batch = lam.shape if isinstance(lam, np.ndarray) else ()
+        out = np.empty((4, *batch, self.steps.size), np.result_type(lam, self.coefficients[0]))
+        _horner(self, lam, out)
+        # rows m10, m11, m00, m01, so the Horner entries and the diagonal are each one block of
+        # rows; swapping the two row pairs back reads [[m00, m01], [m10, m11]]
+        return out.reshape(2, 2, *batch, -1)[::-1]
+
+    def count_below(self, kappa: float) -> tuple[int, float]:
+        """(N(kappa), F(kappa)): the number of eigenvalues below -kappa^2, and the mismatch.
+
+        For a real potential and kappa > 0 only.  N counts the zeros of the
+        solution with left tail data (1, kappa) (oscillation theorem): none in
+        the left tail; on the hull, the sign changes of u over the step ends,
+        exact zeros skipped; in the right tail u1 cosh(kappa t) + (w1/kappa)
+        sinh(kappa t), one zero exactly when F and u1 have opposite signs
+        (u1 w1 < 0 and |kappa u1| < |w1|).  F is ``mismatch(kappa)`` bit for bit.
+        """
+        kappa, u, w1 = self.left_solution(kappa)
+        f = float(w1 + kappa * u[-1])
+        signs = np.sign(np.append(u, f))
+        signs = signs[signs != 0]
+        return int(np.count_nonzero(signs[1:] != signs[:-1])), f
+
 
 def _match(kappa, top, bottom):
     """F = w + kappa u for (u, w) = T (1, kappa), T's rows (t00, t01) and (t10, t11)."""
@@ -280,36 +314,30 @@ def _match(kappa, top, bottom):
     return w + kappa * u
 
 
-def _slope(a, b, u, w):
-    """w' = a u + b w, or a u where the first-order term vanishes (b is None, as for H)."""
-    return a * u if b is None else a * u + b * w
+def _rk4_step(h, u, w, a):
+    """One classical RK4 step of u' = w, w' = a u.
 
-
-def _rk4_step(h, u, w, a, b):
-    """One classical RK4 step of u' = w, w' = a u + b w.
-
-    ``a`` holds a - lam at the start, middle and end of the step; ``b`` the
-    same for b, or None for H, whose maps ``_quadratic_maps`` expands from
-    this body.  Pure arithmetic: h, u, w and the entries of a and b may be
-    Python scalars or numpy arrays that broadcast together.
+    ``a`` holds a - lam at the start, middle and end of the step; the grid's
+    maps are ``_quadratic_maps``' expansion of this body.  Pure arithmetic:
+    h, u, w and the entries of a may be Python scalars or numpy arrays that
+    broadcast together.
     """
     a0, a1, a2 = a
-    b0, b1, b2 = b if b is not None else (None, None, None)
     half = 0.5 * h
     k1u = w
-    k1w = _slope(a0, b0, u, w)
+    k1w = a0 * u
     yu = u + half * k1u
     yw = w + half * k1w
     k2u = yw
-    k2w = _slope(a1, b1, yu, yw)
+    k2w = a1 * yu
     yu = u + half * k2u
     yw = w + half * k2w
     k3u = yw
-    k3w = _slope(a1, b1, yu, yw)
+    k3w = a1 * yu
     yu = u + h * k3u
     yw = w + h * k3w
     k4u = yw
-    k4w = _slope(a2, b2, yu, yw)
+    k4w = a2 * yu
     sixth = h / 6.0
     return u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u), w + sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
 
@@ -328,7 +356,8 @@ def _product(l0, r0, l1, r1, out, tmp):
 
 
 class _Tree:
-    """The pairwise tree over a (2, 2, *batch, n) stack of step maps (n >= 1), buffers and views built once.
+    """The pairwise tree over a (2, 2, *batch, n) stack of step maps, buffers and views built once; with
+    n = 0 it climbs to the identity.
 
     The leaf ``maps`` holds the rows m10, m11, m00, m01; ``leaf`` reads them as [[m00, m01], [m10, m11]].
     The levels alternate between the leaf's memory and one buffer half its size.  A level's second
@@ -352,7 +381,7 @@ class _Tree:
             level = [(*_factors(left[..., j:k], right[..., j:k]), out[..., j:k], tmp[..., : k - j]) for j, k in spans]
             self.levels.append((level, (out[..., -1], m[..., -1]) if size % 2 else None))
             m = out
-        self.top = m[..., 0]
+        self.top = m[..., 0] if n else np.broadcast_to(np.eye(2, dtype=dtype).reshape(2, 2, *[1] * len(batch)), lead)
 
     def climb(self):
         """The transfer matrix M[n-1] ... M[0] of the maps in the leaf: a (2, 2, *batch) view into the plan."""
@@ -366,10 +395,7 @@ class _Tree:
 
 def _compose(m):
     """Transfer matrix M[n-1] ... M[1] M[0] of a (2, 2, ..., n) stack of step maps, as a (2, 2, ...) array."""
-    lead = m.shape[:-1]
-    if m.shape[-1] == 0:
-        return np.broadcast_to(np.eye(2, dtype=m.dtype).reshape(2, 2, *[1] * (len(lead) - 2)), lead)
-    tree = _Tree(lead[2:], m.dtype, m.shape[-1])
+    tree = _Tree(m.shape[2:-1], m.dtype, m.shape[-1])
     with np.errstate():
         np.setbufsize(_TREE_BUFSIZE)
         np.copyto(tree.maps, m[(1, 1, 0, 0), (0, 1, 0, 1)])
@@ -417,7 +443,7 @@ def _prefixes(m):
 
 def _quadratic_maps(h: float, h_last: float, a0, a1, a2):
     """Per step, (P0, P1, P2) with M(lam) = I + P0 + lam P1 + lam^2 P2 in the entries m10, m11 and m00:
-    the expansion of ``_rk4_step(h, e_j, (a0 - lam, a1 - lam, a2 - lam), None)``.
+    the expansion of ``_rk4_step(h, u, w, (a0 - lam, a1 - lam, a2 - lam))`` from (u, w) = e_j.
 
     Every step has length h but a last partial one of length h_last > 0.
     Each P is stacked (3, n), rows m10, m11, m00; P2 depends on h alone, so
@@ -488,59 +514,6 @@ def _horner(grid, lam, out) -> None:
     np.subtract(grid.a[1], lam, out=m01)
     np.multiply(p2[0], m01, out=m01)
     np.add(grid.steps, m01, out=m01)
-
-
-class _CoefficientGrid(_StageGrid):
-    """Potential samples at the RK4 stage points and the H step maps as quadratics in lam.
-
-    V samples the stage points by ``eval_fast_lattice``, told how many lead
-    on the half-step lattice: with h = eps / P, their fast phases are one
-    slice of a table of 2P half steps.  ``coefficients`` holds
-    ``_quadratic_maps`` for every step, built once; ``_horner`` evaluates
-    them, for ``step_maps`` or into a plan's leaf, in four in-place passes
-    over the three stacked entries, and m01 = h + h^3/6 (a1 - lam) from the
-    samples, which saves storing two more arrays.  The identity is added
-    last, so a diagonal entry is rounded once near 1, as in the RK4 body.
-    For real potentials the samples are floats, so a real lam keeps the
-    propagation real.
-    """
-
-    def __init__(self, V, eps: float, h: float):
-        super().__init__(V.support_hull, eps, h)
-        self.sup_abs = V.sup_abs()
-        phase = self.h * math.sqrt(self.sup_abs)
-        if not phase < _STURM_STEP_PHASE:
-            raise ValueError(f"step too large: h sqrt(sup|V|) = {phase:.3g} must stay below pi")
-        vals = np.asarray(V.eval_fast_lattice(self.xs, eps, self.h, 2 * self.n_full + 1))
-        self.real = not np.iscomplexobj(vals)
-        self.a = self._stages(vals)
-        self.coefficients = _quadratic_maps(self.h, self.h_last, *self.a)
-
-    def step_maps(self, lam):
-        batch = lam.shape if isinstance(lam, np.ndarray) else ()
-        out = np.empty((4, *batch, self.steps.size), np.result_type(lam, self.coefficients[0]))
-        _horner(self, lam, out)
-        # rows m10, m11, m00, m01, so the Horner entries and the diagonal are each one block of
-        # rows; swapping the two row pairs back reads [[m00, m01], [m10, m11]]
-        return out.reshape(2, 2, *batch, -1)[::-1]
-
-    _fill = _horner
-
-    def count_below(self, kappa: float) -> tuple[int, float]:
-        """(N(kappa), F(kappa)): the number of eigenvalues below -kappa^2, and the mismatch.
-
-        For a real potential and kappa > 0 only.  N counts the zeros of the
-        solution with left tail data (1, kappa) (oscillation theorem): none in
-        the left tail; on the hull, the sign changes of u over the step ends,
-        exact zeros skipped; in the right tail u1 cosh(kappa t) + (w1/kappa)
-        sinh(kappa t), one zero exactly when F and u1 have opposite signs
-        (u1 w1 < 0 and |kappa u1| < |w1|).  F is ``mismatch(kappa)`` bit for bit.
-        """
-        kappa, u, w1 = self.left_solution(kappa)
-        f = float(w1 + kappa * u[-1])
-        signs = np.sign(np.append(u, f))
-        signs = signs[signs != 0]
-        return int(np.count_nonzero(signs[1:] != signs[:-1])), f
 
 
 @dataclass(frozen=True)
@@ -697,7 +670,8 @@ def _real_root(grid: _CoefficientGrid, bracket: Optional[tuple[float, float]]) -
             root, froot, its = _brent(grid.mismatch, *bracket, flo, fhi, SolverConfig.root_tol)
             return root, froot, 2 + its
         work = 2
-    hit = next(_counted_roots(grid, _KAPPA_FLOOR, math.sqrt(grid.sup_abs), _SAMPLES), None)
+    hi = math.sqrt(grid.sup_abs)
+    hit = next(_counted_roots(grid, _KAPPA_FLOOR, hi, _SAMPLES), None) if hi > _KAPPA_FLOOR else None
     return None if hit is None else (hit[0], hit[1], work + hit[2])
 
 
@@ -974,39 +948,3 @@ def convergence_study(
         extrapolated=extrapolated,
         error_estimate=abs(extrapolated - lams[-1]),
     )
-
-
-class _GaugedGrid(_StageGrid):
-    """Stage samples for the conjugated operator's ODE.
-
-    psi'' = (eps*f/q - lambda) psi - (2 eps^2 v'/q) psi', with all
-    coefficients vanishing outside the hull so the same tail matching
-    applies.  Used to confirm that the gauge transform leaves the located
-    eigenvalue invariant.
-    """
-
-    def __init__(self, g: GaugeData, cfg: SolverConfig = DEFAULT_SOLVER):
-        eps = g.eps
-        super().__init__(g.potential.support_hull, eps, _step(eps, cfg))
-        c = g.coefficients(self.xs)
-        alpha = eps * c.f / c.q
-        beta = -2.0 * eps**2 * c.vprime / c.q
-        self.real = not np.iscomplexobj(alpha)
-        self.a = self._stages(alpha)
-        self.b = self._stages(beta)
-
-    def step_maps(self, lam):
-        """Column j of a step's map is the ``_rk4_step`` from e_j; one call steps both, (u, w) the rows of I."""
-        e = _IDENTITY
-        if isinstance(lam, np.ndarray):
-            lam, e = lam[:, np.newaxis], e[..., np.newaxis]
-        u, w = _rk4_step(self.steps, e[0], e[1], [x - lam for x in self.a], self.b)
-        return np.array([u, w])
-
-    def _fill(self, lam, maps) -> None:
-        maps[2:], maps[:2] = self.step_maps(lam)  # the rows m10, m11, m00, m01 of ``_Tree.maps``
-
-
-def gauged_mismatch(g: GaugeData, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> complex:
-    """Tail-matching defect of the gauge-conjugated operator at kappa."""
-    return _GaugedGrid(g, cfg).mismatch(kappa)

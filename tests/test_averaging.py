@@ -169,6 +169,13 @@ def test_decay_fit_requires_three_decreasing_epsilons():
         decay_order_fit(u, [0.05, 0.1, 0.2])
 
 
+def test_decay_fit_refuses_remainders_at_the_floor():
+    # a smooth envelope's remainder decays past all orders: below eps 0.0125 it sits at the floor
+    u = TwoScaleFunction.from_cosine(1, smooth_bump(1.0, (0.0, 1.0)))
+    with pytest.raises(ValueError, match="insufficient dynamic range"):
+        decay_order_fit(u, [0.0125, 0.00625, 0.003125])
+
+
 def test_decay_order_smooth_envelope_superpolynomial():
     u = TwoScaleFunction.from_cosine(1, smooth_bump(1.0, (0.0, 1.0)))
     fit = decay_order_fit(u, [0.1, 0.05, 0.025, 0.0125])

@@ -51,6 +51,21 @@ def test_config_potential_matches_library_canonical():
     assert V.eval_fast(xs, 0.07) == pytest.approx(ref.eval_fast(xs, 0.07))
 
 
+def test_two_equal_shape_lines_at_one_frequency_sum_their_envelopes():
+    # combine merges the two cos 1 lines into one envelope of twice the amplitude
+    two = parse_config("mode = cos 1 poly 100 2\nmode = cos 1 poly 100 2\n").build_potential()
+    one = parse_config("mode = cos 1 poly 200 2\n").build_potential()
+    assert two.modes == one.modes and set(two.modes) == {1, -1}
+
+
+def test_exp_modes_at_plus_and_minus_n_build_the_cosine():
+    # exp 1 and exp -1 at 100 are the pair +-1 that cos 1 at 200 enters, so the potential is real
+    pair = parse_config("mode = exp 1 poly 100 2\nmode = exp -1 poly 100 2\n").build_potential()
+    cosine = parse_config("mode = cos 1 poly 200 2\n").build_potential()
+    assert pair.is_real and pair.modes == cosine.modes
+    assert compute_k2(pair).value == compute_k2(cosine).value
+
+
 def test_zero_mode_rejected_when_zero_mean_required():
     with pytest.raises(ConfigError, match="zero mean"):
         parse_config("mode = cos 0 poly 1 2\nmode = cos 1 poly 1 2\n")

@@ -87,6 +87,11 @@ def test_identity_residual_under_resolved_grid_raises(gauge):
         identity_residual(gauge, default_catalog()[0], coarse)
 
 
+def test_identity_residual_refuses_a_one_point_grid(gauge):
+    with pytest.raises(ValueError, match="grid must be a 1-D array with at least two points"):
+        identity_residual(gauge, default_catalog()[0], np.array([0.5]))
+
+
 @given(a=st.floats(-2, 2, allow_nan=False), b=st.floats(-2, 2, allow_nan=False))
 @settings(max_examples=20, deadline=None)
 def test_apply_L_is_linear(a, b):

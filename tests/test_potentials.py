@@ -77,6 +77,10 @@ def test_profile_validation():
         SlowProfile(kind="poly", amplitude=1.0, support=(1.0, 0.0), power=2)
     with pytest.raises(ValueError):
         poly_bump(1.0, 0, (0.0, 1.0))
+    with pytest.raises(ValueError, match="unknown profile kind 'gauss'"):
+        SlowProfile(kind="gauss", amplitude=1.0, support=(0.0, 1.0))
+    with pytest.raises(ValueError, match="profile derivatives are tracked up to order 2 only"):
+        poly_bump(1.0, 2, (0.0, 1.0)).evaluate(0.5, order=3)
 
 
 @pytest.mark.parametrize("kind", ["poly", "smooth"])
@@ -160,6 +164,14 @@ def test_combine_rejects_incompatible_envelopes_on_shared_mode():
         combine(u, w, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_cosine_and_sine_shorthands_refuse_n_below_one(n):
+    with pytest.raises(ValueError, match="cosine shorthand needs n >= 1"):
+        TwoScaleFunction.from_cosine(n, poly_bump(1.0, 2, (0, 1)))
+    with pytest.raises(ValueError, match="sine shorthand needs n >= 1"):
+        TwoScaleFunction.from_sine(n, poly_bump(1.0, 2, (0, 1)))
+
+
 def test_realness_detection():
     assert TwoScaleFunction.from_cosine(2, poly_bump(4.0, 2, (0, 1))).is_real
     assert TwoScaleFunction.from_sine(1, smooth_bump(-2.5, (0, 1))).is_real
@@ -194,6 +206,12 @@ def test_p_transform_rejects_mean_component():
     u = TwoScaleFunction.single_mode(0, poly_bump(1.0, 2, (0, 1)))
     with pytest.raises(ValueError, match="zero-mean"):
         p_transform(u)
+
+
+def test_corrector_rejects_mean_component(canonical):
+    u = combine(canonical, TwoScaleFunction.single_mode(0, poly_bump(1.0, 2, (0, 1))))
+    with pytest.raises(ValueError, match="corrector requires a zero-mean potential"):
+        build_corrector(u)
 
 
 def test_p_transform_is_the_zero_mean_antiderivative(canonical):

@@ -15,7 +15,7 @@ from scipy import optimize
 from oscispec import solver
 from oscispec.asymptotics import Existence, compute_k2, compute_k_eps, predict_lambda
 from oscispec.averaging import decay_order_fit, oscillatory_integral
-from oscispec.config import load_config
+from oscispec.config import load_config, parse_config
 from oscispec.gauge import build_gauge
 from oscispec.potentials import MAX_GRID_SIZE, TwoScaleFunction, canonical_potential, combine, poly_bump, smooth_bump
 from oscispec.solver import (
@@ -25,14 +25,12 @@ from oscispec.solver import (
     _brent,
     _CoefficientGrid,
     _compose,
-    _GaugedGrid,
     _prefixes,
     _quadratic_maps,
     _rk4_step,
     convergence_study,
     eigenfunction,
     find_bound_state,
-    gauged_mismatch,
     min_mismatch_on_disk,
     mismatch,
     scan_roots,
@@ -273,23 +271,10 @@ def test_disk_count_does_not_depend_on_the_starting_contour(name, rotation, monk
         assert floor >= fine * (1.0 - 1e-14)
 
 
-def test_gauged_formulation_finds_the_same_root(canonical, canonical_k2):
-    cfg = SolverConfig(points_per_fast_period=80)
-    res = find_bound_state(canonical, 0.1, k2_hint=canonical_k2.value, cfg=cfg)
-    g = build_gauge(canonical, 0.1)
-
-    def f(k):
-        return float(np.real(gauged_mismatch(g, k, cfg=cfg)))
-
-    kap = res.kappa.real
-    root = optimize.brentq(f, 0.5 * kap, 1.5 * kap, xtol=1e-17)
-    assert root == pytest.approx(kap, rel=1e-5)
-
-
 def march(grid, u, w, lam):
     """RK4 across the grid from (u, w) at x0, one ``_rk4_step`` at a time: the step-by-step reference."""
     for h, a0, a1, a2 in zip(grid.steps.tolist(), *(x.tolist() for x in grid.a)):
-        u, w = _rk4_step(h, u, w, (a0 - lam, a1 - lam, a2 - lam), None)
+        u, w = _rk4_step(h, u, w, (a0 - lam, a1 - lam, a2 - lam))
     return u, w
 
 
@@ -305,8 +290,8 @@ def long_double_maps(steps, a, lam):
     h, lam = np.asarray(steps).astype(np.longdouble), np.asarray(lam).astype(dtype)
     c = [np.asarray(x).astype(dtype) - lam for x in a]
     one, zero = np.ones_like(h, dtype=dtype), np.zeros_like(h, dtype=dtype)
-    m00, m10 = _rk4_step(h, one, zero, c, None)
-    m01, m11 = _rk4_step(h, zero, one, c, None)
+    m00, m10 = _rk4_step(h, one, zero, c)
+    m01, m11 = _rk4_step(h, zero, one, c)
     return m00, m01, m10, m11
 
 
@@ -436,32 +421,6 @@ def test_a_step_that_is_not_eps_over_an_integer_samples_as_eval_fast(canonical, 
         grid = grids[-1]
         assert grid.steps.size > 0 and 0.07 / round(0.07 / grid.h) != grid.h
         assert grid.a[0].base.tobytes() == np.asarray(V.eval_fast(grid.xs, 0.07)).tobytes()
-
-
-@pytest.mark.parametrize("name", ["canonical", "two_mode"])
-@pytest.mark.parametrize("eps", [0.1, 0.05])
-def test_gauged_step_maps_are_one_rk4_step_per_basis_column(name, eps, monkeypatch):
-    cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
-    grid = _GaugedGrid(build_gauge(cfg.build_potential(), eps), SolverConfig(cfg.points_per_period))
-    assert_views_of_one_array(grid.a)
-    assert_views_of_one_array(grid.b)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _rk4_step(*args)
-
-    monkeypatch.setattr(solver, "_rk4_step", counted)
-    for lam in (-1e-3, -0.01 + 0.004j):
-        # bit for bit the two column runs from e_0 and e_1, the step along the last axis
-        a = [x - lam for x in grid.a]
-        m00, m10 = _rk4_step(grid.steps, 1.0, 0.0, a, grid.b)
-        m01, m11 = _rk4_step(grid.steps, 0.0, 1.0, a, grid.b)
-        reference = np.array([[m00, m01], [m10, m11]])
-        maps = grid.step_maps(lam)
-        assert maps.shape == reference.shape == (2, 2, grid.steps.size)
-        assert maps.tobytes() == reference.tobytes()
-    assert len(calls) == 2
 
 
 # real and imaginary parts of a point in the unit disk
@@ -716,15 +675,12 @@ def test_a_batched_mismatch_equals_one_kappa_at_a_time(name, eps, width):
     # several; at eps 0.01 a batch holds one kappa
     V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
     grid = _CoefficientGrid(V, eps, eps / 40)
-    gauged = _GaugedGrid(build_gauge(V, eps))
     ks = np.linspace(0.02, 0.9, width)
     zs = ks * cmath.exp(0.4j)
     cases = [
         (grid, ks),  # real kappas on a real grid: floats
         (grid, np.append(zs[1:], ks[:1])),  # complex kappas on a real grid, one of them real
         (_CoefficientGrid(V.scaled(cmath.exp(0.3j)), eps, eps / 40), zs),
-        (gauged, ks),
-        (gauged, zs),
     ]
     for g, kappas in cases:
         batch = g.mismatch(kappas)
@@ -1157,6 +1113,37 @@ def test_scan_rejects_complex_potentials(canonical):
         scan_roots(canonical.scaled(1j), 0.1)
 
 
+def test_scan_refuses_fewer_than_two_samples_and_an_empty_window(canonical):
+    with pytest.raises(ValueError, match="need at least two samples"):
+        scan_roots(canonical, 0.1, samples=1)
+    for window in ((0.0, 1.0), (0.5, 0.5), (1.0, 0.5)):
+        with pytest.raises(ValueError, match="scan window must satisfy 0 < low < high"):
+            scan_roots(canonical, 0.1, window=window)
+
+
+@pytest.mark.parametrize(
+    "V",
+    [
+        TwoScaleFunction.from_cosine(1, poly_bump(0.0, 2)),
+        parse_config("mode = cos 1 poly 100 2\nmode = cos 1 poly -100 2\n").build_potential(),
+    ],
+    ids=["zero envelope", "cancelling lines"],
+)
+def test_an_empty_support_hull_has_the_identity_transfer_matrix(V):
+    # no steps: T = I, so F = 2 kappa exactly, and (kappa_floor, sqrt(sup|V|)] holds no root
+    assert V.modes == {} and V.support_hull == (0.0, 0.0) and V.sup_abs() == 0.0
+    assert transfer_matrix(V, 0.1, -0.01, 0.1 / 40).matrix.tolist() == [[1, 0], [0, 1]]
+    assert mismatch(V, 0.1, 0.5) == 1.0
+    assert mismatch(V, 0.1, 0.5 + 0.25j) == 1.0 + 0.5j
+    assert mismatch(V, 0.1, np.array([0.5, 0.25, 0.125])).tolist() == [1.0, 0.5, 0.25]
+    for k2 in (1e-6, 1.0, 1e3):
+        assert find_bound_state(V, 0.1, k2_hint=k2) is None
+    for bracket in ((0.1, 1.0), (1e-3, 2e-3)):
+        assert find_bound_state(V, 0.1, bracket=bracket) is None
+    # F's one root, kappa = 0, lies left of the cut: |F| is least where the cut meets the real axis
+    assert min_mismatch_on_disk(V, 0.1, k2_hint=1.0) == pytest.approx(2.0 * solver._KAPPA_FLOOR)
+
+
 def test_scan_refuses_a_step_that_may_hold_two_zeros():
     # sup|V| = 1e8 / 16 at h = 0.1 / 40: h sqrt(sup|V|) = 6.25, so a step may hold two zeros of u;
     # every call refuses it when its grid is built, before a step product can overflow
@@ -1187,10 +1174,10 @@ def traced_grid_and_mismatch(V, eps):
 
 
 def test_one_complex_mismatch_peaks_at_seven_step_sized_arrays():
-    # 4000 steps at eps 1e-3 on a real grid: the (2, 2, n) step maps (4 step-sized complex
-    # arrays), the tree's first level (2) and one row of its second products (1); a quarter of
-    # one more covers numpy's small objects.  With numpy's default ufunc buffer inside the tree
-    # it reads 10.
+    # 4000 steps at eps 1e-3 on a real grid: the plan's leaf of step maps (4 step-sized complex
+    # arrays), its buffer half that size (2) and its level-1 temporary of 512 pairs (0.51); the
+    # Horner pass's casts through numpy's ufunc buffers and numpy's small objects bring it to
+    # 6.97.  With numpy's default ufunc buffer inside the tree it reads 8.8.
     held, one, unit = traced_grid_and_mismatch(SquareWell(depth=30.0, support=(0.0, 0.1)), 1e-3)
     assert unit == 4000 * 16
     assert one <= 7.25 * unit

@@ -22,7 +22,6 @@ def test_a_call_that_raises_fails_the_digest(monkeypatch, capsys):
         raise RuntimeError("broken solver")
 
     monkeypatch.setattr(solver, "_CoefficientGrid", refuse)
-    monkeypatch.setattr(solver, "_GaugedGrid", refuse)
     monkeypatch.setattr(sys, "path", list(sys.path))
     assert load_script().main([str(ROOT)]) == 1
     captured = capsys.readouterr()
