@@ -215,6 +215,8 @@ def _cmd_lemma(cfg: ExperimentConfig) -> tuple[bytes, int]:
 
 def _cmd_gauge_check(cfg: ExperimentConfig) -> tuple[bytes, int]:
     V = cfg.build_potential()
+    if V.support_hull[0] == V.support_hull[1]:
+        raise ValueError("the potential's support is empty: there is no gauge to check")
     catalog = default_catalog()
     rows = []
     worst = 0.0

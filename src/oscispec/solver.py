@@ -32,18 +32,18 @@ the stack, whatever its leading shape.
 Pairwise products keep round-off growth at O(log n) (Higham, SIAM J. Sci.
 Comput. 14, 1993).  The tree serves two ways:
 
-* ``_Tree`` plans the climb to the transfer matrix alone, once per grid,
-  for one lam or a batch.  Root finding and the disk count take it;
-  ``_compose`` (``transfer_matrix``) climbs its own plan.
+* ``_Tree`` plans the climb to the transfer matrix, once per grid, for one
+  lam or a batch.  Root finding, the disk count and the Sturm count take
+  it; ``_compose`` (``transfer_matrix``) climbs its own plan.
 * ``_prefixes`` keeps the levels of its own climb from the plan's leaf and
   sweeps back down (Blelloch, "Prefix sums and their applications",
   CMU-CS-90-190, 1990) to every partial product P_k = M_k ... M_0: u at
-  every step end, for ``eigenfunction`` and for the Sturm count below.
+  every step end, for ``eigenfunction`` and the counts no lift makes.
 
 For a real potential, the number N(kappa) of eigenvalues below -kappa^2 is
 the number of zeros of the left-decaying solution on the whole line
 (oscillation theorem; Simon, "Sturm oscillation and comparison theorems",
-2005), read off the prefixes by ``_CoefficientGrid.count_below``.
+2005), counted in the plan's climb by ``count_below`` as lifted angles.
 ``scan_roots`` counts the roots in its window as N(low) - N(high), exactly.
 
 Roots of the real mismatch are isolated by the count and polished with
@@ -246,8 +246,9 @@ class _CoefficientGrid:
         """F(kappa) at one kappa: a float for a real grid and real kappa, else a complex.
 
         At a 1-D array of kappas, F at each, as one array of the dtype
-        ``_kappa`` gives it: the step maps of K = max(1, _BATCH_MAPS // n)
-        kappas at a time climb the product tree as one (2, 2, K, n) stack.
+        ``_kappa`` gives it: ceil(len / K) batches of equal size, at most
+        K = max(1, _BATCH_MAPS // n) kappas and the last moved back to end
+        on the last kappa, climb one plan as (2, 2, size, n) stacks.
         lam and the last step to F are taken per kappa in Python arithmetic,
         as for one kappa (numpy's complex multiply rounds differently), so
         each value is ``mismatch`` at that kappa bit for bit.
@@ -257,7 +258,8 @@ class _CoefficientGrid:
             return _match(kappa, *self._planned(-kappa * kappa, _Tree.climb).tolist())
         f, ks = np.empty_like(kappa), kappa.tolist()
         size = max(1, _BATCH_MAPS // max(1, self.steps.size))
-        for start in range(0, len(ks), size):
+        size = -(-len(ks) // -(-len(ks) // size))  # ceil(len / K) batches of equal size
+        for start in (min(j, len(ks) - size) for j in range(0, len(ks), size)):
             batch = ks[start : start + size]
             top, bottom = self._planned(np.array([-k * k for k in batch]), _Tree.climb).tolist()
             f[start : start + size] = list(map(_match, batch, zip(*top), zip(*bottom)))
@@ -299,9 +301,18 @@ class _CoefficientGrid:
         exact zeros skipped; in the right tail u1 cosh(kappa t) + (w1/kappa)
         sinh(kappa t), one zero exactly when F and u1 have opposite signs
         (u1 w1 < 0 and |kappa u1| < |w1|).  F is ``mismatch(kappa)`` bit for bit.
+        On the hull they come from the climb: lifted to the Pruefer angle atan2(u, w), M sends e0 = (0, 1) to
+        pi n(M) + (M e0's angle mod pi); with each step map's m01 > 0 (n = 0), n(T) sums [fold(P e0) >=
+        fold(adj(Q) e0)] = [p01 q01 (QP)01 < 0] over the tree's pairs Q P.  A step map with m01 <= 0 (only
+        if h sqrt(sup|V|) > sqrt 6; no lift counts then) or a product's m01 of 0 takes ``left_solution``.
         """
-        kappa, u, w1 = self.left_solution(kappa)
-        f = float(w1 + kappa * u[-1])
+        kappa = self._kappa(kappa)
+        top, carries = self._planned(-kappa * kappa, lambda tree: tree.climb(count=True))
+        (t00, t01), bottom = top.tolist()
+        u1, f = t00 + t01 * kappa, _match(kappa, (t00, t01), bottom)
+        if carries is not None:  # the start (1, kappa) adds [fold(1, kappa) >= fold(adj(T) e0)]
+            return int(carries + ((t01 < 0 <= u1) or (u1 <= 0 < t01)) + (f * u1 < 0)), f
+        _, u, _ = self.left_solution(kappa)
         signs = np.sign(np.append(u, f))
         signs = signs[signs != 0]
         return int(np.count_nonzero(signs[1:] != signs[:-1])), f
@@ -383,14 +394,25 @@ class _Tree:
             m = out
         self.top = m[..., 0] if n else np.broadcast_to(np.eye(2, dtype=dtype).reshape(2, 2, *[1] * len(batch)), lead)
 
-    def climb(self):
-        """The transfer matrix M[n-1] ... M[0] of the maps in the leaf: a (2, 2, *batch) view into the plan."""
+    def climb(self, count=False):
+        """The transfer matrix M[n-1] ... M[0] of the maps in the leaf: a (2, 2, *batch) view into the plan; with
+        count, on a real scalar plan, (it, ``count_below``'s n(T)), None past a leaf m01 <= 0 or a product m01 of 0:
+        per pair span, views of P's m01, Q's m01, (QP)01, P's spent m10 row and bools, built on the first count."""
+        if count and not hasattr(self, "signs"):
+            bits = np.empty(self.maps.shape[-1] // 2, bool)
+            self.signs = [[(r0[0, 1] if i else None, l1[0, 0], o[0, 1], r1[0, 0], bits[: o.shape[-1]])
+                           for _, r0, l1, r1, o, _ in level] for i, (level, _) in enumerate(self.levels)]
+        n, signs = 0 if count and self.leaf[0, 1].min(initial=math.inf) > 0 else None, count and iter(self.signs)
         for level, carry in self.levels:
             for product in level:
                 _product(*product)
             if carry is not None:
                 np.copyto(*carry)
-        return self.top
+            if n is not None:  # level 1: leaf m01 > 0, so (QP)01 alone
+                for p, q, c, y, b in next(signs):
+                    c = c if p is None else np.multiply(np.multiply(p, q, out=y), c, out=y)
+                    n = None if n is None or np.count_nonzero(c) < c.size else n + np.count_nonzero(np.less(c, 0, b))
+        return (self.top, n) if count else self.top
 
 
 def _compose(m):
@@ -799,6 +821,8 @@ def scan_roots(
         raise ValueError("root scan requires a real potential")
     if samples < 2:
         raise ValueError("need at least two samples")
+    if window is None and V.support_hull[0] == V.support_hull[1]:
+        raise ValueError("the potential's support is empty: it holds no bound state to scan for")
     lo, hi = window if window is not None else (_KAPPA_FLOOR, math.sqrt(V.sup_abs()))
     if not (0 < lo < hi):
         raise ValueError("scan window must satisfy 0 < low < high")

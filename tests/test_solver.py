@@ -1,5 +1,6 @@
 import cmath
 import gc
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -254,6 +255,27 @@ def test_disk_count_refines_a_coarse_contour_up_to_its_cap(canonical, canonical_
     monkeypatch.setattr(solver, "_CONTOUR_MAX_POINTS", 4)
     with pytest.raises(ValueError, match="cannot count"):
         min_mismatch_on_disk(canonical, 0.1, k2_hint=canonical_k2.value)
+
+
+@pytest.mark.parametrize("name, batch", [("canonical", 8), ("two_mode", 6)])
+def test_the_disk_contour_climbs_one_plan(name, batch, monkeypatch):
+    # 16 points at most 10 (400 steps) or 6 (600 steps) at a time go as 8 + 8, or as three batches of 6, the
+    # last one ending on the last point: one plan for the contour, whose 16 values are its own bit for bit
+    plans = []
+
+    class Counted(solver._Tree):
+        def __init__(self, *args):
+            plans.append(args[0])
+            super().__init__(*args)
+
+    iV = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential().scaled(1j)
+    k2 = compute_k2(iV).value
+    seen = recorded_mismatch(monkeypatch)
+    monkeypatch.setattr(solver, "_Tree", Counted)
+    floor = min_mismatch_on_disk(iV, 0.1, k2_hint=k2)
+    assert plans == [(batch,)] and len(seen) == 1 and np.shape(seen[0]) == (16,)
+    grid = _CoefficientGrid(iV, 0.1, 0.1 / 40)
+    assert np.min(np.abs([grid.mismatch(z) for z in seen[0]])) == floor > 0.0
 
 
 @pytest.mark.parametrize("name", ["canonical", "two_mode"])
@@ -993,6 +1015,110 @@ def test_brent_on_a_one_root_bracket_agrees_with_the_count_walk_on_random_potent
     assert max(iterations, default=0) < 20
 
 
+def marched_counts(grid, kappas):
+    """N at each kappa from (u, w) = (1, kappa) stepped through the grid's step maps one at a time, in step
+    order: the sign changes of u over the step ends and then F, exact zeros skipped.  The sequential reference."""
+    kappas = np.asarray(kappas, dtype=float)
+    maps = np.moveaxis(grid.step_maps(-kappas * kappas), -1, 0).tolist()  # per step, [[m00, m01], [m10, m11]] rows
+    u, w = np.ones_like(kappas), kappas
+    last, counts = np.ones_like(kappas), np.zeros(kappas.size, dtype=int)
+    for (m00, m01), (m10, m11) in maps:
+        u, w = np.multiply(m00, u) + np.multiply(m01, w), np.multiply(m10, u) + np.multiply(m11, w)
+        counts += (u != 0) & (np.sign(u) != last)
+        last = np.where(u == 0, last, np.sign(u))
+    f = w + kappas * u
+    return (counts + ((f != 0) & (np.sign(f) != last))).tolist()
+
+
+def recorded_fallbacks(monkeypatch):
+    """The kappas at which ``count_below`` read the signs off the prefixes, not off the plan's lifted carry."""
+    seen = []
+    prefixes = _CoefficientGrid.left_solution
+    monkeypatch.setattr(_CoefficientGrid, "left_solution", lambda grid, kappa: seen.append(kappa) or prefixes(grid, kappa))
+    return seen
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-3])
+@pytest.mark.parametrize("amplitude", [1e4, 3e4, 1e5])
+def test_the_lifted_count_equals_the_marched_sign_changes_where_u_grows_by_1e10(amplitude, eps, monkeypatch):
+    # up to kappa = sqrt(sup|V|), u grows across the hull by about 1e10 (amplitude 1e4) to 1e34 (1e5); the
+    # carries read only the factors' own m01 entries, so the count holds there without the prefixes
+    V = canonical_potential(amplitude=amplitude)
+    grid = _CoefficientGrid(V, eps, eps / 40)
+    kappas = np.linspace(solver._KAPPA_FLOOR, math.sqrt(V.sup_abs()), 41 if eps == 0.1 else 11)
+    fallbacks = recorded_fallbacks(monkeypatch)
+    counts = [grid.count_below(k)[0] for k in kappas.tolist()]
+    assert counts == marched_counts(grid, kappas)
+    assert fallbacks == [] and counts[0] > 0
+
+
+@pytest.mark.parametrize(
+    "V", [SquareWell(depth=(0.9 * math.pi / 0.05) ** 2), canonical_potential(amplitude=5.2e4)], ids=["well", "canonical"]
+)
+def test_the_count_near_the_step_limit_equals_the_marched_sign_changes(V, monkeypatch):
+    # h = 0.05 (eps 1 at 20 points per period) puts h sqrt(sup|V|) at 0.9 pi or above, where a step map's
+    # entries carry tens of ulp; where kappa^2 < sup|V| - 6 / h^2, a step map at the deepest samples has
+    # m01 < 0, and only the prefixes count its sign changes
+    grid = _CoefficientGrid(V, 1.0, 0.05)
+    assert 0.9 * math.pi <= grid.h * math.sqrt(grid.sup_abs) < math.pi
+    kappas = np.linspace(solver._KAPPA_FLOOR, math.sqrt(grid.sup_abs), 201)
+    fallbacks = recorded_fallbacks(monkeypatch)
+    assert [grid.count_below(k)[0] for k in kappas.tolist()] == marched_counts(grid, kappas)
+    assert 0 < len(fallbacks) < kappas.size
+
+
+def grid_of_maps(maps):
+    """A real grid whose step maps at kappa = 1 (lam = -1) are the given 2x2 maps: its lam terms are zero."""
+    grid = object.__new__(_CoefficientGrid)
+    (m00, m01), (m10, m11) = np.array(maps, dtype=float).reshape(-1, 2, 2).transpose(1, 2, 0)
+    grid.steps, grid.real, grid._tree, grid.a = m01, True, None, (np.zeros(m01.size),) * 3
+    grid.coefficients = np.array([m10, m11 - 1.0, m00 - 1.0]), np.zeros((3, m01.size)), np.zeros((3, m01.size))
+    return grid
+
+
+def test_exact_zeros_are_skipped_as_by_the_sign_walk(monkeypatch):
+    # every sequence of up to three integer maps of det 1 with entries in {-1, 0, 1}: products stay exact, so
+    # u = 0 at a step end, F = 0, leaf maps with m01 <= 0 and products with m01 = 0 all occur
+    unimodular = [m for m in itertools.product((-1, 0, 1), repeat=4) if m[0] * m[3] - m[1] * m[2] == 1]
+    fallbacks = recorded_fallbacks(monkeypatch)
+    lifted = {"u = 0": 0, "F = 0": 0}
+    for maps in itertools.chain.from_iterable(itertools.product(unimodular, repeat=n) for n in (1, 2, 3)):
+        u, w, us = 1, 1, [1]
+        for m00, m01, m10, m11 in maps:
+            u, w = m00 * u + m01 * w, m10 * u + m11 * w
+            us.append(u)
+        signs = [s for s in np.sign(us + [w + u]).tolist() if s]
+        expected = sum(a != b for a, b in zip(signs, signs[1:])), float(w + u)
+        calls = len(fallbacks)
+        assert grid_of_maps(maps).count_below(1.0) == expected, maps
+        if len(fallbacks) == calls:
+            lifted["u = 0"] += 0 in us
+            lifted["F = 0"] += w + u == 0
+    # of the 399 sequences whose maps all have m01 = 1, 98 with u = 0 at a step end and 24 with F = 0 take the lift
+    assert lifted["u = 0"] >= 50 and lifted["F = 0"] >= 10 and fallbacks
+
+
+@st.composite
+def square_wells(draw):
+    """Square wells of depth 2 to 400 on a support of width 0.3 to 1.5."""
+    a = draw(st.floats(-1.0, 1.0))
+    return SquareWell(depth=draw(st.floats(2.0, 400.0)), support=(a, a + draw(st.floats(0.3, 1.5))))
+
+
+@given(
+    V=st.one_of(real_mode_sets(), square_wells()),
+    eps=st.floats(0.01, 0.1),
+    fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_the_lifted_count_equals_the_marched_sign_changes_on_random_potentials(V, eps, fractions):
+    # kappa in (kappa_floor, sqrt(sup|V|)], every real bound state's range
+    grid = _CoefficientGrid(V, eps, eps / DEFAULT_SOLVER.points_per_fast_period)
+    top = math.sqrt(grid.sup_abs)
+    kappas = [solver._KAPPA_FLOOR + x * (top - solver._KAPPA_FLOOR) for x in fractions]
+    assert [grid.count_below(k)[0] for k in kappas] == marched_counts(grid, kappas)
+
+
 def test_a_real_potential_takes_brent_whatever_the_imaginary_part_of_the_hint(canonical, canonical_k2):
     # both hints seed the same bracket from their real part, so the roots agree bit for bit
     k2 = canonical_k2.value
@@ -1144,6 +1270,14 @@ def test_an_empty_support_hull_has_the_identity_transfer_matrix(V):
     assert min_mismatch_on_disk(V, 0.1, k2_hint=1.0) == pytest.approx(2.0 * solver._KAPPA_FLOOR)
 
 
+def test_a_scan_over_an_empty_support_names_it():
+    # the cancelling lines leave no mode: without a window there is no (kappa_floor, sqrt(sup|V|)] to scan
+    V = parse_config("mode = cos 1 poly 100 2\nmode = cos 1 poly -100 2\n").build_potential()
+    with pytest.raises(ValueError, match="the potential's support is empty"):
+        scan_roots(V, 0.1)
+    assert scan_roots(V, 0.1, window=(0.1, 1.0)).count == 0
+
+
 def test_scan_refuses_a_step_that_may_hold_two_zeros():
     # sup|V| = 1e8 / 16 at h = 0.1 / 40: h sqrt(sup|V|) = 6.25, so a step may hold two zeros of u;
     # every call refuses it when its grid is built, before a step product can overflow
@@ -1214,6 +1348,27 @@ def test_a_new_plan_key_does_not_hold_two_plans():
         tracemalloc.stop()
     assert grid.steps.size == 4000
     assert peak <= 7.25 * 4000 * 16
+
+
+def test_a_plan_grows_only_on_its_first_count_and_then_by_less_than_one_int32_per_step():
+    # 4000 steps: mismatches leave the plan its three arrays and its views (15.3 kB of them) and no count state;
+    # the first count adds one bool per pair and views of the products' entries (9.4 kB), a later one nothing
+    grid = _CoefficientGrid(SquareWell(depth=30.0, support=(0.0, 0.1)), 1e-3, 1e-3 / 40)
+    calls, held = (grid.mismatch, grid.mismatch, grid.count_below, grid.count_below), []
+    tracemalloc.start()
+    try:
+        for call in calls:
+            call(0.5)
+            held.append(tracemalloc.get_traced_memory()[0])
+            if call == grid.mismatch:
+                assert not hasattr(grid._tree, "signs")
+    finally:
+        tracemalloc.stop()
+    plan, n = grid._tree, grid.steps.size
+    arrays = sum(a.nbytes for a in (plan.maps, plan.levels[0][0][0][4].base, plan.levels[0][0][0][5].base))
+    assert n == 4000 and arrays == 8 * (4 * n + 2 * n + 4 * 512)
+    assert 0 <= held[0] - arrays <= 0.6 * 8 * n and abs(held[1] - held[0]) <= 256
+    assert 0 < held[2] - held[1] <= 4 * n and abs(held[3] - held[2]) <= 256
 
 
 def test_solver_config_validation():
