@@ -215,8 +215,6 @@ def _cmd_lemma(cfg: ExperimentConfig) -> tuple[bytes, int]:
 
 def _cmd_gauge_check(cfg: ExperimentConfig) -> tuple[bytes, int]:
     V = cfg.build_potential()
-    if V.support_hull[0] == V.support_hull[1]:
-        raise ValueError("the potential's support is empty: there is no gauge to check")
     catalog = default_catalog()
     rows = []
     worst = 0.0
@@ -283,6 +281,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, require_zero_mean=args.command in _THEOREM_COMMANDS)
+        hull = cfg.build_potential().support_hull
+        if hull[0] == hull[1]:  # mode lines that cancel leave no potential for any command to report on
+            raise ValueError("the potential's support is empty: it holds no bound state and no gauge")
         data, code = _COMMANDS[args.command][1](cfg)
         if args.out is None:
             sys.stdout.buffer.write(data)

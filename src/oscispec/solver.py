@@ -30,15 +30,11 @@ body, and evaluates them by Horner.  ``_product`` multiplies neighbouring
 maps, later step on the left, all pairs of a level in three numpy calls on
 the stack, whatever its leading shape.
 Pairwise products keep round-off growth at O(log n) (Higham, SIAM J. Sci.
-Comput. 14, 1993).  The tree serves two ways:
-
-* ``_Tree`` plans the climb to the transfer matrix, once per grid, for one
-  lam or a batch.  Root finding, the disk count and the Sturm count take
-  it; ``_compose`` (``transfer_matrix``) climbs its own plan.
-* ``_prefixes`` keeps the levels of its own climb from the plan's leaf and
-  sweeps back down (Blelloch, "Prefix sums and their applications",
-  CMU-CS-90-190, 1990) to every partial product P_k = M_k ... M_0: u at
-  every step end, for ``eigenfunction`` and the counts no lift makes.
+Comput. 14, 1993).  ``_Tree`` plans the climb to the transfer matrix, once
+per grid, for one lam or a batch.  Root finding, the disk count and the
+Sturm count take it; ``_compose`` (``transfer_matrix``) climbs its own plan.
+u at every step end, for ``eigenfunction`` and the counts no lift makes, is
+``left_solution``'s march through the plan's leaf, one step map at a time.
 
 For a real potential, the number N(kappa) of eigenvalues below -kappa^2 is
 the number of zeros of the left-decaying solution on the whole line
@@ -278,11 +274,15 @@ class _CoefficientGrid:
             return then(self._tree)
 
     def left_solution(self, kappa):
-        """(kappa coerced as in ``mismatch``, u at x0 and every step end, u' at x1) from the
-        prefixes of the plan's leaf, for left tail data (1, kappa): F = w1 + kappa * u[-1]."""
+        """(kappa coerced as in ``mismatch``, u at x0 and every step end, u' at x1): (u, w) = (1, kappa)
+        stepped through the plan's leaf one map at a time in Python arithmetic, so F = w1 + kappa * u[-1]."""
         kappa = self._kappa(kappa)
-        p = self._planned(-kappa * kappa, lambda tree: _prefixes(tree.leaf))
-        return kappa, p[0, 0] + p[0, 1] * kappa, p[1, 0, -1] + p[1, 1, -1] * kappa
+        m10, m11, m00, m01 = self._planned(-kappa * kappa, lambda tree: tree.maps.tolist())
+        u, w, us = 1.0, kappa, [1.0]
+        for a, b, c, d in zip(m00, m01, m10, m11):
+            u, w = a * u + b * w, c * u + d * w
+            us.append(u)
+        return kappa, np.array(us, dtype=type(kappa)), w
 
     def step_maps(self, lam):
         batch = lam.shape if isinstance(lam, np.ndarray) else ()
@@ -304,7 +304,9 @@ class _CoefficientGrid:
         On the hull they come from the climb: lifted to the Pruefer angle atan2(u, w), M sends e0 = (0, 1) to
         pi n(M) + (M e0's angle mod pi); with each step map's m01 > 0 (n = 0), n(T) sums [fold(P e0) >=
         fold(adj(Q) e0)] = [p01 q01 (QP)01 < 0] over the tree's pairs Q P.  A step map with m01 <= 0 (only
-        if h sqrt(sup|V|) > sqrt 6; no lift counts then) or a product's m01 of 0 takes ``left_solution``.
+        if h sqrt(sup|V|) > sqrt 6; no lift counts then) or a product's m01 of 0 takes ``left_solution``'s
+        march and walks the signs of u over its step ends.  Where h sqrt(sup|V|) > sqrt 6, RK4 can turn u
+        back past a zero, so N is that step-end sign walk and not a count of eigenvalues.
         """
         kappa = self._kappa(kappa)
         top, carries = self._planned(-kappa * kappa, lambda tree: tree.climb(count=True))
@@ -422,45 +424,6 @@ def _compose(m):
         np.setbufsize(_TREE_BUFSIZE)
         np.copyto(tree.maps, m[(1, 1, 0, 0), (0, 1, 0, 1)])
         return tree.climb().copy()
-
-
-# a stack of one 2x2 identity
-_IDENTITY = np.eye(2)[..., np.newaxis]
-_IDENTITY.flags.writeable = False
-
-
-def _prefixes(m):
-    """The identity and every partial product M[k] ... M[0] of a (2, 2, n) stack, as a (2, 2, n + 1) stack.
-
-    Entry k + 1 carries the state at x0 across step k.  The up-sweep keeps
-    each level of ``_compose``'s tree; the down-sweep then gives each
-    level's prefixes from those of the level above: an odd position, or a
-    carried last map, closes the same product as its parent, and an even
-    position 2j > 0 is map 2j times the parent prefix j - 1.  So the last
-    entry is ``_compose``'s total, bit for bit.
-    """
-    with np.errstate():
-        np.setbufsize(_TREE_BUFSIZE)
-        levels = [m]
-        while (size := levels[-1].shape[-1]) > 1:  # map 2j+1 times map 2j, an odd last map carried
-            m, n = levels[-1], size - size % 2
-            levels.append(out := np.empty((2, 2, n // 2 + size % 2), m.dtype))
-            _product(*_factors(m[..., 1:n:2], m[..., 0:n:2]), out[..., : n // 2], np.empty((2, 2, n // 2), m.dtype))
-            out[..., n // 2 :] = m[..., n:]
-        p = np.concatenate((_IDENTITY, levels.pop()), axis=-1)
-        for m in reversed(levels):
-            size = m.shape[-1]
-            n = size - size % 2
-            k = n // 2
-            out = np.empty((2, 2, size + 1), m.dtype)
-            out[..., :1] = _IDENTITY
-            out[..., 1] = m[..., 0]
-            out[..., 2 : n + 1 : 2] = p[..., 1 : k + 1]
-            _product(*_factors(m[..., 2:n:2], p[..., 1:k]), out[..., 3 : n + 1 : 2], np.empty((2, 2, k - 1), m.dtype))
-            if n < size:
-                out[..., -1] = p[..., -1]
-            p = out
-    return p
 
 
 def _quadratic_maps(h: float, h_last: float, a0, a1, a2):
@@ -810,7 +773,10 @@ def scan_roots(
     The window defaults to (kappa_floor, sqrt(sup|V|)], which holds every
     admissible real bound state.  The count is N(low) - N(high), N from the
     Sturm oscillation count (``_CoefficientGrid.count_below``), so only real
-    potentials qualify, and the step must satisfy h sqrt(sup|V|) < pi.
+    potentials qualify, and the step must satisfy h sqrt(sup|V|) < pi.  Past
+    h sqrt(sup|V|) = sqrt 6, N is the step-end sign walk of the RK4 solution
+    and not an eigenvalue count, so N(low) - N(high) need not be the number
+    of roots in the window.
     Bisection by N over ``samples`` evenly spaced kappas splits the brackets
     that hold several roots, and Brent's method polishes each root from the
     bracket that isolates it (``_counted_roots``, which ``find_bound_state``

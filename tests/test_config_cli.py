@@ -316,9 +316,9 @@ def test_cli_solve_past_the_resolution_budget_says_why_on_stderr(tmp_path, capsy
     assert capsys.readouterr().err.startswith("eps=1e-12: resolution budget exceeded: 40000000000000 steps")
 
 
-@pytest.mark.parametrize("command", ["gauge-check", "scan"])
+@pytest.mark.parametrize("command", ["k2", "predict", "solve", "sweep", "scan", "lemma", "gauge-check", "keps"])
 def test_cli_on_an_empty_support_names_it_and_exits_two(tmp_path, capsys, command):
-    # two lines that cancel leave no mode, so no support: no gauge grid to check and no scan window
+    # two lines that cancel leave no mode, so no support: every command refuses before it runs
     cfgp = write_cfg(tmp_path, "mode = cos 1 poly 100 2\nmode = cos 1 poly -100 2\neps = 0.1\n")
     code, out = run_cli(tmp_path, command, "--config", cfgp)
     assert (code, out) == (2, b"")

@@ -26,7 +26,6 @@ from oscispec.solver import (
     _brent,
     _CoefficientGrid,
     _compose,
-    _prefixes,
     _quadratic_maps,
     _rk4_step,
     convergence_study,
@@ -678,15 +677,30 @@ def test_scan_finds_the_one_root_at_eps_1e_3(name):
     assert scan.kappas[0] == pytest.approx(res.kappa.real, rel=1e-9)
 
 
-@pytest.mark.parametrize("name", ["canonical", "two_mode"])
-def test_prefixes_end_in_the_composed_transfer_matrix(name):
-    _, _, grid = shipped_grid(name)
-    for lam in (-1e-3, -0.01 + 0.004j):
-        maps = grid.step_maps(lam)
-        prefixes = _prefixes(maps)
-        assert prefixes.shape == (2, 2, grid.steps.size + 1)
-        assert prefixes[..., 0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
-        assert prefixes[..., -1].tobytes() == _compose(maps).tobytes()
+def long_double_march(grid, kappa):
+    """u at x0 and every step end, and w at x1, from (1, kappa) stepped through ``long_double_maps`` in long double."""
+    maps = long_double_maps(grid.steps, grid.a, -kappa * kappa)
+    u, w = maps[0].dtype.type(1), maps[0].dtype.type(kappa)
+    us = [u]
+    for m00, m01, m10, m11 in zip(*maps):
+        u, w = m00 * u + m01 * w, m10 * u + m11 * w
+        us.append(u)
+    return np.array(us), w
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-3])
+@pytest.mark.parametrize("name, rotation", [("canonical", 1.0), ("two_mode", 1.0), ("canonical", cmath.exp(0.3j))])
+def test_left_solution_marches_the_step_maps_from_the_left_tail(name, rotation, eps):
+    V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential().scaled(rotation)
+    grid = _CoefficientGrid(V, eps, eps / 40)
+    for kappa in (0.05, 0.2 + 0.05j):
+        k, u, w1 = grid.left_solution(kappa)
+        reference, _ = long_double_march(grid, k)
+        assert u[0] == 1 and len(u) == grid.steps.size + 1
+        # a march's round-off, and the double maps' own: at most 2.1e-13 of max|u| seen (eps 1e-3, e^{0.3i})
+        assert np.max(np.abs(u - reference)) <= 1e-12 * np.max(np.abs(reference))
+        # the march's F against the tree's: at most 1.0e-12 of max(|w1|, |kappa u1|) seen (two_mode, eps 1e-3)
+        assert abs(w1 + k * u[-1] - grid.mismatch(kappa)) <= 1e-11 * max(abs(w1), abs(k * u[-1]))
 
 
 @pytest.mark.parametrize("width", [1, 16, 25])
@@ -763,27 +777,6 @@ def reference_pair(m):
     return pairs if n == size else tuple(np.concatenate((p, x[n:])) for p, x in zip(pairs, m))
 
 
-def reference_prefixes(m):
-    """The tree's levels, then down again: the identity and every partial product, as entry arrays."""
-    levels = [m]
-    while levels[-1][0].size > 1:
-        levels.append(reference_pair(levels[-1]))
-    p = levels.pop()
-    for m in reversed(levels):
-        size = m[0].size
-        n = size - size % 2
-        evens = reference_product([x[2:n:2] for x in m], [q[: n // 2 - 1] for q in p])
-        level = tuple(np.empty_like(x) for x in m)
-        for out, x, q, e in zip(level, m, p, evens):
-            out[0] = x[0]
-            out[1:n:2] = q[: n // 2]
-            out[2:n:2] = e
-            if n < size:
-                out[-1] = q[-1]
-        p = level
-    return tuple(np.append(i, x) for i, x in zip((1.0, 0.0, 0.0, 1.0), p))
-
-
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("n", [*range(10), 17, 4001, 20001])
 def test_the_tree_multiplies_like_the_entrywise_pairwise_reference(n, dtype):
@@ -793,11 +786,11 @@ def test_the_tree_multiplies_like_the_entrywise_pairwise_reference(n, dtype):
     maps = np.eye(2)[..., np.newaxis] + 0.1 * rng.standard_normal((2, 2, n))
     if dtype is complex:
         maps = maps + 0.1j * rng.standard_normal((2, 2, n))
-    entries = tuple(maps.reshape(4, n))
-    prefixes = reference_prefixes(entries)
-    total = [x[-1] for x in prefixes]
-    assert np.ravel(_compose(maps)).tobytes() == np.array(total).tobytes()
-    assert _prefixes(maps).reshape(4, n + 1).tobytes() == np.array(prefixes).tobytes()
+    total = tuple(maps.reshape(4, n))
+    while total[0].size > 1:
+        total = reference_pair(total)
+    total = np.reshape(total, 4) if n else [1.0, 0.0, 0.0, 1.0]
+    assert np.ravel(_compose(maps)).tobytes() == np.array(total, dtype).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -813,13 +806,23 @@ def test_the_tree_composes_each_row_of_a_batch_as_alone(n, dtype):
         assert total[:, :, k].tobytes() == _compose(np.ascontiguousarray(maps[:, :, k])).tobytes()
 
 
-def test_the_tree_puts_numpy_s_ufunc_buffer_size_back():
-    # the tree runs with a small ufunc buffer; every numpy call after it must see the caller's size
+def test_the_tree_puts_numpy_s_ufunc_buffer_size_back(canonical):
+    # the tree runs with a small ufunc buffer; every numpy call after it must see the caller's size,
+    # whether it climbs its own plan or a grid's (the step-limit well's count takes the march)
     maps = np.eye(2)[..., np.newaxis] + np.zeros((2, 2, 5))
+    grid, well = _CoefficientGrid(canonical, 0.1, 0.1 / 40), _CoefficientGrid(SquareWell(3197.0), 1.0, 0.05)
     old = np.setbufsize(4096)
     try:
-        for tree in (_compose, _prefixes):
-            tree(maps)
+        calls = (
+            lambda: _compose(maps),
+            lambda: grid.mismatch(0.3),
+            lambda: grid.mismatch(np.array([0.2, 0.3 + 0.1j])),
+            lambda: grid.count_below(0.3),
+            lambda: well.count_below(1e-3),
+            lambda: grid.left_solution(0.3),
+        )
+        for call in calls:
+            call()
             assert np.getbufsize() == 4096
         with pytest.raises(IndexError):
             _compose(np.ones((2, 1, 3)))
@@ -1031,10 +1034,10 @@ def marched_counts(grid, kappas):
 
 
 def recorded_fallbacks(monkeypatch):
-    """The kappas at which ``count_below`` read the signs off the prefixes, not off the plan's lifted carry."""
+    """The kappas at which ``count_below`` read the signs off the march, not off the plan's lifted carry."""
     seen = []
-    prefixes = _CoefficientGrid.left_solution
-    monkeypatch.setattr(_CoefficientGrid, "left_solution", lambda grid, kappa: seen.append(kappa) or prefixes(grid, kappa))
+    march = _CoefficientGrid.left_solution
+    monkeypatch.setattr(_CoefficientGrid, "left_solution", lambda grid, kappa: seen.append(kappa) or march(grid, kappa))
     return seen
 
 
@@ -1042,7 +1045,7 @@ def recorded_fallbacks(monkeypatch):
 @pytest.mark.parametrize("amplitude", [1e4, 3e4, 1e5])
 def test_the_lifted_count_equals_the_marched_sign_changes_where_u_grows_by_1e10(amplitude, eps, monkeypatch):
     # up to kappa = sqrt(sup|V|), u grows across the hull by about 1e10 (amplitude 1e4) to 1e34 (1e5); the
-    # carries read only the factors' own m01 entries, so the count holds there without the prefixes
+    # carries read only the factors' own m01 entries, so the count holds there without the march
     V = canonical_potential(amplitude=amplitude)
     grid = _CoefficientGrid(V, eps, eps / 40)
     kappas = np.linspace(solver._KAPPA_FLOOR, math.sqrt(V.sup_abs()), 41 if eps == 0.1 else 11)
@@ -1058,7 +1061,7 @@ def test_the_lifted_count_equals_the_marched_sign_changes_where_u_grows_by_1e10(
 def test_the_count_near_the_step_limit_equals_the_marched_sign_changes(V, monkeypatch):
     # h = 0.05 (eps 1 at 20 points per period) puts h sqrt(sup|V|) at 0.9 pi or above, where a step map's
     # entries carry tens of ulp; where kappa^2 < sup|V| - 6 / h^2, a step map at the deepest samples has
-    # m01 < 0, and only the prefixes count its sign changes
+    # m01 < 0, and only the march counts its sign changes
     grid = _CoefficientGrid(V, 1.0, 0.05)
     assert 0.9 * math.pi <= grid.h * math.sqrt(grid.sup_abs) < math.pi
     kappas = np.linspace(solver._KAPPA_FLOOR, math.sqrt(grid.sup_abs), 201)
@@ -1379,20 +1382,24 @@ def test_solver_config_validation():
 # ---------------------------------------------------------------- eigenfunction
 
 
-def test_eigenfunction_is_normalized_with_exact_tails(canonical, canonical_k2):
-    res = find_bound_state(canonical, 0.1, k2_hint=canonical_k2.value)
-    ef = eigenfunction(canonical, 0.1, res.kappa)
-    assert ef.match_defect < 1e-10
+def test_eigenfunction_is_normalized_with_exact_tails(canonical):
+    # a real root from Brent, and a complex one from the secant
+    for rotation in (1.0, cmath.exp(0.3j)):
+        V = canonical.scaled(rotation)
+        res = find_bound_state(V, 0.1, k2_hint=compute_k2(V).value)
+        assert res.converged and (res.kappa.imag != 0) == (rotation != 1.0)
+        ef = eigenfunction(V, 0.1, res.kappa)
+        assert ef.match_defect < 1e-10
 
-    # interior trapezoid plus closed-form tail mass reproduces unit norm
-    x0, x1 = canonical.support_hull
-    inside = (ef.x >= x0) & (ef.x <= x1)
-    interior = np.trapezoid(np.abs(ef.values[inside]) ** 2, ef.x[inside])
-    kappa = res.kappa.real
-    left_edge = np.abs(ef.values[inside][0]) ** 2
-    right_edge = np.abs(ef.values[inside][-1]) ** 2
-    tails = (left_edge + right_edge) / (2 * kappa)
-    assert interior + tails == pytest.approx(1.0, rel=1e-6)
+        # interior trapezoid plus closed-form tail mass reproduces unit norm
+        x0, x1 = V.support_hull
+        inside = (ef.x >= x0) & (ef.x <= x1)
+        interior = np.trapezoid(np.abs(ef.values[inside]) ** 2, ef.x[inside])
+        kappa = res.kappa.real
+        left_edge = np.abs(ef.values[inside][0]) ** 2
+        right_edge = np.abs(ef.values[inside][-1]) ** 2
+        tails = (left_edge + right_edge) / (2 * kappa)
+        assert interior + tails == pytest.approx(1.0, rel=1e-6)
 
 
 def test_eigenfunction_samples_the_interior_at_the_step_ends(canonical, canonical_k2):
