@@ -34,7 +34,12 @@ this script) and feeds every output below, bit for bit, into one digest:
   mixing both kinds;
 * ``count_below`` and ``scan_roots`` on square wells of depth 2, 30, 100 and
   400, and ``find_bound_state`` on a bracket across which the mismatch
-  changes sign and on one across which it does not.
+  changes sign and on one across which it does not;
+* ``transfer_matrix`` at both lambdas with a step off the phase table's
+  lattice (h = 0.07 / 37.5) on the canonical config times 1 and i, and on
+  an empty support hull (two cancelling mode lines);
+* ``count_below`` at five kappas on a well of depth 3197 at h = 0.05, where
+  h sqrt(sup|V|) > sqrt 6: the three smallest take ``left_solution``'s march.
 
 Two checkouts compute the same outputs exactly when
 
@@ -194,6 +199,18 @@ def calls(root: Path):
     for depth, bracket in ((2.0, (0.1, 1.2)), (30.0, (4.0, 5.4)), (30.0, (0.01, 0.02))):
         well = solver.SquareWell(depth=depth)
         yield f"well find {depth} {bracket}", lambda w=well, b=bracket: solver.find_bound_state(w, 0.1, bracket=b)
+
+    for rot_name in ("1", "i"):
+        U = real["canonical"].scaled(ROTATIONS[rot_name])
+        yield f"tm off lattice canonical*{rot_name}", lambda U=U: [
+            solver.transfer_matrix(U, 0.07, lam, 0.07 / 37.5) for lam in LAMBDAS
+        ]
+    empty = config.parse_config("mode = cos 1 poly 100 2\nmode = cos 1 poly -100 2\n").build_potential()
+    yield "tm empty hull", lambda: [solver.transfer_matrix(empty, 0.1, lam, 0.1 / 40) for lam in LAMBDAS]
+    deep = solver.SquareWell(depth=3197.0)
+    yield "march count 3197", lambda: [
+        solver._CoefficientGrid(deep, 1.0, 0.05).count_below(k) for k in (1e-3, 10.0, 20.0, 40.0, 56.0)
+    ]
 
 
 def main(argv: list[str]) -> int:

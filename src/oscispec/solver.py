@@ -21,18 +21,18 @@ midpoint and x1): the (start, middle, end) stages are three stride-2 views
 of that one array, reused for every kappa.
 
 One RK4 step body (``_rk4_step``), plain arithmetic, and one pairwise tree.
-A step of the linear ODE is a 2x2 matrix; the grid's ``step_maps`` builds
-every step's at once as one (2, 2, n) stack, the step along the last axis,
-or a (2, 2, K, n) stack for K values of lam, one per row of the batch axis.
-lam enters the body only through a - lam, so each entry is a polynomial of
-degree <= 2 in lam: the grid stores its coefficients, expanded from the
-body, and evaluates them by Horner.  ``_product`` multiplies neighbouring
-maps, later step on the left, all pairs of a level in three numpy calls on
-the stack, whatever its leading shape.
+A step of the linear ODE is a 2x2 matrix; the leaf of the grid's plan
+(``_planned``) holds every step's as one (2, 2, n) stack, the step along the
+last axis, or a (2, 2, K, n) stack for K values of lam, one per row of the
+batch axis.  lam enters the body only through a - lam, so each entry is a
+polynomial of degree <= 2 in lam: the grid stores its coefficients, expanded
+from the body, and evaluates them by Horner into the leaf.  ``_product``
+multiplies neighbouring maps, later step on the left, all pairs of a level
+in three numpy calls on the stack, whatever its leading shape.
 Pairwise products keep round-off growth at O(log n) (Higham, SIAM J. Sci.
 Comput. 14, 1993).  ``_Tree`` plans the climb to the transfer matrix, once
-per grid, for one lam or a batch.  Root finding, the disk count and the
-Sturm count take it; ``_compose`` (``transfer_matrix``) climbs its own plan.
+per grid, for one lam or a batch, and every output climbs that one plan:
+``transfer_matrix``, root finding, the disk count and the Sturm count.
 u at every step end, for ``eigenfunction`` and the counts no lift makes, is
 ``left_solution``'s march through the plan's leaf, one step map at a time.
 
@@ -181,12 +181,12 @@ class _CoefficientGrid:
     the (start, middle, end) of every step; for real potentials they are
     floats (``real``), so a real lam keeps the propagation real.
     ``coefficients`` holds ``_quadratic_maps`` for every step, built once.
-    ``_horner`` evaluates them, for ``step_maps`` (one (2, 2, n) stack at
-    lam, or one (2, 2, K, n) stack at a (K,) array of lam) or into a plan's
-    leaf, in four in-place passes over the three stacked entries, and
-    m01 = h + h^3/6 (a1 - lam) from the samples, which saves storing two
-    more arrays.  The identity is added last, so a diagonal entry is
-    rounded once near 1, as in the RK4 body.
+    ``_horner`` evaluates them into the plan's leaf (one (2, 2, n) stack at
+    lam, or one (2, 2, K, n) stack at a (K,) array of lam) in four in-place
+    passes over the three stacked entries, and m01 = h + h^3/6 (a1 - lam)
+    from the samples, which saves storing two more arrays.  The identity is
+    added last, so a diagonal entry is rounded once near 1, as in the RK4
+    body.
     """
 
     def __init__(self, V, eps: float, h: float):
@@ -229,6 +229,8 @@ class _CoefficientGrid:
         """kappa in the physical half-plane: a float for a real grid and real kappa, else a complex;
         a 1-D array as one float array when the grid and every kappa are real, else complex."""
         if isinstance(kappa, np.ndarray) and kappa.ndim:
+            if kappa.ndim > 1:
+                raise ValueError(f"kappa must be one value or a 1-D array, not an array of shape {kappa.shape}")
             kappa = kappa.real.astype(float) if self.real and not np.any(kappa.imag) else kappa.astype(complex)
             inside = np.all(kappa.real > 0)
         else:
@@ -254,7 +256,7 @@ class _CoefficientGrid:
             return _match(kappa, *self._planned(-kappa * kappa, _Tree.climb).tolist())
         f, ks = np.empty_like(kappa), kappa.tolist()
         size = max(1, _BATCH_MAPS // max(1, self.steps.size))
-        size = -(-len(ks) // -(-len(ks) // size))  # ceil(len / K) batches of equal size
+        size = -(-len(ks) // -(-len(ks) // size)) if ks else 1  # ceil(len / K) batches of equal size
         for start in (min(j, len(ks) - size) for j in range(0, len(ks), size)):
             batch = ks[start : start + size]
             top, bottom = self._planned(np.array([-k * k for k in batch]), _Tree.climb).tolist()
@@ -277,20 +279,12 @@ class _CoefficientGrid:
         """(kappa coerced as in ``mismatch``, u at x0 and every step end, u' at x1): (u, w) = (1, kappa)
         stepped through the plan's leaf one map at a time in Python arithmetic, so F = w1 + kappa * u[-1]."""
         kappa = self._kappa(kappa)
-        m10, m11, m00, m01 = self._planned(-kappa * kappa, lambda tree: tree.maps.tolist())
+        (m00, m01), (m10, m11) = self._planned(-kappa * kappa, lambda tree: tree.leaf.tolist())
         u, w, us = 1.0, kappa, [1.0]
         for a, b, c, d in zip(m00, m01, m10, m11):
             u, w = a * u + b * w, c * u + d * w
             us.append(u)
         return kappa, np.array(us, dtype=type(kappa)), w
-
-    def step_maps(self, lam):
-        batch = lam.shape if isinstance(lam, np.ndarray) else ()
-        out = np.empty((4, *batch, self.steps.size), np.result_type(lam, self.coefficients[0]))
-        _horner(self, lam, out)
-        # rows m10, m11, m00, m01, so the Horner entries and the diagonal are each one block of
-        # rows; swapping the two row pairs back reads [[m00, m01], [m10, m11]]
-        return out.reshape(2, 2, *batch, -1)[::-1]
 
     def count_below(self, kappa: float) -> tuple[int, float]:
         """(N(kappa), F(kappa)): the number of eigenvalues below -kappa^2, and the mismatch.
@@ -417,15 +411,6 @@ class _Tree:
         return (self.top, n) if count else self.top
 
 
-def _compose(m):
-    """Transfer matrix M[n-1] ... M[1] M[0] of a (2, 2, ..., n) stack of step maps, as a (2, 2, ...) array."""
-    tree = _Tree(m.shape[2:-1], m.dtype, m.shape[-1])
-    with np.errstate():
-        np.setbufsize(_TREE_BUFSIZE)
-        np.copyto(tree.maps, m[(1, 1, 0, 0), (0, 1, 0, 1)])
-        return tree.climb().copy()
-
-
 def _quadratic_maps(h: float, h_last: float, a0, a1, a2):
     """Per step, (P0, P1, P2) with M(lam) = I + P0 + lam P1 + lam^2 P2 in the entries m10, m11 and m00:
     the expansion of ``_rk4_step(h, u, w, (a0 - lam, a1 - lam, a2 - lam))`` from (u, w) = e_j.
@@ -513,15 +498,14 @@ class TransferMatrix:
 
 
 def transfer_matrix(V, eps: float, lam: complex, h: float) -> TransferMatrix:
-    """Compose the step maps across the support hull at spectral value lam.
+    """Compose the step maps across the support hull at spectral value lam: the climb of the grid's plan.
 
     The Wronskian of the exact flow is conserved, so det = 1 up to integrator
     round-off; deviations are a direct integrator health measure.
     """
     grid = _CoefficientGrid(V, eps, h)
     lam = float(np.real(lam)) if grid.real and np.imag(lam) == 0 else complex(lam)
-    m = np.array(_compose(grid.step_maps(lam)), dtype=complex)
-    return TransferMatrix(matrix=m)
+    return TransferMatrix(matrix=np.array(grid._planned(lam, _Tree.climb), dtype=complex))
 
 
 def mismatch(V, eps: float, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> complex:
@@ -715,8 +699,8 @@ def find_bound_state(
     start = None  # the secant's start for a complex root, else the real route
     if bracket is not None:
         bracket = float(bracket[0]), float(bracket[1])
-        if not (0 < bracket[0] < bracket[1]):
-            raise ValueError("bracket must satisfy 0 < low < high")
+        if not (0 < bracket[0] < bracket[1] < math.inf):
+            raise ValueError("bracket must satisfy 0 < low < high < inf")
         if not V.is_real:
             raise ValueError("an explicit bracket needs a real potential")
     else:
@@ -790,8 +774,8 @@ def scan_roots(
     if window is None and V.support_hull[0] == V.support_hull[1]:
         raise ValueError("the potential's support is empty: it holds no bound state to scan for")
     lo, hi = window if window is not None else (_KAPPA_FLOOR, math.sqrt(V.sup_abs()))
-    if not (0 < lo < hi):
-        raise ValueError("scan window must satisfy 0 < low < high")
+    if not (0 < lo < hi < math.inf):
+        raise ValueError("scan window must satisfy 0 < low < high < inf")
     check_grid_size(samples, "samples", eps, (lo, hi))
     grid = _CoefficientGrid(V, eps, _step(eps, cfg))
     roots = [root for root, _, _ in _counted_roots(grid, lo, hi, samples)]

@@ -25,7 +25,6 @@ from oscispec.solver import (
     SquareWell,
     _brent,
     _CoefficientGrid,
-    _compose,
     _quadratic_maps,
     _rk4_step,
     convergence_study,
@@ -316,6 +315,11 @@ def long_double_maps(steps, a, lam):
     return m00, m01, m10, m11
 
 
+def leaf_at(grid, lam):
+    """A copy of the step maps at lam in the grid's plan's leaf: a (2, 2, *batch, n) stack [[m00, m01], [m10, m11]]."""
+    return _CoefficientGrid._planned(grid, lam, lambda tree: tree.leaf.copy())
+
+
 def worst_column_error(maps, reference, scale=1.0):
     """Largest entry error of the (2, 2, n) stack of step maps diag(1, scale) M diag(1, 1/scale),
     in ulp (2^-52) of the 1-norm of the reference map's column."""
@@ -340,7 +344,7 @@ def test_step_map_columns_are_one_rk4_step_from_the_basis(name, lam):
         V, _, grid = shipped_grid(name, eps)
         value = -V.sup_abs() if lam == "-sup|V|" else lam
         reference = long_double_maps(grid.steps, grid.a, value)
-        assert worst_column_error(grid.step_maps(value), reference) <= 2.0
+        assert worst_column_error(leaf_at(grid, value), reference) <= 2.0
 
 
 def assert_views_of_one_array(stages):
@@ -468,8 +472,8 @@ def test_closed_form_step_maps_match_a_long_double_rk4_step(h, partial, a, lam, 
     lam = complex(lam[0], lam[1] if complex_lam else 0.0) / (h * h)
     lam = lam if complex_lam else lam.real
     stages = a.reshape(steps.size, 3).T
-    grid = SimpleNamespace(steps=steps, a=stages, coefficients=_quadratic_maps(h, float(steps[2:].sum()), *stages))
-    maps = _CoefficientGrid.step_maps(grid, lam)
+    coefficients = _quadratic_maps(h, float(steps[2:].sum()), *stages)
+    maps = leaf_at(SimpleNamespace(steps=steps, a=stages, coefficients=coefficients, _tree=None), lam)
     assert worst_column_error(maps, long_double_maps(steps, stages, lam), scale=steps) <= 2.0
 
 
@@ -742,15 +746,10 @@ def test_one_grid_reuses_and_rebuilds_its_plan_bit_for_bit(name):
         assert type(f) is type(fresh) and np.asarray(f).dtype == np.asarray(fresh).dtype
         assert np.asarray(f).tobytes() == np.asarray(fresh).tobytes()
         assert (grid._tree is not plan) == new_plan
-    # a returned stack or transfer matrix is the caller's: later mismatches on the grid leave it alone
+    # a transfer matrix is the top of a fresh grid's plan: the reused grid's plan climbs to it bit for bit
     lam = -0.01 + 0.004j
-    maps = grid.step_maps(lam)
-    total = _compose(maps)
-    kept = maps.copy(), total.copy()
-    grid.mismatch(0.2 + 0.05j)
-    grid.mismatch(zs)
-    assert maps.tobytes() == kept[0].tobytes() and total.tobytes() == kept[1].tobytes()
-    assert total.tobytes() == np.array(transfer_matrix(V, 0.1, lam, 0.1 / 40).matrix).tobytes()
+    total = transfer_matrix(V, 0.1, lam, 0.1 / 40).matrix
+    assert total.tobytes() == grid._planned(lam, solver._Tree.climb).tobytes()
 
 
 @pytest.mark.parametrize("outside", [0.0, -0.1, -1e-3 + 0.2j, math.nan])
@@ -760,6 +759,22 @@ def test_a_batch_with_one_kappa_outside_the_half_plane_raises(canonical, outside
         grid.mismatch(np.array([0.1, 0.2 + 0.1j, outside, 0.3]))
     with pytest.raises(ValueError, match="half-plane"):
         grid.mismatch(np.array([0.1, outside.real]))
+
+
+def test_an_empty_kappa_array_gives_an_empty_array_and_a_2d_one_is_refused(canonical):
+    # the empty array takes the dtype a batch of its grid's kappas would
+    for V, dtype in ((canonical, float), (canonical.scaled(1j), complex)):
+        f = mismatch(V, 0.1, np.array([]))
+        assert f.shape == (0,) and f.dtype == dtype
+    with pytest.raises(ValueError, match=r"not an array of shape \(2, 2\)"):
+        mismatch(canonical, 0.1, np.full((2, 2), 0.3))
+
+
+def climbed(maps):
+    """M[n-1] ... M[0] of a (2, 2, *batch, n) stack of maps: a plan's leaf filled with them and climbed, as a copy."""
+    tree = solver._Tree(maps.shape[2:-1], maps.dtype, maps.shape[-1])
+    tree.leaf[...] = maps
+    return tree.climb().copy()
 
 
 def reference_product(left, right):
@@ -790,7 +805,7 @@ def test_the_tree_multiplies_like_the_entrywise_pairwise_reference(n, dtype):
     while total[0].size > 1:
         total = reference_pair(total)
     total = np.reshape(total, 4) if n else [1.0, 0.0, 0.0, 1.0]
-    assert np.ravel(_compose(maps)).tobytes() == np.array(total, dtype).tobytes()
+    assert np.ravel(climbed(maps)).tobytes() == np.array(total, dtype).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -800,21 +815,20 @@ def test_the_tree_composes_each_row_of_a_batch_as_alone(n, dtype):
     maps = np.eye(2)[..., np.newaxis, np.newaxis] + 0.1 * rng.standard_normal((2, 2, 5, n))
     if dtype is complex:
         maps = maps + 0.1j * rng.standard_normal((2, 2, 5, n))
-    total = _compose(maps)
+    total = climbed(maps)
     assert total.shape == (2, 2, 5) and total.dtype == dtype
     for k in range(5):
-        assert total[:, :, k].tobytes() == _compose(np.ascontiguousarray(maps[:, :, k])).tobytes()
+        assert total[:, :, k].tobytes() == climbed(np.ascontiguousarray(maps[:, :, k])).tobytes()
 
 
 def test_the_tree_puts_numpy_s_ufunc_buffer_size_back(canonical):
-    # the tree runs with a small ufunc buffer; every numpy call after it must see the caller's size,
-    # whether it climbs its own plan or a grid's (the step-limit well's count takes the march)
-    maps = np.eye(2)[..., np.newaxis] + np.zeros((2, 2, 5))
+    # the tree runs with a small ufunc buffer; every numpy call after it must see the caller's size, on
+    # every route through a grid's plan (the step-limit well's count takes the march) and past a raise
     grid, well = _CoefficientGrid(canonical, 0.1, 0.1 / 40), _CoefficientGrid(SquareWell(3197.0), 1.0, 0.05)
     old = np.setbufsize(4096)
     try:
         calls = (
-            lambda: _compose(maps),
+            lambda: transfer_matrix(canonical, 0.1, -0.01 + 0.004j, 0.1 / 40),
             lambda: grid.mismatch(0.3),
             lambda: grid.mismatch(np.array([0.2, 0.3 + 0.1j])),
             lambda: grid.count_below(0.3),
@@ -824,8 +838,8 @@ def test_the_tree_puts_numpy_s_ufunc_buffer_size_back(canonical):
         for call in calls:
             call()
             assert np.getbufsize() == 4096
-        with pytest.raises(IndexError):
-            _compose(np.ones((2, 1, 3)))
+        with pytest.raises(ZeroDivisionError):
+            grid._planned(-0.09, lambda tree: 1 / 0)
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(old)
@@ -1022,7 +1036,7 @@ def marched_counts(grid, kappas):
     """N at each kappa from (u, w) = (1, kappa) stepped through the grid's step maps one at a time, in step
     order: the sign changes of u over the step ends and then F, exact zeros skipped.  The sequential reference."""
     kappas = np.asarray(kappas, dtype=float)
-    maps = np.moveaxis(grid.step_maps(-kappas * kappas), -1, 0).tolist()  # per step, [[m00, m01], [m10, m11]] rows
+    maps = np.moveaxis(leaf_at(grid, -kappas * kappas), -1, 0).tolist()  # per step, [[m00, m01], [m10, m11]] rows
     u, w = np.ones_like(kappas), kappas
     last, counts = np.ones_like(kappas), np.zeros(kappas.size, dtype=int)
     for (m00, m01), (m10, m11) in maps:
@@ -1176,6 +1190,9 @@ def test_grid_past_the_resolution_budget_is_refused(canonical):
 def test_bracket_validation(canonical):
     with pytest.raises(ValueError, match="bracket"):
         find_bound_state(canonical, 0.1, bracket=(0.5, 0.1))
+    # an infinite end is refused before Brent spends its 200 iterations on it
+    with pytest.raises(ValueError, match="bracket must satisfy 0 < low < high < inf"):
+        find_bound_state(canonical, 0.1, bracket=(1e-3, math.inf))
 
 
 def test_mean_component_requires_explicit_bracket():
@@ -1245,7 +1262,7 @@ def test_scan_rejects_complex_potentials(canonical):
 def test_scan_refuses_fewer_than_two_samples_and_an_empty_window(canonical):
     with pytest.raises(ValueError, match="need at least two samples"):
         scan_roots(canonical, 0.1, samples=1)
-    for window in ((0.0, 1.0), (0.5, 0.5), (1.0, 0.5)):
+    for window in ((0.0, 1.0), (0.5, 0.5), (1.0, 0.5), (1e-3, math.inf)):
         with pytest.raises(ValueError, match="scan window must satisfy 0 < low < high"):
             scan_roots(canonical, 0.1, window=window)
 
@@ -1332,6 +1349,26 @@ def test_the_disk_count_peaks_like_one_mismatch():
     finally:
         tracemalloc.stop()
     assert disk <= held + one + 1024 * 16
+
+
+@pytest.mark.parametrize("lam", [-0.01, -0.01 + 0.004j], ids=["real", "complex"])
+@pytest.mark.parametrize("eps", [0.1, 1e-3])
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+def test_a_transfer_matrix_peaks_like_one_mismatch(name, eps, lam):
+    # both build a grid and climb its one plan at lam's dtype, and neither allocates a stack of step
+    # maps beside that plan's leaf
+    V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
+    calls = (lambda: transfer_matrix(V, eps, lam, eps / 40), lambda: mismatch(V, eps, cmath.sqrt(-lam)))
+    peaks = []
+    for call in calls:
+        call()  # whatever the first call caches is not counted
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.02 * peaks[1]
 
 
 def test_a_new_plan_key_does_not_hold_two_plans():
