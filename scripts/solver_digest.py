@@ -39,7 +39,12 @@ this script) and feeds every output below, bit for bit, into one digest:
   lattice (h = 0.07 / 37.5) on the canonical config times 1 and i, and on
   an empty support hull (two cancelling mode lines);
 * ``count_below`` at five kappas on a well of depth 3197 at h = 0.05, where
-  h sqrt(sup|V|) > sqrt 6: the three smallest take ``left_solution``'s march.
+  h sqrt(sup|V|) > sqrt 6: the three smallest take ``left_solution``'s march;
+* back-to-back solves in one process on grids of 60k, 400, 40k and 60k
+  steps (two-mode and canonical at eps 1e-3 and 0.1), each grid kept alive
+  while the next is built and solved, and every kept grid's mismatch, count
+  and arrays taken again at the end, so that whatever one grid's arrays
+  leave in memory that a later grid reuses shows in the digest.
 
 Two checkouts compute the same outputs exactly when
 
@@ -211,6 +216,25 @@ def calls(root: Path):
     yield "march count 3197", lambda: [
         solver._CoefficientGrid(deep, 1.0, 0.05).count_below(k) for k in (1e-3, 10.0, 20.0, 40.0, 56.0)
     ]
+    yield "back to back", lambda: back_to_back(real)
+
+
+def back_to_back(real):
+    """Solves on grids of 60k, 400, 40k and 60k steps in turn, each grid kept while the next is built,
+    then every grid's mismatch, count and arrays again."""
+    from oscispec import asymptotics as asym
+    from oscispec import solver
+
+    out, kept = [], []
+    for name, eps in (("two_mode", 1e-3), ("canonical", 0.1), ("canonical", 1e-3), ("two_mode", 1e-3)):
+        V = real[name]
+        grid = solver._CoefficientGrid(V, eps, eps / solver.DEFAULT_SOLVER.points_per_fast_period)
+        kappa = solver.find_bound_state(V, eps, k2_hint=asym.compute_k2(V).value).kappa.real
+        out.append((grid.mismatch(kappa), grid.count_below(kappa), grid.mismatch(np.array([kappa, 2 * kappa]))))
+        kept.append((grid, kappa))
+    for grid, kappa in kept:
+        out.append((grid.mismatch(kappa), grid.count_below(kappa), grid.a, grid.coefficients, grid.steps))
+    return out
 
 
 def main(argv: list[str]) -> int:

@@ -243,11 +243,14 @@ class TwoScaleFunction:
         """
         x, xi = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
         shape, x, xi = x.shape, x.ravel(), xi.ravel()
-        sums = self._walk(x, terms, lambda m, wave, lo, hi: wave(TWO_PI * m * xi[lo:hi]))
+        sums = [np.empty(x.size, dtype=float if self.is_real else complex) for _ in terms]
+        self._walk(x, terms, lambda m, wave, lo, hi: wave(TWO_PI * m * xi[lo:hi]), sums)
         return [acc.reshape(shape) for acc in sums]
 
-    def _walk(self, x, terms, waves_at) -> list[np.ndarray]:
-        """``_mode_sums`` over a flat x, whose cos or sin of 2 pi m xi over x[lo:hi] is waves_at(m, wave, lo, hi).
+    def _walk(self, x, terms, waves_at, sums) -> list[np.ndarray]:
+        """``_mode_sums`` over a flat x into sums, one array of x's size per term (float for a real function,
+        else complex), each block zeroed before it is summed; cos or sin of 2 pi m xi over x[lo:hi] is
+        waves_at(m, wave, lo, hi).
 
         With theta = 2 pi |n| xi, s e^{i theta} + s' e^{-i theta} =
         (s + s') cos(theta) + i (s - s') sin(theta) for any s and s', so the
@@ -270,11 +273,12 @@ class TwoScaleFunction:
         if self.is_real:
             entries = {key: (prof, [[f.real for f in pair] for pair in factors]) for key, (prof, factors) in entries.items()}
         orders = sorted({dx for dx, _ in terms})
-        sums = [np.zeros(x.size, dtype=float if self.is_real else complex) for _ in terms]
         for lo in range(0, x.size, _BLOCK):
             hi = min(lo + _BLOCK, x.size)
             xb = x[lo:hi]
             accs = [acc[lo:hi] for acc in sums]
+            for acc in accs:
+                acc.fill(0.0)
             envs: dict = {}  # every order of an envelope shape: the modes of a pair share them
             waves: dict = {}  # cos and sin of theta by |n|
             for (m, env_key), (prof, factors) in entries.items():
@@ -304,9 +308,9 @@ class TwoScaleFunction:
         x = np.asarray(x, dtype=float)
         return self.eval(x, x / eps)
 
-    def eval_fast_lattice(self, x, eps: float, h: float, size: int):
+    def eval_fast_lattice(self, x, eps: float, h: float, size: int, out: np.ndarray) -> np.ndarray:
         """``eval_fast`` at a flat x whose first ``size`` points lie on the half-step lattice,
-        x[k] = x[0] + h k / 2.
+        x[k] = x[0] + h k / 2, written into out (x's size; float for a real function, else complex).
 
         When h = eps / P for an integer P, the fast variable at half step k
         is fmod(x[0], eps) / eps + k / 2P modulo 1, so the lattice points'
@@ -318,7 +322,7 @@ class TwoScaleFunction:
         """
         steps = round(eps / h)
         if steps < 1 or eps / steps != h:
-            return self.eval_fast(x, eps)
+            return self._walk(x, ((0, 0),), lambda m, wave, lo, hi: wave(TWO_PI * m * (x[lo:hi] / eps)), [out])[0]
         period = 2 * steps  # half steps per fast period
         xi = math.fmod(x[0], eps) / eps + np.arange(period) / period
         repeats = min(_BLOCK, size) // period + 2
@@ -331,7 +335,7 @@ class TwoScaleFunction:
             on = tables[m, wave][lo % period : lo % period + mid - lo]
             return on if mid == hi else np.concatenate((on, wave(TWO_PI * m * (x[mid:hi] / eps))))
 
-        return self._walk(x, ((0, 0),), waves_at)[0]
+        return self._walk(x, ((0, 0),), waves_at, [out])[0]
 
 
 def combine(u: TwoScaleFunction, w: TwoScaleFunction, alpha: complex = 1.0, beta: complex = 1.0) -> TwoScaleFunction:

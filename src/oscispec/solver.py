@@ -18,7 +18,10 @@ hull -- full steps of length h, then one partial step when the hull length
 is not a multiple of h -- and samples a = V once, at the stage points in
 increasing x (the half-step lattice x0 + h k / 2, then a partial step's
 midpoint and x1): the (start, middle, end) stages are three stride-2 views
-of that one array, reused for every kappa.
+of that one array, reused for every kappa.  Every step-sized array of a grid
+and of its plan comes from one workspace (``_Workspace``), a stack of byte
+buffers that a new grid takes over once no array of the last one is alive,
+so a deep solve does not fault its pages in again.
 
 One RK4 step body (``_rk4_step``), plain arithmetic, and one pairwise tree.
 A step of the linear ODE is a 2x2 matrix; the leaf of the grid's plan
@@ -61,7 +64,10 @@ eps^4 prediction rather than a restatement of it.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -92,6 +98,8 @@ _DISK_RADIUS_FACTOR, _CONTOUR_POINTS, _CONTOUR_MAX_POINTS = 2.0, 16, 1024
 _MATCH_TOL = 1e-6
 # every coefficient grid needs h sqrt(sup|V|) < pi: a step then holds at most one zero of u (Sturm comparison)
 _STURM_STEP_PHASE = math.pi
+# the stage points' index k = 0, 1, ...: its first block, which the rest doubles
+_INDEX = np.arange(1024.0)
 # numpy's ufunc buffer size, in elements, for the Horner pass and the tree.  A complex mismatch on a real
 # 4000-step grid, whose Horner pass casts through buffers on top of the grid's plan, peaks at 8.8 step-sized
 # arrays with the default 8192, at 6.95 with 256, and at 6.8 with 16, where the cast runs 4.5 times slower.
@@ -100,6 +108,76 @@ _TREE_BUFSIZE = 256
 # A batch of 16 at 40k steps cost twice as much per kappa as one kappa alone, and at 4000
 # steps a batch holds one kappa, so the disk count peaks like one mismatch.
 _BATCH_MAPS = 4096
+
+
+class _Workspace:
+    """A stack of byte buffers (slots) that every step-sized array of a grid and of its plan is carved from.
+
+    ``take`` puts arrays in the first slots above every slot in use, if they fit there; if not, that slot
+    and every slot above it are released and one of the arrays' size is made.  Each array is a view of a
+    flat array that ``np.frombuffer`` makes over the slot, so every view of it has that flat array as its
+    .base.  A slot is in use while anything but the slot refers to one of its flat arrays: a live grid,
+    or a view of a dead one, never shares memory with a new array, whichever thread asks.  A grid that
+    goes away so leaves its slots to the next grid, which then faults none of their pages in again.  A
+    slot keeps the flat arrays of its last ``_LAYOUTS`` layouts and hands them out again: a grid's build
+    and its plan use a slot in turn for two, and a real and a complex grid, or a batch plan, for others.
+    Past ``size`` slots, arrays get a buffer of their own.
+    """
+
+    def __init__(self, size: int):
+        # a slot: [memoryview of its buffer, offset of its first 64-byte boundary, {layout: flat arrays},
+        # every flat array of those layouts]
+        self.size, self.slots, self.last, self.lock = size, [], -1, threading.Lock()
+
+    def take(self, *layouts: tuple) -> list:
+        """Uninitialised arrays for each layout, a tuple of (shape, dtype) specs, in consecutive slots, one
+        layout to a slot and each array on a 64-byte boundary: a list of arrays per layout."""
+        with self.lock:
+            slots = self.slots
+            # no slot above the last one handed out has been handed out since, so none is in use
+            top = min(self.last, len(slots) - 1)
+            while top >= 0 and max(map(sys.getrefcount, slots[top][3]), default=0) <= 3:  # its layout, the list, the call
+                top -= 1
+            arrays = []
+            for top, specs in enumerate(layouts, top + 1):
+                flats = slots[top][2].get(specs) if top < len(slots) else None
+                if flats is None:
+                    flats = self._carve(top, specs)
+                arrays.append([flat.reshape(shape) for flat, (shape, _) in zip(flats, specs)])
+            self.last = top
+        return arrays
+
+    def _carve(self, top: int, specs: tuple) -> list:
+        """New flat arrays for specs in slot top, made large enough first; past ``_LAYOUTS`` layouts, its
+        oldest is dropped."""
+        starts, slots = [0], self.slots
+        for shape, dtype in specs:
+            starts.append(starts[-1] - (-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64)
+        if top >= len(slots) or slots[top][0].nbytes < starts[-1] + 64:
+            del slots[top:]  # the spare is too small: let it go before the larger buffer is made
+            # a bytearray, not np.empty: numpy advises huge pages for 4 MB and up, which rounds the resident
+            # size of a large slot up by as much as 2 MB
+            buffer = memoryview(bytearray(starts[-1] + 64))
+            slot = [buffer, -np.frombuffer(buffer, np.uint8).ctypes.data % 64, {}, []]
+            if top == len(slots) < self.size:
+                slots.append(slot)
+        else:
+            slot = slots[top]
+        layouts = slot[2]
+        if len(layouts) == _LAYOUTS:
+            del layouts[next(iter(layouts))]
+        layouts[specs] = [np.frombuffer(slot[0], d, math.prod(shape), slot[1] + j) for (shape, d), j in zip(specs, starts)]
+        slot[3] = [flat for flats in layouts.values() for flat in flats]
+        return layouts[specs]
+
+
+# one slot per group of step-sized arrays that a grid and its plan hold at once (the steps and samples,
+# the stage points and then the coefficients, the coefficients' temporaries and then the plan's leaf, half
+# buffer and level-1 temporary), and one for the stage points ``eigenfunction`` reads
+_WORKSPACE = _Workspace(4)
+# layouts whose flat arrays a slot keeps to hand out again (``scan_batch``'s items use five in one slot)
+_LAYOUTS = 8
+_take = _WORKSPACE.take
 
 
 @dataclass(frozen=True)
@@ -160,9 +238,10 @@ class SquareWell:
         a, b = self.support
         return np.where((x >= a) & (x <= b), -float(self.depth), 0.0)
 
-    def eval_fast_lattice(self, x, eps: float, h: float, size: int):
-        """The well has no fast phase: ``eval_fast`` at x."""
-        return self.eval_fast(x, eps)
+    def eval_fast_lattice(self, x, eps: float, h: float, size: int, out: np.ndarray) -> np.ndarray:
+        """The well has no fast phase: ``eval_fast`` at x, into out."""
+        np.copyto(out, self.eval_fast(x, eps))
+        return out
 
 
 class _CoefficientGrid:
@@ -205,14 +284,18 @@ class _CoefficientGrid:
         if h_last < 1e-12 * max(1.0, length):
             h_last = 0.0
         self.n_full, self.h_last = n_full, h_last
-        self.steps = np.append(np.full(n_full, self.h), [h_last] if h_last > 0.0 else [])
         self._tree = None
         self.sup_abs = V.sup_abs()
         phase = self.h * math.sqrt(self.sup_abs)
         if not phase < _STURM_STEP_PHASE:
             raise ValueError(f"step too large: h sqrt(sup|V|) = {phase:.3g} must stay below pi")
-        vals = np.asarray(V.eval_fast_lattice(self.xs, eps, self.h, 2 * self.n_full + 1))
-        self.real = not np.iscomplexobj(vals)
+        self.real, size = bool(V.is_real), n_full + (h_last > 0.0)
+        kept = ((size,), float), ((2 * size + 1,), float if self.real else complex)
+        (self.steps, vals), (xs,) = _take(kept, (((2 * size + 1,), float),))
+        self.steps[:n_full] = self.h
+        self.steps[n_full:] = h_last
+        V.eval_fast_lattice(self._stage_points(xs), eps, self.h, 2 * self.n_full + 1, vals)
+        del xs  # its slot takes the coefficients
         self.a = vals[:-1:2], vals[1::2], vals[2::2]  # three stride-2 views of vals
         self.coefficients = _quadratic_maps(self.h, self.h_last, *self.a)
 
@@ -220,24 +303,40 @@ class _CoefficientGrid:
     def xs(self) -> np.ndarray:
         """The stage points in increasing x: the first ``2 n_full + 1`` on the half-step lattice,
         x0 + h k / 2, then a partial step's midpoint and x1."""
-        xs = self.x0 + 0.5 * self.h * np.arange(2 * self.n_full + 1.0)
+        ((xs,),) = _take((((2 * self.steps.size + 1,), float),))
+        return self._stage_points(xs)
+
+    def _stage_points(self, xs: np.ndarray) -> np.ndarray:
+        """``xs`` written into xs.  k copies its first block from ``_INDEX`` and then doubles, each copy
+        shifted by its length: exact integers, so the points are np.arange's."""
+        size, k = 2 * self.n_full + 1, xs[: 2 * self.n_full + 1]
+        filled = min(size, _INDEX.size)
+        k[:filled] = _INDEX[:filled]
+        while filled < size:
+            step = min(filled, size - filled)
+            np.add(k[:step], filled, out=k[filled : filled + step])
+            filled += step
+        np.multiply(0.5 * self.h, k, out=k)
+        np.add(self.x0, k, out=k)
         if self.h_last > 0.0:
-            xs = np.append(xs, (self.x0 + self.n_full * self.h + 0.5 * self.h_last, self.x1))
+            xs[size:] = self.x0 + self.n_full * self.h + 0.5 * self.h_last, self.x1
         return xs
 
-    def _kappa(self, kappa):
-        """kappa in the physical half-plane: a float for a real grid and real kappa, else a complex;
-        a 1-D array as one float array when the grid and every kappa are real, else complex."""
+    def _kappa(self, kappa, batch: bool = False):
+        """kappa finite and in the physical half-plane: a float for a real grid and real kappa, else a
+        complex; with batch, a 1-D array as one float array when the grid and every kappa are real, else
+        complex."""
         if isinstance(kappa, np.ndarray) and kappa.ndim:
-            if kappa.ndim > 1:
-                raise ValueError(f"kappa must be one value or a 1-D array, not an array of shape {kappa.shape}")
+            if not batch or kappa.ndim > 1:
+                one = "one value or a 1-D array" if batch else "one value"
+                raise ValueError(f"kappa must be {one}, not an array of shape {kappa.shape}")
             kappa = kappa.real.astype(float) if self.real and not np.any(kappa.imag) else kappa.astype(complex)
-            inside = np.all(kappa.real > 0)
+            inside = np.all(kappa.real > 0) and np.all(np.isfinite(kappa))
         else:
             kappa = float(np.real(kappa)) if self.real and np.imag(kappa) == 0 else complex(kappa)
-            inside = kappa.real > 0
+            inside = kappa.real > 0 and cmath.isfinite(kappa)
         if not inside:
-            raise ValueError("not in the physical half-plane: Re kappa must be positive")
+            raise ValueError("not in the physical half-plane: kappa must be finite with Re kappa > 0")
         return kappa
 
     def mismatch(self, kappa):
@@ -251,7 +350,7 @@ class _CoefficientGrid:
         as for one kappa (numpy's complex multiply rounds differently), so
         each value is ``mismatch`` at that kappa bit for bit.
         """
-        kappa = self._kappa(kappa)
+        kappa = self._kappa(kappa, batch=True)
         if not isinstance(kappa, np.ndarray):
             return _match(kappa, *self._planned(-kappa * kappa, _Tree.climb).tolist())
         f, ks = np.empty_like(kappa), kappa.tolist()
@@ -373,10 +472,10 @@ class _Tree:
 
     def __init__(self, batch: tuple, dtype, n: int):
         self.key, lead, width, chunk = (batch, dtype), (2, 2, *batch), 4 * math.prod(batch), max(512, n // 8)
-        self.maps = np.empty((4, *batch, n), dtype)
+        layout = ((4, *batch, n), dtype), ((width * ((n + 1) // 2),), dtype), (lead + (min(chunk, n // 2),), dtype)
+        ((self.maps, half, tmp),) = _take(layout)
         self.leaf = m = self.maps.reshape(lead + (n,))[::-1]
-        buffers = np.empty(width * ((n + 1) // 2), dtype), self.maps.reshape(-1)
-        tmp = np.empty(lead + (min(chunk, n // 2),), dtype)
+        buffers = half, self.maps.reshape(-1)
         self.levels = []
         while (size := m.shape[-1]) > 1:
             pairs, free = size // 2, buffers[len(self.levels) % 2]
@@ -417,28 +516,32 @@ def _quadratic_maps(h: float, h_last: float, a0, a1, a2):
 
     Every step has length h but a last partial one of length h_last > 0.
     Each P is stacked (3, n), rows m10, m11, m00; P2 depends on h alone, so
-    it stays real for a complex potential.
+    it stays real for a complex potential.  They come from one slot of the
+    workspace, and the build's two step-sized temporaries from the next.
     """
-    n = a1.size
-    p0, p1 = np.empty((3, n), a1.dtype), np.empty((3, n), a1.dtype)
-    p2 = np.empty((3, n))
+    n, dtype = a1.size, a1.dtype
+    (p01, p2), (scratch,) = _take((((2, 3, n), dtype), ((3, n), float)), (((2, n), dtype),))
+    p0, p1 = p01
     full = n - (h_last > 0.0)
-    _fill_quadratic_maps(h, a0[:full], a1[:full], a2[:full], p0[:, :full], p1[:, :full], p2[:, :full])
+    _fill_quadratic_maps(h, a0[:full], a1[:full], a2[:full], p0[:, :full], p1[:, :full], p2[:, :full], scratch[:, :full])
     if full < n:
-        _fill_quadratic_maps(h_last, a0[full:], a1[full:], a2[full:], p0[:, full:], p1[:, full:], p2[:, full:])
+        _fill_quadratic_maps(
+            h_last, a0[full:], a1[full:], a2[full:], p0[:, full:], p1[:, full:], p2[:, full:], scratch[:, full:]
+        )
     return p0, p1, p2
 
 
-def _fill_quadratic_maps(h: float, a0, a1, a2, p0, p1, p2) -> None:
-    """``_quadratic_maps`` of steps of length h in place, into the rows of p0, p1 and p2: the
-    h-terms taken once, and every product and sum of the per-step expansion with its operands and
-    order, row by row m10, m11, m00."""
+def _fill_quadratic_maps(h: float, a0, a1, a2, p0, p1, p2, scratch) -> None:
+    """``_quadratic_maps`` of steps of length h in place, into the rows of p0, p1 and p2, with the two
+    rows of scratch for 2 a1 and a0 + 2 a1: the h-terms taken once, and every product and sum of the
+    per-step expansion with its operands and order, row by row m10, m11, m00."""
     h2 = h * h
     h3_6, h4_24 = h * h2 / 6.0, h2 * h2 / 24.0
     h_6, h2_6, half_h2, half_h3_6 = h / 6.0, h2 / 6.0, 0.5 * h2, 0.5 * h3_6
     p2[0], p2[1:] = h3_6, h4_24
-    two_a1 = 2.0 * a1
-    s = a0 + two_a1
+    two_a1, s = scratch
+    np.multiply(2.0, a1, out=two_a1)
+    np.add(a0, two_a1, out=s)
     np.add(s, a2, out=p1[0])
     np.multiply(half_h3_6, p1[0], out=p1[0])
     np.add(h, p1[0], out=p1[0])
@@ -503,6 +606,8 @@ def transfer_matrix(V, eps: float, lam: complex, h: float) -> TransferMatrix:
     The Wronskian of the exact flow is conserved, so det = 1 up to integrator
     round-off; deviations are a direct integrator health measure.
     """
+    if not cmath.isfinite(lam):
+        raise ValueError("lam must be finite")
     grid = _CoefficientGrid(V, eps, h)
     lam = float(np.real(lam)) if grid.real and np.imag(lam) == 0 else complex(lam)
     return TransferMatrix(matrix=np.array(grid._planned(lam, _Tree.climb), dtype=complex))

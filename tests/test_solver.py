@@ -2,6 +2,8 @@ import cmath
 import gc
 import itertools
 import math
+import resource
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -514,6 +516,7 @@ def test_a_grid_build_peaks_below_six_fifths_of_what_the_grid_keeps(name):
     # at eps 1e-3 (80k / 120k stage points) the build's temporaries beyond the grid's own arrays
     # are the stage points and two step-sized rows of the coefficient build
     V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
+    solver._WORKSPACE.slots.clear()  # a cold build: no spare slots to reuse
     tracemalloc.start()
     try:
         grid = _CoefficientGrid(V, 1e-3, 1e-3 / 40)
@@ -522,6 +525,21 @@ def test_a_grid_build_peaks_below_six_fifths_of_what_the_grid_keeps(name):
         tracemalloc.stop()
     assert grid.steps.size >= 40000
     assert peak <= 1.2 * held
+
+
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+def test_a_warm_grid_build_allocates_no_step_sized_array(name):
+    # a grid built where the last one went away takes its slots: the build's traced peak stays below
+    # one step-sized float array (its numpy views and the potential's block temporaries)
+    V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
+    _CoefficientGrid(V, 1e-3, 1e-3 / 40)
+    tracemalloc.start()
+    try:
+        grid = _CoefficientGrid(V, 1e-3, 1e-3 / 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.steps.size
 
 
 @pytest.mark.parametrize("name", ["canonical", "two_mode"])
@@ -1314,7 +1332,9 @@ def test_scan_refuses_a_step_that_may_hold_two_zeros():
 
 
 def traced_grid_and_mismatch(V, eps):
-    """(bytes a grid holds, traced peak of one complex mismatch on it, bytes of one step-sized complex array)."""
+    """(bytes a grid holds, traced peak of one complex mismatch on it, bytes of one step-sized complex array),
+    the grid and its plan built cold."""
+    solver._WORKSPACE.slots.clear()
     tracemalloc.start()
     try:
         grid = _CoefficientGrid(V, eps, eps / 40)
@@ -1335,6 +1355,20 @@ def test_one_complex_mismatch_peaks_at_seven_step_sized_arrays():
     held, one, unit = traced_grid_and_mismatch(SquareWell(depth=30.0, support=(0.0, 0.1)), 1e-3)
     assert unit == 4000 * 16
     assert one <= 7.25 * unit
+
+
+def test_a_warm_complex_mismatch_allocates_no_step_sized_array():
+    # the same grid and mismatch where the last ones went away: the grid and its plan take the spare
+    # slots, and what is left is the well's own samples and masks (1.2 step-sized complex arrays)
+    V = SquareWell(depth=30.0, support=(0.0, 0.1))
+    _CoefficientGrid(V, 1e-3, 1e-3 / 40).mismatch(1e-5 + 5e-6j)
+    tracemalloc.start()
+    try:
+        _CoefficientGrid(V, 1e-3, 1e-3 / 40).mismatch(1e-5 + 5e-6j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 4000 * 16
 
 
 def test_the_disk_count_peaks_like_one_mismatch():
@@ -1362,6 +1396,7 @@ def test_a_transfer_matrix_peaks_like_one_mismatch(name, eps, lam):
     peaks = []
     for call in calls:
         call()  # whatever the first call caches is not counted
+        solver._WORKSPACE.slots.clear()  # but the grid and its plan are built cold
         tracemalloc.start()
         try:
             call()
@@ -1369,6 +1404,21 @@ def test_a_transfer_matrix_peaks_like_one_mismatch(name, eps, lam):
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 1.02 * peaks[1]
+
+
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+def test_a_warm_transfer_matrix_allocates_no_step_sized_array(name):
+    # built where the last mismatch's grid went away (40k / 60k steps), a transfer matrix takes its
+    # slots: its traced peak stays below one step-sized float array
+    V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
+    mismatch(V, 1e-3, cmath.sqrt(0.01 - 0.004j))
+    tracemalloc.start()
+    try:
+        transfer_matrix(V, 1e-3, -0.01 + 0.004j, 1e-3 / 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 40000
 
 
 def test_a_new_plan_key_does_not_hold_two_plans():
@@ -1393,6 +1443,7 @@ def test_a_new_plan_key_does_not_hold_two_plans():
 def test_a_plan_grows_only_on_its_first_count_and_then_by_less_than_one_int32_per_step():
     # 4000 steps: mismatches leave the plan its three arrays and its views (15.3 kB of them) and no count state;
     # the first count adds one bool per pair and views of the products' entries (9.4 kB), a later one nothing
+    solver._WORKSPACE.slots.clear()  # the plan is built cold
     grid = _CoefficientGrid(SquareWell(depth=30.0, support=(0.0, 0.1)), 1e-3, 1e-3 / 40)
     calls, held = (grid.mismatch, grid.mismatch, grid.count_below, grid.count_below), []
     tracemalloc.start()
@@ -1409,6 +1460,117 @@ def test_a_plan_grows_only_on_its_first_count_and_then_by_less_than_one_int32_pe
     assert n == 4000 and arrays == 8 * (4 * n + 2 * n + 4 * 512)
     assert 0 <= held[0] - arrays <= 0.6 * 8 * n and abs(held[1] - held[0]) <= 256
     assert 0 < held[2] - held[1] <= 4 * n and abs(held[3] - held[2]) <= 256
+
+
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+def test_a_warm_deep_solve_faults_fewer_than_fifty_pages_per_call(name):
+    # at eps 1e-3 (40k / 60k steps) a solve's grid and plan take the last solve's slots; each fresh
+    # array would fault in its pages again (about 1500 / 2300 per call without the workspace)
+    V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
+    k2 = compute_k2(V).value
+    find_bound_state(V, 1e-3, k2_hint=k2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        find_bound_state(V, 1e-3, k2_hint=k2)
+    assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5 < 50
+
+
+def test_a_live_grid_and_a_view_of_a_dead_one_keep_their_bytes():
+    # grids of fewer, as many and more steps are built and climbed while a grid (4000 steps) lives and
+    # a view of a dropped grid's coefficients survives: neither shares memory with them or changes
+    V = load_config(str(CONFIG_DIR / "canonical.cfg")).build_potential()
+    kept = _CoefficientGrid(V, 0.01, 0.01 / 40)
+    f, n = kept.mismatch(0.3), kept.count_below(0.3)
+    arrays = [kept.steps, *kept.a, *kept.coefficients, kept._tree.maps]
+    saved = [a.tobytes() for a in arrays]
+    view = _CoefficientGrid(V.scaled(1j), 0.01, 0.01 / 40).coefficients[0][1, 5:]
+    seen = view.tobytes()
+    for eps in (0.1, 0.01, 1e-3, 0.01):
+        grid = _CoefficientGrid(V, eps, eps / 40)
+        grid.mismatch(np.array([0.2, 0.3]))
+        grid.count_below(0.3)
+        mine = [grid.steps, *grid.a, *grid.coefficients, grid._tree.maps, grid.xs]
+        assert not any(np.shares_memory(a, b) for a in mine for b in arrays + [view])
+    assert [a.tobytes() for a in arrays] == saved and view.tobytes() == seen
+    assert kept.mismatch(0.3) == f and kept.count_below(0.3) == n
+
+
+def test_two_threads_solving_at_once_give_the_sequential_results_bit_for_bit():
+    # two threads take slots from the one workspace in turn; each solve equals the same solve alone
+    V = load_config(str(CONFIG_DIR / "canonical.cfg")).build_potential()
+    k2 = compute_k2(V).value
+    work = {0: [0.05, 1e-3, 0.02], 1: [2e-3, 0.1, 0.01]}
+    alone = {t: [repr(find_bound_state(V, eps, k2_hint=k2)) for eps in epsilons] for t, epsilons in work.items()}
+    together = {t: [] for t in work}
+
+    def solve(t):
+        for _ in range(3):
+            together[t].extend(repr(find_bound_state(V, eps, k2_hint=k2)) for eps in work[t])
+
+    threads = [threading.Thread(target=solve, args=(t,)) for t in work]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert all(together[t] == 3 * alone[t] for t in work)
+
+
+def test_the_workspace_keeps_at_most_its_slots_and_lets_a_small_spare_go_first():
+    workspace = solver._Workspace(2)
+    first = workspace.take((((100,), float),), (((50,), complex), ((3, 7), float)))
+    assert len(workspace.slots) == 2 and first[1][1].shape == (3, 7) and first[1][1].base.nbytes == 8 * 21
+    (third,) = workspace.take((((10,), float),))  # above two slots in use: a buffer of its own
+    assert len(workspace.slots) == 2 and not any(np.shares_memory(third, a) for arrays in first for a in arrays)
+    del first, third
+    (small,) = workspace.take((((10,), float),))
+    assert small[0].ctypes.data % 64 == 0 and len(workspace.slots) == 2  # the bottom slot fits: reused
+    del small
+    (large,) = workspace.take((((1000,), float),))
+    assert len(workspace.slots) == 1 and workspace.slots[0][0].nbytes >= 8000  # too small: every spare let go
+
+
+@pytest.mark.parametrize("kappa", [math.inf, complex(0.3, math.inf), complex(math.inf, 1.0)])
+def test_an_infinite_kappa_is_refused(canonical, kappa):
+    grid = _CoefficientGrid(canonical, 0.1, 0.1 / 40)
+    calls = [
+        lambda: mismatch(canonical, 0.1, kappa),
+        lambda: grid.mismatch(np.array([0.1, kappa, 0.3])),
+        lambda: grid.left_solution(kappa),
+    ]
+    if isinstance(kappa, float):
+        calls.append(lambda: grid.count_below(kappa))
+    for call in calls:
+        with pytest.raises(ValueError, match="half-plane"):
+            call()
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, complex(-0.01, math.nan)])
+def test_a_non_finite_lambda_is_refused(canonical, lam):
+    with pytest.raises(ValueError, match="lam must be finite"):
+        transfer_matrix(canonical, 0.1, lam, 0.1 / 40)
+
+
+def test_only_mismatch_takes_an_array_of_kappas(canonical):
+    grid = _CoefficientGrid(canonical, 0.1, 0.1 / 40)
+    for call in (grid.count_below, grid.left_solution):
+        with pytest.raises(ValueError, match=r"kappa must be one value, not an array of shape \(2,\)"):
+            call(np.array([0.1, 0.2]))
+    assert grid.mismatch(np.array([0.1, 0.2])).shape == (2,)
+
+
+def test_a_warm_plan_build_keeps_only_its_views():
+    # a plan built where the last grid's plan went away takes its slot: the first mismatch leaves the plan's
+    # numpy views (15.3 kB at 4000 steps) and no array of its own
+    V = SquareWell(depth=30.0, support=(0.0, 0.1))
+    _CoefficientGrid(V, 1e-3, 1e-3 / 40).mismatch(0.5)
+    grid = _CoefficientGrid(V, 1e-3, 1e-3 / 40)
+    tracemalloc.start()
+    try:
+        grid.mismatch(0.5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grid.steps.size == 4000 and 0 < held <= 0.6 * 8 * 4000
 
 
 def test_solver_config_validation():
