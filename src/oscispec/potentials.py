@@ -308,9 +308,9 @@ class TwoScaleFunction:
         x = np.asarray(x, dtype=float)
         return self.eval(x, x / eps)
 
-    def eval_fast_lattice(self, x, eps: float, h: float, size: int, out: np.ndarray) -> np.ndarray:
+    def eval_fast_lattice(self, x, eps: float, h: float, size: int, out: np.ndarray | None = None) -> np.ndarray:
         """``eval_fast`` at a flat x whose first ``size`` points lie on the half-step lattice,
-        x[k] = x[0] + h k / 2, written into out (x's size; float for a real function, else complex).
+        x[k] = x[0] + h k / 2; written into out if given (x's size; float for a real function, else complex).
 
         When h = eps / P for an integer P, the fast variable at half step k
         is fmod(x[0], eps) / eps + k / 2P modulo 1, so the lattice points'
@@ -322,7 +322,11 @@ class TwoScaleFunction:
         """
         steps = round(eps / h)
         if steps < 1 or eps / steps != h:
-            return self._walk(x, ((0, 0),), lambda m, wave, lo, hi: wave(TWO_PI * m * (x[lo:hi] / eps)), [out])[0]
+            vals = self.eval_fast(x, eps)
+            if out is None:
+                return vals
+            out[...] = vals
+            return out
         period = 2 * steps  # half steps per fast period
         xi = math.fmod(x[0], eps) / eps + np.arange(period) / period
         repeats = min(_BLOCK, size) // period + 2
@@ -335,6 +339,8 @@ class TwoScaleFunction:
             on = tables[m, wave][lo % period : lo % period + mid - lo]
             return on if mid == hi else np.concatenate((on, wave(TWO_PI * m * (x[mid:hi] / eps))))
 
+        if out is None:
+            out = np.empty(x.size, dtype=float if self.is_real else complex)
         return self._walk(x, ((0, 0),), waves_at, [out])[0]
 
 

@@ -18,10 +18,10 @@ hull -- full steps of length h, then one partial step when the hull length
 is not a multiple of h -- and samples a = V once, at the stage points in
 increasing x (the half-step lattice x0 + h k / 2, then a partial step's
 midpoint and x1): the (start, middle, end) stages are three stride-2 views
-of that one array, reused for every kappa.  Every step-sized array of a grid
-and of its plan comes from one workspace (``_Workspace``), a stack of byte
-buffers that a new grid takes over once no array of the last one is alive,
-so a deep solve does not fault its pages in again.
+of that one array, reused for every kappa.  From 2^13 steps on, the
+step-sized arrays of a grid and of its plan are laid over three spare
+buffers (``_take``), which the next grid takes over once no array of the
+last one is alive, so a deep solve does not fault its pages in again.
 
 One RK4 step body (``_rk4_step``), plain arithmetic, and one pairwise tree.
 A step of the linear ODE is a 2x2 matrix; the leaf of the grid's plan
@@ -66,8 +66,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -110,74 +110,48 @@ _TREE_BUFSIZE = 256
 _BATCH_MAPS = 4096
 
 
-class _Workspace:
-    """A stack of byte buffers (slots) that every step-sized array of a grid and of its plan is carved from.
+class _Spare:
+    """One role's recycled buffer (``_take``) and weak references to the arrays last laid over it."""
 
-    ``take`` puts arrays in the first slots above every slot in use, if they fit there; if not, that slot
-    and every slot above it are released and one of the arrays' size is made.  Each array is a view of a
-    flat array that ``np.frombuffer`` makes over the slot, so every view of it has that flat array as its
-    .base.  A slot is in use while anything but the slot refers to one of its flat arrays: a live grid,
-    or a view of a dead one, never shares memory with a new array, whichever thread asks.  A grid that
-    goes away so leaves its slots to the next grid, which then faults none of their pages in again.  A
-    slot keeps the flat arrays of its last ``_LAYOUTS`` layouts and hands them out again: a grid's build
-    and its plan use a slot in turn for two, and a real and a complex grid, or a batch plan, for others.
-    Past ``size`` slots, arrays get a buffer of their own.
+    def __init__(self):
+        self.buffer, self.users = None, []
+
+
+# grids of this many steps or more lay their step-sized arrays over the spares; below it (eps above 0.0049 /
+# 0.0073 on the shipped configs) a warm solve faulted 0 to 90 pages per call, so np.empty serves them
+_SPARE_STEPS = 8192
+# role -> _Spare: the samples (steps and the stage samples), the coefficients (after the stage points, which
+# they outlive), and the plan (after the coefficients' two build temporaries)
+_SPARES: dict = {}
+_SPARE_LOCK = threading.Lock()
+
+
+def _take(role: str, n: int, specs) -> list:
+    """Uninitialised arrays of the (shape, dtype) specs for a grid or plan of n steps.
+
+    From ``_SPARE_STEPS`` steps on they are laid over role's spare buffer, 64 bytes apart, when no array
+    last laid over it is alive: each is a view of one ``np.frombuffer`` array, the .base of every view of
+    it, so a weak reference to that array dies with the last of them, whichever thread made it.  A spare
+    too small is let go before a larger one is made, and a spare in use leaves the arrays to np.empty, as
+    below ``_SPARE_STEPS``.  A deep grid that goes away so leaves its memory to the next one, which then
+    faults none of its pages in again.
     """
-
-    def __init__(self, size: int):
-        # a slot: [memoryview of its buffer, offset of its first 64-byte boundary, {layout: flat arrays},
-        # every flat array of those layouts]
-        self.size, self.slots, self.last, self.lock = size, [], -1, threading.Lock()
-
-    def take(self, *layouts: tuple) -> list:
-        """Uninitialised arrays for each layout, a tuple of (shape, dtype) specs, in consecutive slots, one
-        layout to a slot and each array on a 64-byte boundary: a list of arrays per layout."""
-        with self.lock:
-            slots = self.slots
-            # no slot above the last one handed out has been handed out since, so none is in use
-            top = min(self.last, len(slots) - 1)
-            while top >= 0 and max(map(sys.getrefcount, slots[top][3]), default=0) <= 3:  # its layout, the list, the call
-                top -= 1
-            arrays = []
-            for top, specs in enumerate(layouts, top + 1):
-                flats = slots[top][2].get(specs) if top < len(slots) else None
-                if flats is None:
-                    flats = self._carve(top, specs)
-                arrays.append([flat.reshape(shape) for flat, (shape, _) in zip(flats, specs)])
-            self.last = top
-        return arrays
-
-    def _carve(self, top: int, specs: tuple) -> list:
-        """New flat arrays for specs in slot top, made large enough first; past ``_LAYOUTS`` layouts, its
-        oldest is dropped."""
-        starts, slots = [0], self.slots
+    if n >= _SPARE_STEPS:
+        starts = [0]
         for shape, dtype in specs:
             starts.append(starts[-1] - (-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64)
-        if top >= len(slots) or slots[top][0].nbytes < starts[-1] + 64:
-            del slots[top:]  # the spare is too small: let it go before the larger buffer is made
-            # a bytearray, not np.empty: numpy advises huge pages for 4 MB and up, which rounds the resident
-            # size of a large slot up by as much as 2 MB
-            buffer = memoryview(bytearray(starts[-1] + 64))
-            slot = [buffer, -np.frombuffer(buffer, np.uint8).ctypes.data % 64, {}, []]
-            if top == len(slots) < self.size:
-                slots.append(slot)
-        else:
-            slot = slots[top]
-        layouts = slot[2]
-        if len(layouts) == _LAYOUTS:
-            del layouts[next(iter(layouts))]
-        layouts[specs] = [np.frombuffer(slot[0], d, math.prod(shape), slot[1] + j) for (shape, d), j in zip(specs, starts)]
-        slot[3] = [flat for flats in layouts.values() for flat in flats]
-        return layouts[specs]
-
-
-# one slot per group of step-sized arrays that a grid and its plan hold at once (the steps and samples,
-# the stage points and then the coefficients, the coefficients' temporaries and then the plan's leaf, half
-# buffer and level-1 temporary), and one for the stage points ``eigenfunction`` reads
-_WORKSPACE = _Workspace(4)
-# layouts whose flat arrays a slot keeps to hand out again (``scan_batch``'s items use five in one slot)
-_LAYOUTS = 8
-_take = _WORKSPACE.take
+        with _SPARE_LOCK:
+            spare = _SPARES.setdefault(role, _Spare())
+            if not any(user() is not None for user in spare.users):
+                if spare.buffer is None or len(spare.buffer) < starts[-1]:
+                    spare.buffer = None
+                    # a bytearray, not np.empty: numpy advises huge pages for 4 MB and up, which rounds the
+                    # resident size up; its zero fill costs the first deep grid of a process about 0.5 ms
+                    spare.buffer = bytearray(starts[-1])
+                flats = [np.frombuffer(spare.buffer, d, math.prod(shape), i) for (shape, d), i in zip(specs, starts)]
+                spare.users = [weakref.ref(flat) for flat in flats]
+                return [flat.reshape(shape) for flat, (shape, _) in zip(flats, specs)]
+    return [np.empty(shape, dtype) for shape, dtype in specs]
 
 
 @dataclass(frozen=True)
@@ -238,8 +212,10 @@ class SquareWell:
         a, b = self.support
         return np.where((x >= a) & (x <= b), -float(self.depth), 0.0)
 
-    def eval_fast_lattice(self, x, eps: float, h: float, size: int, out: np.ndarray) -> np.ndarray:
-        """The well has no fast phase: ``eval_fast`` at x, into out."""
+    def eval_fast_lattice(self, x, eps: float, h: float, size: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The well has no fast phase: ``eval_fast`` at x, written into out if given."""
+        if out is None:
+            return self.eval_fast(x, eps)
         np.copyto(out, self.eval_fast(x, eps))
         return out
 
@@ -290,12 +266,12 @@ class _CoefficientGrid:
         if not phase < _STURM_STEP_PHASE:
             raise ValueError(f"step too large: h sqrt(sup|V|) = {phase:.3g} must stay below pi")
         self.real, size = bool(V.is_real), n_full + (h_last > 0.0)
-        kept = ((size,), float), ((2 * size + 1,), float if self.real else complex)
-        (self.steps, vals), (xs,) = _take(kept, (((2 * size + 1,), float),))
+        self.steps, vals = _take("samples", size, (((size,), float), ((2 * size + 1,), float if self.real else complex)))
         self.steps[:n_full] = self.h
         self.steps[n_full:] = h_last
-        V.eval_fast_lattice(self._stage_points(xs), eps, self.h, 2 * self.n_full + 1, vals)
-        del xs  # its slot takes the coefficients
+        (xs,) = _take("coefficients", size, (((2 * size + 1,), float),))
+        V.eval_fast_lattice(self._stage_points(xs), eps, self.h, 2 * self.n_full + 1, out=vals)
+        del xs  # the coefficients take its memory
         self.a = vals[:-1:2], vals[1::2], vals[2::2]  # three stride-2 views of vals
         self.coefficients = _quadratic_maps(self.h, self.h_last, *self.a)
 
@@ -303,8 +279,7 @@ class _CoefficientGrid:
     def xs(self) -> np.ndarray:
         """The stage points in increasing x: the first ``2 n_full + 1`` on the half-step lattice,
         x0 + h k / 2, then a partial step's midpoint and x1."""
-        ((xs,),) = _take((((2 * self.steps.size + 1,), float),))
-        return self._stage_points(xs)
+        return self._stage_points(np.empty(2 * self.steps.size + 1))
 
     def _stage_points(self, xs: np.ndarray) -> np.ndarray:
         """``xs`` written into xs.  k copies its first block from ``_INDEX`` and then doubles, each copy
@@ -473,7 +448,7 @@ class _Tree:
     def __init__(self, batch: tuple, dtype, n: int):
         self.key, lead, width, chunk = (batch, dtype), (2, 2, *batch), 4 * math.prod(batch), max(512, n // 8)
         layout = ((4, *batch, n), dtype), ((width * ((n + 1) // 2),), dtype), (lead + (min(chunk, n // 2),), dtype)
-        ((self.maps, half, tmp),) = _take(layout)
+        self.maps, half, tmp = _take("plan", n, layout)
         self.leaf = m = self.maps.reshape(lead + (n,))[::-1]
         buffers = half, self.maps.reshape(-1)
         self.levels = []
@@ -516,30 +491,28 @@ def _quadratic_maps(h: float, h_last: float, a0, a1, a2):
 
     Every step has length h but a last partial one of length h_last > 0.
     Each P is stacked (3, n), rows m10, m11, m00; P2 depends on h alone, so
-    it stays real for a complex potential.  They come from one slot of the
-    workspace, and the build's two step-sized temporaries from the next.
+    it stays real for a complex potential.  They take the coefficients'
+    spare (``_take``).
     """
-    n, dtype = a1.size, a1.dtype
-    (p01, p2), (scratch,) = _take((((2, 3, n), dtype), ((3, n), float)), (((2, n), dtype),))
-    p0, p1 = p01
+    n = a1.size
+    p0, p1, p2 = _take("coefficients", n, (((3, n), a1.dtype), ((3, n), a1.dtype), ((3, n), float)))
     full = n - (h_last > 0.0)
-    _fill_quadratic_maps(h, a0[:full], a1[:full], a2[:full], p0[:, :full], p1[:, :full], p2[:, :full], scratch[:, :full])
+    _fill_quadratic_maps(h, a0[:full], a1[:full], a2[:full], p0[:, :full], p1[:, :full], p2[:, :full])
     if full < n:
-        _fill_quadratic_maps(
-            h_last, a0[full:], a1[full:], a2[full:], p0[:, full:], p1[:, full:], p2[:, full:], scratch[:, full:]
-        )
+        _fill_quadratic_maps(h_last, a0[full:], a1[full:], a2[full:], p0[:, full:], p1[:, full:], p2[:, full:])
     return p0, p1, p2
 
 
-def _fill_quadratic_maps(h: float, a0, a1, a2, p0, p1, p2, scratch) -> None:
-    """``_quadratic_maps`` of steps of length h in place, into the rows of p0, p1 and p2, with the two
-    rows of scratch for 2 a1 and a0 + 2 a1: the h-terms taken once, and every product and sum of the
-    per-step expansion with its operands and order, row by row m10, m11, m00."""
+def _fill_quadratic_maps(h: float, a0, a1, a2, p0, p1, p2) -> None:
+    """``_quadratic_maps`` of steps of length h in place, into the rows of p0, p1 and p2: the
+    h-terms taken once, and every product and sum of the per-step expansion with its operands and
+    order, row by row m10, m11, m00.  2 a1 and a0 + 2 a1 go into two rows that the plan's spare
+    holds until the plan takes it."""
     h2 = h * h
     h3_6, h4_24 = h * h2 / 6.0, h2 * h2 / 24.0
     h_6, h2_6, half_h2, half_h3_6 = h / 6.0, h2 / 6.0, 0.5 * h2, 0.5 * h3_6
     p2[0], p2[1:] = h3_6, h4_24
-    two_a1, s = scratch
+    ((two_a1, s),) = _take("plan", a1.size, (((2, a1.size), a1.dtype),))
     np.multiply(2.0, a1, out=two_a1)
     np.add(a0, two_a1, out=s)
     np.add(s, a2, out=p1[0])

@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import resource
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -516,7 +517,7 @@ def test_a_grid_build_peaks_below_six_fifths_of_what_the_grid_keeps(name):
     # at eps 1e-3 (80k / 120k stage points) the build's temporaries beyond the grid's own arrays
     # are the stage points and two step-sized rows of the coefficient build
     V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
-    solver._WORKSPACE.slots.clear()  # a cold build: no spare slots to reuse
+    solver._SPARES.clear()  # a cold build: no spare to reuse
     tracemalloc.start()
     try:
         grid = _CoefficientGrid(V, 1e-3, 1e-3 / 40)
@@ -529,7 +530,7 @@ def test_a_grid_build_peaks_below_six_fifths_of_what_the_grid_keeps(name):
 
 @pytest.mark.parametrize("name", ["canonical", "two_mode"])
 def test_a_warm_grid_build_allocates_no_step_sized_array(name):
-    # a grid built where the last one went away takes its slots: the build's traced peak stays below
+    # a grid built where the last one went away takes its spares: the build's traced peak stays below
     # one step-sized float array (its numpy views and the potential's block temporaries)
     V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
     _CoefficientGrid(V, 1e-3, 1e-3 / 40)
@@ -1332,9 +1333,7 @@ def test_scan_refuses_a_step_that_may_hold_two_zeros():
 
 
 def traced_grid_and_mismatch(V, eps):
-    """(bytes a grid holds, traced peak of one complex mismatch on it, bytes of one step-sized complex array),
-    the grid and its plan built cold."""
-    solver._WORKSPACE.slots.clear()
+    """(bytes a grid holds, traced peak of one complex mismatch on it, bytes of one step-sized complex array)."""
     tracemalloc.start()
     try:
         grid = _CoefficientGrid(V, eps, eps / 40)
@@ -1358,17 +1357,18 @@ def test_one_complex_mismatch_peaks_at_seven_step_sized_arrays():
 
 
 def test_a_warm_complex_mismatch_allocates_no_step_sized_array():
-    # the same grid and mismatch where the last ones went away: the grid and its plan take the spare
-    # slots, and what is left is the well's own samples and masks (1.2 step-sized complex arrays)
-    V = SquareWell(depth=30.0, support=(0.0, 0.1))
+    # a 10k-step grid and complex mismatch where the last ones went away: the grid and its plan take the
+    # spares, and what is left is the well's own samples and masks (1.4 step-sized complex arrays)
+    V = SquareWell(depth=30.0, support=(0.0, 0.25))
     _CoefficientGrid(V, 1e-3, 1e-3 / 40).mismatch(1e-5 + 5e-6j)
     tracemalloc.start()
     try:
-        _CoefficientGrid(V, 1e-3, 1e-3 / 40).mismatch(1e-5 + 5e-6j)
+        grid = _CoefficientGrid(V, 1e-3, 1e-3 / 40)
+        grid.mismatch(1e-5 + 5e-6j)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 4000 * 16
+    assert grid.steps.size == 10000 >= solver._SPARE_STEPS and peak <= 1.5 * 10000 * 16
 
 
 def test_the_disk_count_peaks_like_one_mismatch():
@@ -1396,7 +1396,7 @@ def test_a_transfer_matrix_peaks_like_one_mismatch(name, eps, lam):
     peaks = []
     for call in calls:
         call()  # whatever the first call caches is not counted
-        solver._WORKSPACE.slots.clear()  # but the grid and its plan are built cold
+        solver._SPARES.clear()  # but the grid and its plan are built cold
         tracemalloc.start()
         try:
             call()
@@ -1409,7 +1409,7 @@ def test_a_transfer_matrix_peaks_like_one_mismatch(name, eps, lam):
 @pytest.mark.parametrize("name", ["canonical", "two_mode"])
 def test_a_warm_transfer_matrix_allocates_no_step_sized_array(name):
     # built where the last mismatch's grid went away (40k / 60k steps), a transfer matrix takes its
-    # slots: its traced peak stays below one step-sized float array
+    # spares: its traced peak stays below one step-sized float array
     V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
     mismatch(V, 1e-3, cmath.sqrt(0.01 - 0.004j))
     tracemalloc.start()
@@ -1443,7 +1443,6 @@ def test_a_new_plan_key_does_not_hold_two_plans():
 def test_a_plan_grows_only_on_its_first_count_and_then_by_less_than_one_int32_per_step():
     # 4000 steps: mismatches leave the plan its three arrays and its views (15.3 kB of them) and no count state;
     # the first count adds one bool per pair and views of the products' entries (9.4 kB), a later one nothing
-    solver._WORKSPACE.slots.clear()  # the plan is built cold
     grid = _CoefficientGrid(SquareWell(depth=30.0, support=(0.0, 0.1)), 1e-3, 1e-3 / 40)
     calls, held = (grid.mismatch, grid.mismatch, grid.count_below, grid.count_below), []
     tracemalloc.start()
@@ -1464,8 +1463,8 @@ def test_a_plan_grows_only_on_its_first_count_and_then_by_less_than_one_int32_pe
 
 @pytest.mark.parametrize("name", ["canonical", "two_mode"])
 def test_a_warm_deep_solve_faults_fewer_than_fifty_pages_per_call(name):
-    # at eps 1e-3 (40k / 60k steps) a solve's grid and plan take the last solve's slots; each fresh
-    # array would fault in its pages again (about 1500 / 2300 per call without the workspace)
+    # at eps 1e-3 (40k / 60k steps) a solve's grid and plan take the last solve's spares; each fresh
+    # array would fault in its pages again (about 1700 / 2600 per call without them)
     V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
     k2 = compute_k2(V).value
     find_bound_state(V, 1e-3, k2_hint=k2)
@@ -1476,30 +1475,41 @@ def test_a_warm_deep_solve_faults_fewer_than_fifty_pages_per_call(name):
 
 
 def test_a_live_grid_and_a_view_of_a_dead_one_keep_their_bytes():
-    # grids of fewer, as many and more steps are built and climbed while a grid (4000 steps) lives and
-    # a view of a dropped grid's coefficients survives: neither shares memory with them or changes
+    # a view of a dropped grid's P1 holds the coefficients' spare and a live grid (20k steps) the samples',
+    # while grids of fewer, as many and more steps are built and climbed, their plans on the plan's spare:
+    # none shares memory with the two, and neither changes
     V = load_config(str(CONFIG_DIR / "canonical.cfg")).build_potential()
-    kept = _CoefficientGrid(V, 0.01, 0.01 / 40)
+    solver._SPARES.clear()
+    view = _CoefficientGrid(V.scaled(1j), 2e-3, 2e-3 / 40).coefficients[1][1, 5:]
+    kept = _CoefficientGrid(V, 2e-3, 2e-3 / 40)
     f, n = kept.mismatch(0.3), kept.count_below(0.3)
-    arrays = [kept.steps, *kept.a, *kept.coefficients, kept._tree.maps]
+    kept._tree = None  # its plan's spare goes to the grids below
+    arrays = [kept.steps, *kept.a, *kept.coefficients, view]
     saved = [a.tobytes() for a in arrays]
-    view = _CoefficientGrid(V.scaled(1j), 0.01, 0.01 / 40).coefficients[0][1, 5:]
-    seen = view.tobytes()
-    for eps in (0.1, 0.01, 1e-3, 0.01):
+    spare = {role: np.frombuffer(solver._SPARES[role].buffer, np.uint8) for role in ("samples", "coefficients")}
+    assert np.shares_memory(kept.steps, spare["samples"]) and np.shares_memory(view, spare["coefficients"])
+    assert not any(np.shares_memory(view, a) for a in arrays[:-1])
+    del spare
+    planned = []
+    for eps in (0.1, 4e-3, 2e-3, 1e-3, 2e-3):
         grid = _CoefficientGrid(V, eps, eps / 40)
         grid.mismatch(np.array([0.2, 0.3]))
         grid.count_below(0.3)
-        mine = [grid.steps, *grid.a, *grid.coefficients, grid._tree.maps, grid.xs]
-        assert not any(np.shares_memory(a, b) for a in mine for b in arrays + [view])
-    assert [a.tobytes() for a in arrays] == saved and view.tobytes() == seen
+        mine = [grid.steps, *grid.a, *grid.coefficients, grid._tree.maps]
+        assert not any(np.shares_memory(a, b) for a in mine for b in arrays)
+        planned.append(np.shares_memory(grid._tree.maps, np.frombuffer(solver._SPARES["plan"].buffer, np.uint8)))
+        del grid, mine  # the next grid's plan takes the spare
+    assert planned == [False, True, True, True, True]
+    assert kept.steps.size == 20000 and [a.tobytes() for a in arrays] == saved
     assert kept.mismatch(0.3) == f and kept.count_below(0.3) == n
 
 
-def test_two_threads_solving_at_once_give_the_sequential_results_bit_for_bit():
-    # two threads take slots from the one workspace in turn; each solve equals the same solve alone
+def test_threads_solving_at_once_give_the_sequential_results_bit_for_bit():
+    # four threads (more than the cores) take the spares in turn, switching every 10 us; each solve
+    # equals the same solve alone
     V = load_config(str(CONFIG_DIR / "canonical.cfg")).build_potential()
     k2 = compute_k2(V).value
-    work = {0: [0.05, 1e-3, 0.02], 1: [2e-3, 0.1, 0.01]}
+    work = {0: [0.05, 1e-3, 0.02], 1: [2e-3, 0.1, 0.01], 2: [1e-3, 4e-3], 3: [3e-3, 0.1, 2e-3]}
     alone = {t: [repr(find_bound_state(V, eps, k2_hint=k2)) for eps in epsilons] for t, epsilons in work.items()}
     together = {t: [] for t in work}
 
@@ -1508,25 +1518,46 @@ def test_two_threads_solving_at_once_give_the_sequential_results_bit_for_bit():
             together[t].extend(repr(find_bound_state(V, eps, k2_hint=k2)) for eps in work[t])
 
     threads = [threading.Thread(target=solve, args=(t,)) for t in work]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert all(together[t] == 3 * alone[t] for t in work)
 
 
-def test_the_workspace_keeps_at_most_its_slots_and_lets_a_small_spare_go_first():
-    workspace = solver._Workspace(2)
-    first = workspace.take((((100,), float),), (((50,), complex), ((3, 7), float)))
-    assert len(workspace.slots) == 2 and first[1][1].shape == (3, 7) and first[1][1].base.nbytes == 8 * 21
-    (third,) = workspace.take((((10,), float),))  # above two slots in use: a buffer of its own
-    assert len(workspace.slots) == 2 and not any(np.shares_memory(third, a) for arrays in first for a in arrays)
-    del first, third
-    (small,) = workspace.take((((10,), float),))
-    assert small[0].ctypes.data % 64 == 0 and len(workspace.slots) == 2  # the bottom slot fits: reused
-    del small
-    (large,) = workspace.take((((1000,), float),))
-    assert len(workspace.slots) == 1 and workspace.slots[0][0].nbytes >= 8000  # too small: every spare let go
+def test_a_role_keeps_one_spare_and_lets_a_small_one_go_first(monkeypatch):
+    monkeypatch.setattr(solver, "_SPARES", {})
+    n = solver._SPARE_STEPS
+    assert solver._take("r", n - 1, [((n,), float)])[0].base is None and not solver._SPARES  # np.empty
+    first = solver._take("r", n, [((n,), float), ((3, 7), complex)])
+    spare = solver._SPARES["r"]
+
+    def on_spare(a):
+        return np.shares_memory(a, np.frombuffer(spare.buffer, np.uint8))
+
+    assert first[1].shape == (3, 7) and first[1].base.nbytes == 16 * 21 and all(map(on_spare, first))
+    view = first[1][1:]
+    del first
+    (second,) = solver._take("r", n, [((n,), float)])  # a view of the spare's last arrays lives: np.empty
+    assert not on_spare(second) and len(solver._SPARES) == 1
+    del view
+    (again,) = solver._take("r", n, [((n,), float)])  # nothing laid over it lives: the spare again
+    assert on_spare(again)
+    del again
+    small = len(spare.buffer)
+    tracemalloc.start()
+    try:
+        (large,) = solver._take("r", n, [((4 * n,), float)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert on_spare(large) and len(spare.buffer) >= 32 * n and peak < small + len(spare.buffer)  # let go first
 
 
 @pytest.mark.parametrize("kappa", [math.inf, complex(0.3, math.inf), complex(math.inf, 1.0)])
@@ -1559,9 +1590,9 @@ def test_only_mismatch_takes_an_array_of_kappas(canonical):
 
 
 def test_a_warm_plan_build_keeps_only_its_views():
-    # a plan built where the last grid's plan went away takes its slot: the first mismatch leaves the plan's
-    # numpy views (15.3 kB at 4000 steps) and no array of its own
-    V = SquareWell(depth=30.0, support=(0.0, 0.1))
+    # a plan built where the last grid's plan went away takes its spare: the first mismatch leaves the plan's
+    # numpy views (22 kB at 10k steps) and no array of its own
+    V = SquareWell(depth=30.0, support=(0.0, 0.25))
     _CoefficientGrid(V, 1e-3, 1e-3 / 40).mismatch(0.5)
     grid = _CoefficientGrid(V, 1e-3, 1e-3 / 40)
     tracemalloc.start()
@@ -1570,7 +1601,7 @@ def test_a_warm_plan_build_keeps_only_its_views():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert grid.steps.size == 4000 and 0 < held <= 0.6 * 8 * 4000
+    assert grid.steps.size == 10000 and 0 < held <= 0.6 * 8 * 10000
 
 
 def test_solver_config_validation():
