@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gauge as gauge_mod
 from .averaging import _abs_kernel, _breakpoint_integral, _fast_rule, profile_product_integral
 from .potentials import TwoScaleFunction
 
@@ -156,8 +155,10 @@ def compute_k_eps(V: TwoScaleFunction, eps: float) -> KEpsReport:
     rule, eps/16 panels that tile every interval between support endpoints, so
     no envelope kink sits inside a panel, and the gauge is sampled once.
     """
+    from .gauge import build_gauge  # only this chain uses the gauge
+
     nodes, weights, _ = _fast_rule(V.breakpoints, eps, _KEPS_PANELS_PER_PERIOD)
-    coef = gauge_mod.build_gauge(V, eps).coefficients(nodes)
+    coef = build_gauge(V, eps).coefficients(nodes)
     l1 = -coef.f / coef.q
     G, Gp, s0 = _abs_kernel(nodes, weights, l1)
     m1, m2 = complex(s0), complex(np.sum(weights * (2.0 * eps * coef.vprime / coef.q * Gp + l1 * G)))

@@ -15,16 +15,17 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from . import asymptotics as asym
-from . import solver as slv
-from .averaging import decay_order_fit
 from .config import ConfigError, ExperimentConfig, load_config
-from .gauge import _identity_residuals, build_gauge, default_catalog
-from .potentials import check_grid_size
+from .potentials import TwoScaleFunction, check_grid_size
+
+# each command imports what it runs, so a cold call loads only its own modules
+if TYPE_CHECKING:
+    from .asymptotics import K2Report
+    from .solver import SolverConfig
 
 CSV_HEADER = (
     "eps,k2_re,k2_im,lambda_pred_re,lambda_pred_im,"
@@ -50,7 +51,9 @@ class SweepRecord:
 
     @property
     def lambda_pred(self) -> complex:
-        return asym.predict_lambda(self.k2, self.eps)
+        from .asymptotics import predict_lambda
+
+        return predict_lambda(self.k2, self.eps)
 
     @property
     def rel_err(self) -> Optional[float]:
@@ -110,25 +113,30 @@ def emit_csv(records: Sequence[SweepRecord], summary: SweepSummary | None = None
     return _csv(CSV_HEADER, map(_record_row, records), comments)
 
 
-def _solve_record(V, eps: float, rep: asym.K2Report, solver_cfg: slv.SolverConfig) -> SweepRecord:
+def _solve_record(V, eps: float, rep: K2Report, solver_cfg: SolverConfig) -> SweepRecord:
+    from .asymptotics import Existence
+    from .solver import find_bound_state
+
     verdict = str(rep.classification)
     try:
-        res = slv.find_bound_state(V, eps, k2_hint=rep.value, cfg=solver_cfg)
+        res = find_bound_state(V, eps, k2_hint=rep.value, cfg=solver_cfg)
     except (ValueError, RuntimeError) as exc:  # what find_bound_state raises; anything else is a bug
         print(f"eps={eps:g}: {exc}", file=sys.stderr)
         return SweepRecord(eps, rep.value, verdict, converged=False)
     if res is None:
         # no admissible root; for the Absent branch this is the expected
         # certification, for Exists it is a failed solve
-        return SweepRecord(eps, rep.value, verdict, converged=rep.classification is not asym.Existence.EXISTS)
+        return SweepRecord(eps, rep.value, verdict, converged=rep.classification is not Existence.EXISTS)
     return SweepRecord(eps, rep.value, verdict, res.eigenvalue, res.converged)
 
 
-def run_sweep(cfg: ExperimentConfig) -> tuple[list[SweepRecord], SweepSummary]:
-    """One record per configured eps; k2 is computed once for the whole sweep."""
+def run_sweep(cfg: ExperimentConfig, V: TwoScaleFunction | None = None) -> tuple[list[SweepRecord], SweepSummary]:
+    """One record per configured eps, on V (default: the config's potential); k2 is computed once."""
+    from .asymptotics import compute_k2
+
     solver_cfg = _solver_config(cfg)
-    V = cfg.build_potential()
-    rep = asym.compute_k2(V)
+    V = cfg.build_potential() if V is None else V
+    rep = compute_k2(V)
     records = [_solve_record(V, eps, rep, solver_cfg) for eps in cfg.epsilons]
 
     fit_pts = [
@@ -147,12 +155,16 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[SweepRecord], SweepSummary]:
     return records, SweepSummary(slope=slope, mean_remainder_ratio=mean_ratio, ratio_spread=spread)
 
 
-def _solver_config(cfg: ExperimentConfig) -> slv.SolverConfig:
-    return slv.SolverConfig(points_per_fast_period=cfg.points_per_period)
+def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
+    from .solver import SolverConfig
+
+    return SolverConfig(points_per_fast_period=cfg.points_per_period)
 
 
-def _cmd_k2(cfg: ExperimentConfig) -> tuple[bytes, int]:
-    rep = asym.compute_k2(cfg.build_potential())
+def _cmd_k2(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
+    from .asymptotics import compute_k2
+
+    rep = compute_k2(V)
     rows = [
         ("k2_re", _fmt(rep.value.real)),
         ("k2_im", _fmt(rep.value.imag)),
@@ -167,29 +179,32 @@ def _cmd_k2(cfg: ExperimentConfig) -> tuple[bytes, int]:
     return _csv("quantity,value", rows), 0
 
 
-def _cmd_predict(cfg: ExperimentConfig) -> tuple[bytes, int]:
-    rep = asym.compute_k2(cfg.build_potential())
+def _cmd_predict(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
+    from .asymptotics import compute_k2
+
+    rep = compute_k2(V)
     return emit_csv([SweepRecord(eps, rep.value, str(rep.classification)) for eps in cfg.epsilons]), 0
 
 
-def _cmd_solve(cfg: ExperimentConfig) -> tuple[bytes, int]:
-    V = cfg.build_potential()
-    rep = asym.compute_k2(V)
+def _cmd_solve(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
+    from .asymptotics import Existence, compute_k2
+
+    rep = compute_k2(V)
     record = _solve_record(V, cfg.epsilons[0], rep, _solver_config(cfg))
     # an Exists record without an eigenvalue is never converged
-    failed = rep.classification is asym.Existence.EXISTS and not record.converged
+    failed = rep.classification is Existence.EXISTS and not record.converged
     return emit_csv([record]), (3 if failed else 0)
 
 
-def _cmd_sweep(cfg: ExperimentConfig) -> tuple[bytes, int]:
-    records, summary = run_sweep(cfg)
+def _cmd_sweep(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
+    records, summary = run_sweep(cfg, V)
     return emit_csv(records, summary=summary), 0
 
 
-def _cmd_scan(cfg: ExperimentConfig) -> tuple[bytes, int]:
-    V = cfg.build_potential()
-    eps = cfg.epsilons[0]
-    result = slv.scan_roots(V, eps, cfg=_solver_config(cfg))
+def _cmd_scan(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
+    from .solver import scan_roots
+
+    result = scan_roots(V, cfg.epsilons[0], cfg=_solver_config(cfg))
     rows = [(_fmt(k), _fmt(lam)) for k, lam in zip(result.kappas, result.eigenvalues)]
     comments = [
         f"# count={result.count}",
@@ -200,9 +215,10 @@ def _cmd_scan(cfg: ExperimentConfig) -> tuple[bytes, int]:
     return _csv("kappa,eigenvalue", rows, comments), 0
 
 
-def _cmd_lemma(cfg: ExperimentConfig) -> tuple[bytes, int]:
-    u = cfg.build_potential()
-    fit = decay_order_fit(u, list(cfg.epsilons))
+def _cmd_lemma(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
+    from .averaging import decay_order_fit
+
+    fit = decay_order_fit(V, list(cfg.epsilons))
     rows = [(_fmt(e), _fmt(err)) for e, err in zip(fit.epsilons, fit.errors)]
     comments = [
         "# fitted_order=" + _fmt(fit.fitted_order),
@@ -213,8 +229,9 @@ def _cmd_lemma(cfg: ExperimentConfig) -> tuple[bytes, int]:
     return _csv("eps,remainder", rows, comments), 0
 
 
-def _cmd_gauge_check(cfg: ExperimentConfig) -> tuple[bytes, int]:
-    V = cfg.build_potential()
+def _cmd_gauge_check(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
+    from .gauge import _identity_residuals, build_gauge, default_catalog
+
     catalog = default_catalog()
     rows = []
     worst = 0.0
@@ -229,8 +246,9 @@ def _cmd_gauge_check(cfg: ExperimentConfig) -> tuple[bytes, int]:
     return _csv("probe,residual", rows, ["# max_residual=" + _fmt(worst)]), 0
 
 
-def _cmd_keps(cfg: ExperimentConfig) -> tuple[bytes, int]:
-    V = cfg.build_potential()
+def _cmd_keps(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
+    from . import asymptotics as asym
+
     reports = [asym.compute_k_eps(V, eps) for eps in cfg.epsilons]
     rows = [
         [_fmt(v) for v in (r.eps, r.m1.real, r.m1.imag, r.m2.real, r.m2.imag, r.k_eps.real, r.k_eps.imag)]
@@ -251,7 +269,7 @@ def _cmd_keps(cfg: ExperimentConfig) -> tuple[bytes, int]:
     return _csv("eps,m1_re,m1_im,m2_re,m2_im,keps_re,keps_im", rows, comments), 0
 
 
-# name -> (help text, command); a command maps the config to (output bytes, exit code)
+# name -> (help text, command); a command maps the config and its potential to (output bytes, exit code)
 _COMMANDS = {
     "k2": ("compute the k2 constant by both routes and classify existence", _cmd_k2),
     "predict": ("tabulate the leading-order eigenvalue prediction per eps", _cmd_predict),
@@ -281,10 +299,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, require_zero_mean=args.command in _THEOREM_COMMANDS)
-        hull = cfg.build_potential().support_hull
-        if hull[0] == hull[1]:  # mode lines that cancel leave no potential for any command to report on
+        V = cfg.build_potential()
+        if V.support_hull[0] == V.support_hull[1]:  # mode lines that cancel leave nothing to report on
             raise ValueError("the potential's support is empty: it holds no bound state and no gauge")
-        data, code = _COMMANDS[args.command][1](cfg)
+        data, code = _COMMANDS[args.command][1](cfg, V)
         if args.out is None:
             sys.stdout.buffer.write(data)
             sys.stdout.buffer.flush()

@@ -56,24 +56,26 @@ def gaussian_bump(center: float, width: float, amplitude: float = 1.0) -> TestFu
 def poly_times_gaussian(coeffs: Sequence[float], center: float, width: float) -> TestFunction:
     """p(x) * exp(-(x-c)^2 / (2 s^2)) with p given by ascending coefficients."""
     c, s = float(center), float(width)
-    p = np.polynomial.Polynomial(list(coeffs))
-    p1 = p.deriv()
-    p2 = p1.deriv()
+    # descending coefficients for np.polyval's Horner pass, the same arithmetic as np.polynomial's
+    p = np.array(coeffs[::-1], dtype=float)
+    p1 = np.polyder(p)
+    p2 = np.polyder(p1)
 
     def e(x):
         return np.exp(-((x - c) ** 2) / (2 * s * s))
 
     def f(x):
-        return p(x) * e(x)
+        return np.polyval(p, x) * e(x)
 
     def df(x):
-        return (p1(x) - p(x) * (x - c) / (s * s)) * e(x)
+        return (np.polyval(p1, x) - np.polyval(p, x) * (x - c) / (s * s)) * e(x)
 
     def d2f(x):
         z = (x - c) / (s * s)
-        return (p2(x) - 2.0 * p1(x) * z - p(x) / (s * s) + p(x) * z * (x - c) / (s * s)) * e(x)
+        px, p1x = np.polyval(p, x), np.polyval(p1, x)
+        return (np.polyval(p2, x) - 2.0 * p1x * z - px / (s * s) + px * z * (x - c) / (s * s)) * e(x)
 
-    return TestFunction(f"polygauss(deg={p.degree()},c={c:g},s={s:g})", f, df, d2f)
+    return TestFunction(f"polygauss(deg={p.size - 1},c={c:g},s={s:g})", f, df, d2f)
 
 
 def sinusoid(freq: float, phase: float = 0.0, amplitude: float = 1.0) -> TestFunction:

@@ -59,7 +59,8 @@ in a disk by the winding of F along its boundary, the whole contour passed to
 
 This module never consumes the asymptotic machinery beyond an optional
 initial guess, which is what makes it a genuine cross-check of the
-eps^4 prediction rather than a restatement of it.
+eps^4 prediction rather than a restatement of it; ``asymptotics`` is
+imported only to compute that guess when the caller passes none.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from . import asymptotics as asym
 from .potentials import MIN_POINTS_PER_PERIOD, check_grid_size
 
 _STEP_SLACK = 1.0 + 1e-9
@@ -749,6 +749,15 @@ def _secant_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[compl
     return (kappa, f, _SECANT_MAX_ITER) if _is_root(f) else None
 
 
+def _k2_seed(V, k2_hint: Optional[complex]) -> complex:
+    """k2_hint, or k2 from the asymptotics when none is given: all the solver takes from them."""
+    if k2_hint is None:
+        from .asymptotics import compute_k2
+
+        k2_hint = compute_k2(V).value
+    return complex(k2_hint)
+
+
 def find_bound_state(
     V,
     eps: float,
@@ -784,8 +793,7 @@ def find_bound_state(
     else:
         if not V.has_zero_mean:
             raise ValueError("provide an explicit bracket for potentials with a mean component")
-        k2 = complex(k2_hint if k2_hint is not None else asym.compute_k2(V).value)
-        seed = eps * eps * k2
+        seed = eps * eps * _k2_seed(V, k2_hint)
         if V.is_real:
             kappa0 = seed.real
             if kappa0 <= 0:
@@ -886,7 +894,7 @@ def min_mismatch_on_disk(
     contour bit for bit, and evaluates only the new odd points, again as one
     batch.
     """
-    center = eps * eps * complex(k2_hint if k2_hint is not None else asym.compute_k2(V).value)
+    center = eps * eps * _k2_seed(V, k2_hint)
     # the circle reaches past the cut: center.real + radius >= |center| > 0
     radius = _DISK_RADIUS_FACTOR * max(abs(center), 10.0 * _KAPPA_FLOOR)
     grid = _CoefficientGrid(V, eps, _step(eps, cfg))

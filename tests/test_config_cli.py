@@ -391,16 +391,36 @@ def test_cli_keps_chain(tmp_path):
     assert "# c2_re=" in text and "# k2_re=" in text
 
 
-def test_cli_k2_runs_without_importing_scipy(tmp_path):
-    # numpy is the only runtime dependency: a fresh interpreter running k2 never loads scipy
+# what a fresh interpreter runs (an import, or a CLI command) -> the oscispec modules it loads
+COLD_MODULES = {
+    "import oscispec": "",
+    # the solver takes nothing from the asymptotics beyond its seed, computed only when not given
+    "import oscispec.solver": "potentials solver",
+    "k2": "cli config potentials averaging asymptotics",
+    "predict": "cli config potentials averaging asymptotics",
+    "solve": "cli config potentials averaging asymptotics solver",
+    "sweep": "cli config potentials averaging asymptotics solver",
+    "scan": "cli config potentials solver",
+    "lemma": "cli config potentials averaging",
+    "gauge-check": "cli config potentials gauge",
+    "keps": "cli config potentials averaging asymptotics gauge",
+}
+
+
+@pytest.mark.parametrize("run, modules", COLD_MODULES.items(), ids=list(COLD_MODULES))
+def test_a_fresh_interpreter_loads_only_the_modules_it_runs_and_never_scipy(tmp_path, run, modules):
+    # numpy is the only runtime dependency, and a cold call pays the import of no module it does not run
     src = Path(oscispec.__file__).resolve().parents[1]
     cfgp = Path(__file__).resolve().parents[1] / "configs" / "two_mode.cfg"
-    script = (
-        "import sys, oscispec, oscispec.cli\n"
-        f"code = oscispec.cli.main(['k2', '--config', {str(cfgp)!r}, '--out', {str(tmp_path / 'k2.csv')!r}])\n"
-        "print(code, 'scipy' in sys.modules)\n"
+    out = tmp_path / "out.csv"
+    script = run if run.startswith("import ") else (
+        "import oscispec.cli\n"
+        f"assert oscispec.cli.main([{run!r}, '--config', {str(cfgp)!r}, '--out', {str(out)!r}]) == 0"
     )
+    script += "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('oscispec.')), 'scipy' in sys.modules)\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["0", "False"]
-    assert (tmp_path / "k2.csv").read_text().startswith("quantity,value\n")
+    *loaded, scipy_loaded = proc.stdout.split()
+    assert loaded == sorted("oscispec." + m for m in modules.split())
+    assert scipy_loaded == "False"
+    assert run.startswith("import ") or out.stat().st_size > 0

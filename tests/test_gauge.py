@@ -12,6 +12,7 @@ from oscispec.gauge import (
     default_catalog,
     gaussian_bump,
     identity_residual,
+    poly_times_gaussian,
     sinusoid,
 )
 from oscispec.potentials import (
@@ -199,3 +200,38 @@ def test_k_eps_of_a_real_potential_has_exactly_real_moments():
     for eps in (0.1, 0.025):
         rep = compute_k_eps(V, eps)
         assert (rep.m1.imag, rep.m2.imag, rep.k_eps.imag) == (0.0, 0.0, 0.0)
+
+
+# the catalog's four polynomial-weighted Gaussians: ascending coefficients, center, width
+CATALOG_POLYGAUSS = (
+    ([0.0, 1.0], 0.5, 0.35),
+    ([-0.3, 0.0, 1.0], 0.4, 0.5),
+    ([1.0, 1.0, -0.5], 0.5, 0.8),
+    ([0.0, 0.0, 1.0], 0.8, 0.3),
+)
+
+
+@pytest.mark.parametrize("coeffs, center, width", CATALOG_POLYGAUSS)
+def test_a_polygauss_probe_matches_the_polynomial_class_bit_for_bit(coeffs, center, width):
+    # p, p' and p'' by np.polyval on descending coefficients: the same Horner arithmetic as np.polynomial
+    from numpy.polynomial import Polynomial
+
+    p = Polynomial(coeffs)
+    p1 = p.deriv()
+    p2 = p1.deriv()
+    c, s = center, width
+
+    def e(x):
+        return np.exp(-((x - c) ** 2) / (2 * s * s))
+
+    def d2f(x):
+        z = (x - c) / (s * s)
+        return (p2(x) - 2.0 * p1(x) * z - p(x) / (s * s) + p(x) * z * (x - c) / (s * s)) * e(x)
+
+    probe = poly_times_gaussian(coeffs, center, width)
+    x = np.concatenate([dense_grid(canonical_potential(), 0.01), np.linspace(-3.0, 4.0, 1001)])
+    assert np.array_equal(probe.f(x), p(x) * e(x))
+    assert np.array_equal(probe.df(x), (p1(x) - p(x) * (x - c) / (s * s)) * e(x))
+    assert np.array_equal(probe.d2f(x), d2f(x))
+    assert probe.label == f"polygauss(deg={p.degree()},c={c:g},s={s:g})"
+    assert probe.label in [q.label for q in default_catalog()]
