@@ -130,12 +130,11 @@ def _solve_record(V, eps: float, rep: K2Report, solver_cfg: SolverConfig) -> Swe
     return SweepRecord(eps, rep.value, verdict, res.eigenvalue, res.converged)
 
 
-def run_sweep(cfg: ExperimentConfig, V: TwoScaleFunction | None = None) -> tuple[list[SweepRecord], SweepSummary]:
-    """One record per configured eps, on V (default: the config's potential); k2 is computed once."""
+def run_sweep(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[list[SweepRecord], SweepSummary]:
+    """One record per configured eps on the config's potential V; k2 is computed once for the whole sweep."""
     from .asymptotics import compute_k2
 
     solver_cfg = _solver_config(cfg)
-    V = cfg.build_potential() if V is None else V
     rep = compute_k2(V)
     records = [_solve_record(V, eps, rep, solver_cfg) for eps in cfg.epsilons]
 

@@ -64,7 +64,7 @@ def announce(capsys):
 def sweep():
     cfg = parse_config(SWEEP_TEXT)
     t0 = time.perf_counter()
-    records, summary = run_sweep(cfg)
+    records, summary = run_sweep(cfg, cfg.build_potential())
     elapsed = time.perf_counter() - t0
     return records, summary, elapsed
 

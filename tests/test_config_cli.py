@@ -191,7 +191,7 @@ def test_comparison_columns_exist_exactly_when_lambda_num_does():
 
 def test_run_sweep_canonical_records():
     cfg = parse_config(CANONICAL_TEXT)
-    records, summary = run_sweep(cfg)
+    records, summary = run_sweep(cfg, cfg.build_potential())
     assert len(records) == 3
     k2 = compute_k2(cfg.build_potential()).value
     for r in records:
@@ -206,7 +206,7 @@ def test_run_sweep_canonical_records():
 
 def test_run_sweep_absent_branch():
     cfg = parse_config("mode = cos 1 poly 100j 2\neps = 0.1 0.05\n")
-    records, summary = run_sweep(cfg)
+    records, summary = run_sweep(cfg, cfg.build_potential())
     for r in records:
         assert r.verdict == "Absent"
         assert r.lambda_num is None
