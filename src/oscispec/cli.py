@@ -22,8 +22,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config
 from .potentials import TwoScaleFunction, check_grid_size
 
-# each command imports what it runs, so a cold call loads only its own modules
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # annotations only: each command imports the modules it runs, so a cold call loads no other
     from .asymptotics import K2Report
     from .solver import SolverConfig
 
@@ -246,17 +245,17 @@ def _cmd_gauge_check(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes,
 
 
 def _cmd_keps(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
-    from . import asymptotics as asym
+    from .asymptotics import compute_k2, compute_k_eps, fit_k_eps_coefficients
 
-    reports = [asym.compute_k_eps(V, eps) for eps in cfg.epsilons]
+    reports = [compute_k_eps(V, eps) for eps in cfg.epsilons]
     rows = [
         [_fmt(v) for v in (r.eps, r.m1.real, r.m1.imag, r.m2.real, r.m2.imag, r.k_eps.real, r.k_eps.imag)]
         for r in reports
     ]
     comments = []
     if len(reports) >= 3:
-        c1, c2 = asym.fit_k_eps_coefficients(reports)
-        rep2 = asym.compute_k2(V)
+        c1, c2 = fit_k_eps_coefficients(reports)
+        rep2 = compute_k2(V)
         comments = [
             "# c1_re=" + _fmt(c1.real),
             "# c1_im=" + _fmt(c1.imag),
