@@ -38,8 +38,9 @@ this script) and feeds every output below, bit for bit, into one digest:
 * ``transfer_matrix`` at both lambdas with a step off the phase table's
   lattice (h = 0.07 / 37.5) on the canonical config times 1 and i, and on
   an empty support hull (two cancelling mode lines);
-* ``count_below`` at five kappas on a well of depth 3197 at h = 0.05, where
-  h sqrt(sup|V|) > sqrt 6: the three smallest take ``left_solution``'s march;
+* ``count_below`` at five kappas on a well of depth (2.4 / 0.05)^2 at
+  h = 0.05, where h sqrt(sup|V|) = 2.4 lies just inside the step bound
+  sqrt 6;
 * back-to-back solves in one process on grids of 60k, 400, 40k and 60k
   steps (two-mode and canonical at eps 1e-3 and 0.1), each grid kept alive
   while the next is built and solved, and every kept grid's mismatch, count
@@ -212,9 +213,9 @@ def calls(root: Path):
         ]
     empty = config.parse_config("mode = cos 1 poly 100 2\nmode = cos 1 poly -100 2\n").build_potential()
     yield "tm empty hull", lambda: [solver.transfer_matrix(empty, 0.1, lam, 0.1 / 40) for lam in LAMBDAS]
-    deep = solver.SquareWell(depth=3197.0)
-    yield "march count 3197", lambda: [
-        solver._CoefficientGrid(deep, 1.0, 0.05).count_below(k) for k in (1e-3, 10.0, 20.0, 40.0, 56.0)
+    deep = solver.SquareWell(depth=(2.4 / 0.05) ** 2)
+    yield "count deep well", lambda: [
+        solver._CoefficientGrid(deep, 1.0, 0.05).count_below(k) for k in (1e-3, 10.0, 20.0, 40.0, 47.0)
     ]
     yield "back to back", lambda: back_to_back(real)
 

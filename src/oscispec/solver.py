@@ -36,13 +36,14 @@ Pairwise products keep round-off growth at O(log n) (Higham, SIAM J. Sci.
 Comput. 14, 1993).  ``_Tree`` plans the climb to the transfer matrix, once
 per grid, for one lam or a batch, and every output climbs that one plan:
 ``transfer_matrix``, root finding, the disk count and the Sturm count.
-u at every step end, for ``eigenfunction`` and the counts no lift makes, is
-``left_solution``'s march through the plan's leaf, one step map at a time.
+u at every step end, for ``eigenfunction``, is ``left_solution``'s march
+through the plan's leaf, one step map at a time.
 
 For a real potential, the number N(kappa) of eigenvalues below -kappa^2 is
 the number of zeros of the left-decaying solution on the whole line
 (oscillation theorem; Simon, "Sturm oscillation and comparison theorems",
-2005), counted in the plan's climb by ``count_below`` as lifted angles.
+2005), counted in the plan's climb by ``count_below`` as lifted angles:
+every grid keeps h sqrt(sup|V|) < sqrt 6, so each step map turns u forward.
 ``scan_roots`` counts the roots in its window as N(low) - N(high), exactly.
 
 Roots of the real mismatch are isolated by the count and polished with
@@ -96,8 +97,10 @@ _SECANT_MAX_ITER = 60
 _DISK_RADIUS_FACTOR, _CONTOUR_POINTS, _CONTOUR_MAX_POINTS = 2.0, 16, 1024
 # eigenfunction: largest relative derivative defect of a root at the right edge
 _MATCH_TOL = 1e-6
-# every coefficient grid needs h sqrt(sup|V|) < pi: a step then holds at most one zero of u (Sturm comparison)
-_STURM_STEP_PHASE = math.pi
+# every grid needs h sqrt(sup|V|) < sqrt 6: each RK4 step map then has m01 = h (1 + h^2 (V + kappa^2) / 6) > 0, so the
+# count is an eigenvalue count, and the step lies inside RK4's stability interval |h omega| < 2 sqrt 2; 1e-12 of it is
+# kept back, since on the bare bound the deepest well a grid admits at h = 0.00824 rounds a step's m01 to 0
+_STURM_STEP_PHASE = math.sqrt(6.0) * (1.0 - 1e-12)
 # the stage points' index k = 0, 1, ...: its first block, which the rest doubles
 _INDEX = np.arange(1024.0)
 # numpy's ufunc buffer size, in elements, for the Horner pass and the tree.  A complex mismatch on a real
@@ -212,10 +215,8 @@ class SquareWell:
         a, b = self.support
         return np.where((x >= a) & (x <= b), -float(self.depth), 0.0)
 
-    def eval_fast_lattice(self, x, eps: float, h: float, size: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The well has no fast phase: ``eval_fast`` at x, written into out if given."""
-        if out is None:
-            return self.eval_fast(x, eps)
+    def eval_fast_lattice(self, x, eps: float, h: float, size: int, out: np.ndarray) -> np.ndarray:
+        """The well has no fast phase: ``eval_fast`` at x, written into out."""
         np.copyto(out, self.eval_fast(x, eps))
         return out
 
@@ -264,7 +265,7 @@ class _CoefficientGrid:
         self.sup_abs = V.sup_abs()
         phase = self.h * math.sqrt(self.sup_abs)
         if not phase < _STURM_STEP_PHASE:
-            raise ValueError(f"step too large: h sqrt(sup|V|) = {phase:.3g} must stay below pi")
+            raise ValueError(f"step too large: h sqrt(sup|V|) = {phase:.3g} must stay below sqrt 6")
         self.real, size = bool(V.is_real), n_full + (h_last > 0.0)
         self.steps, vals = _take("samples", size, (((size,), float), ((2 * size + 1,), float if self.real else complex)))
         self.steps[:n_full] = self.h
@@ -370,22 +371,17 @@ class _CoefficientGrid:
         sinh(kappa t), one zero exactly when F and u1 have opposite signs
         (u1 w1 < 0 and |kappa u1| < |w1|).  F is ``mismatch(kappa)`` bit for bit.
         On the hull they come from the climb: lifted to the Pruefer angle atan2(u, w), M sends e0 = (0, 1) to
-        pi n(M) + (M e0's angle mod pi); with each step map's m01 > 0 (n = 0), n(T) sums [fold(P e0) >=
-        fold(adj(Q) e0)] = [p01 q01 (QP)01 < 0] over the tree's pairs Q P.  A step map with m01 <= 0 (only
-        if h sqrt(sup|V|) > sqrt 6; no lift counts then) or a product's m01 of 0 takes ``left_solution``'s
-        march and walks the signs of u over its step ends.  Where h sqrt(sup|V|) > sqrt 6, RK4 can turn u
-        back past a zero, so N is that step-end sign walk and not a count of eigenvalues.
+        pi n(M) + (M e0's angle mod pi).  The grid keeps h sqrt(sup|V|) < sqrt 6, so every step map has
+        m01 = h (1 + h^2 (V + kappa^2) / 6) > 0 (n = 0): no step turns u backwards past a zero, and N is an
+        eigenvalue count at every kappa.  n(T) sums the carries [fold(P e0) >= fold(adj(Q) e0)] over the
+        tree's pairs Q P, a product's m01 of 0 included (``_Tree.climb``).
         """
         kappa = self._kappa(kappa)
         top, carries = self._planned(-kappa * kappa, lambda tree: tree.climb(count=True))
         (t00, t01), bottom = top.tolist()
         u1, f = t00 + t01 * kappa, _match(kappa, (t00, t01), bottom)
-        if carries is not None:  # the start (1, kappa) adds [fold(1, kappa) >= fold(adj(T) e0)]
-            return int(carries + ((t01 < 0 <= u1) or (u1 <= 0 < t01)) + (f * u1 < 0)), f
-        _, u, _ = self.left_solution(kappa)
-        signs = np.sign(np.append(u, f))
-        signs = signs[signs != 0]
-        return int(np.count_nonzero(signs[1:] != signs[:-1])), f
+        # the start (1, kappa) adds [fold(1, kappa) >= fold(adj(T) e0)], the right tail [f u1 < 0]
+        return int(carries + ((t01 < 0 <= u1) or (u1 <= 0 < t01)) + (f * u1 < 0)), f
 
 
 def _match(kappa, top, bottom):
@@ -466,22 +462,25 @@ class _Tree:
 
     def climb(self, count=False):
         """The transfer matrix M[n-1] ... M[0] of the maps in the leaf: a (2, 2, *batch) view into the plan; with
-        count, on a real scalar plan, (it, ``count_below``'s n(T)), None past a leaf m01 <= 0 or a product m01 of 0:
-        per pair span, views of P's m01, Q's m01, (QP)01, P's spent m10 row and bools, built on the first count."""
+        count, on a real scalar plan with every leaf m01 > 0, (it, ``count_below``'s n(T)): per pair Q P, the carry
+        [fold(P e0) >= fold(adj(Q) e0)] = [p01 != 0 and q01 != 0 and p01 q01 (QP)01 <= 0], on level 1 [(QP)01 <= 0],
+        from per pair span views of P's m01, Q's m01, (QP)01, P's spent m10 row and bools, built on the first count."""
         if count and not hasattr(self, "signs"):
             bits = np.empty(self.maps.shape[-1] // 2, bool)
             self.signs = [[(r0[0, 1] if i else None, l1[0, 0], o[0, 1], r1[0, 0], bits[: o.shape[-1]])
                            for _, r0, l1, r1, o, _ in level] for i, (level, _) in enumerate(self.levels)]
-        n, signs = 0 if count and self.leaf[0, 1].min(initial=math.inf) > 0 else None, count and iter(self.signs)
+        n, signs = 0, count and iter(self.signs)
         for level, carry in self.levels:
             for product in level:
                 _product(*product)
             if carry is not None:
                 np.copyto(*carry)
-            if n is not None:  # level 1: leaf m01 > 0, so (QP)01 alone
+            if count:
                 for p, q, c, y, b in next(signs):
-                    c = c if p is None else np.multiply(np.multiply(p, q, out=y), c, out=y)
-                    n = None if n is None or np.count_nonzero(c) < c.size else n + np.count_nonzero(np.less(c, 0, b))
+                    if p is not None:  # p01 q01 (QP)01; a pair with p01 q01 = 0 carries nothing
+                        n -= y.size - np.count_nonzero(np.multiply(p, q, out=y))
+                        c = np.multiply(y, c, out=y)
+                    n += np.count_nonzero(np.less_equal(c, 0, b))
         return (self.top, n) if count else self.top
 
 
@@ -843,10 +842,7 @@ def scan_roots(
     The window defaults to (kappa_floor, sqrt(sup|V|)], which holds every
     admissible real bound state.  The count is N(low) - N(high), N from the
     Sturm oscillation count (``_CoefficientGrid.count_below``), so only real
-    potentials qualify, and the step must satisfy h sqrt(sup|V|) < pi.  Past
-    h sqrt(sup|V|) = sqrt 6, N is the step-end sign walk of the RK4 solution
-    and not an eigenvalue count, so N(low) - N(high) need not be the number
-    of roots in the window.
+    potentials qualify, and the step must satisfy h sqrt(sup|V|) < sqrt 6.
     Bisection by N over ``samples`` evenly spaced kappas splits the brackets
     that hold several roots, and Brent's method polishes each root from the
     bracket that isolates it (``_counted_roots``, which ``find_bound_state``

@@ -842,8 +842,8 @@ def test_the_tree_composes_each_row_of_a_batch_as_alone(n, dtype):
 
 def test_the_tree_puts_numpy_s_ufunc_buffer_size_back(canonical):
     # the tree runs with a small ufunc buffer; every numpy call after it must see the caller's size, on
-    # every route through a grid's plan (the step-limit well's count takes the march) and past a raise
-    grid, well = _CoefficientGrid(canonical, 0.1, 0.1 / 40), _CoefficientGrid(SquareWell(3197.0), 1.0, 0.05)
+    # every route through a grid's plan and past a raise
+    grid, well = _CoefficientGrid(canonical, 0.1, 0.1 / 40), _CoefficientGrid(SquareWell((2.4 / 0.05) ** 2), 1.0, 0.05)
     old = np.setbufsize(4096)
     try:
         calls = (
@@ -1066,41 +1066,45 @@ def marched_counts(grid, kappas):
     return (counts + ((f != 0) & (np.sign(f) != last))).tolist()
 
 
-def recorded_fallbacks(monkeypatch):
-    """The kappas at which ``count_below`` read the signs off the march, not off the plan's lifted carry."""
-    seen = []
-    march = _CoefficientGrid.left_solution
-    monkeypatch.setattr(_CoefficientGrid, "left_solution", lambda grid, kappa: seen.append(kappa) or march(grid, kappa))
-    return seen
-
-
 @pytest.mark.parametrize("eps", [0.1, 1e-3])
 @pytest.mark.parametrize("amplitude", [1e4, 3e4, 1e5])
-def test_the_lifted_count_equals_the_marched_sign_changes_where_u_grows_by_1e10(amplitude, eps, monkeypatch):
+def test_the_lifted_count_equals_the_marched_sign_changes_where_u_grows_by_1e10(amplitude, eps):
     # up to kappa = sqrt(sup|V|), u grows across the hull by about 1e10 (amplitude 1e4) to 1e34 (1e5); the
-    # carries read only the factors' own m01 entries, so the count holds there without the march
+    # carries read only the factors' own m01 entries, so the count holds there
     V = canonical_potential(amplitude=amplitude)
     grid = _CoefficientGrid(V, eps, eps / 40)
     kappas = np.linspace(solver._KAPPA_FLOOR, math.sqrt(V.sup_abs()), 41 if eps == 0.1 else 11)
-    fallbacks = recorded_fallbacks(monkeypatch)
     counts = [grid.count_below(k)[0] for k in kappas.tolist()]
     assert counts == marched_counts(grid, kappas)
-    assert fallbacks == [] and counts[0] > 0
+    assert counts[0] > 0
 
 
 @pytest.mark.parametrize(
     "V", [SquareWell(depth=(0.9 * math.pi / 0.05) ** 2), canonical_potential(amplitude=5.2e4)], ids=["well", "canonical"]
 )
-def test_the_count_near_the_step_limit_equals_the_marched_sign_changes(V, monkeypatch):
-    # h = 0.05 (eps 1 at 20 points per period) puts h sqrt(sup|V|) at 0.9 pi or above, where a step map's
-    # entries carry tens of ulp; where kappa^2 < sup|V| - 6 / h^2, a step map at the deepest samples has
-    # m01 < 0, and only the march counts its sign changes
-    grid = _CoefficientGrid(V, 1.0, 0.05)
-    assert 0.9 * math.pi <= grid.h * math.sqrt(grid.sup_abs) < math.pi
-    kappas = np.linspace(solver._KAPPA_FLOOR, math.sqrt(grid.sup_abs), 201)
-    fallbacks = recorded_fallbacks(monkeypatch)
+def test_a_step_near_the_old_limit_pi_is_refused(V):
+    # h = 0.05 (eps 1 at 20 points per period) puts h sqrt(sup|V|) at 0.9 pi or above, past sqrt 6: there a
+    # step map at the deepest samples has m01 < 0, RK4 turns u backwards past a zero, and no count holds
+    assert 0.9 * math.pi <= 0.05 * math.sqrt(V.sup_abs()) < math.pi
+    with pytest.raises(ValueError, match=r"h sqrt\(sup\|V\|\) = 2\.[89]\d must stay below sqrt 6"):
+        _CoefficientGrid(V, 1.0, 0.05)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.01, 0.00824, 0.002])
+def test_the_deepest_well_a_grid_admits_has_m01_above_0_and_counts_as_the_march(h):
+    # at kappa_floor a step map's m01 = h (1 - h^2 depth / 6) is the least the grid allows; with no margin
+    # below sqrt 6, the deepest well admitted at h = 0.00824 rounded it to 0 and miscounted
+    depth = (solver._STURM_STEP_PHASE / h) ** 2
+    while not h * math.sqrt(depth) < solver._STURM_STEP_PHASE:
+        depth = math.nextafter(depth, 0.0)
+    while h * math.sqrt(math.nextafter(depth, math.inf)) < solver._STURM_STEP_PHASE:
+        depth = math.nextafter(depth, math.inf)
+    with pytest.raises(ValueError, match="must stay below sqrt 6"):
+        _CoefficientGrid(SquareWell(math.nextafter(depth, math.inf)), 20 * h, h)
+    grid = _CoefficientGrid(SquareWell(depth), 20 * h, h)
+    kappas = np.linspace(solver._KAPPA_FLOOR, math.sqrt(depth), 201)
+    assert leaf_at(grid, -kappas * kappas)[0, 1].min() > 0
     assert [grid.count_below(k)[0] for k in kappas.tolist()] == marched_counts(grid, kappas)
-    assert 0 < len(fallbacks) < kappas.size
 
 
 def grid_of_maps(maps):
@@ -1112,26 +1116,36 @@ def grid_of_maps(maps):
     return grid
 
 
-def test_exact_zeros_are_skipped_as_by_the_sign_walk(monkeypatch):
-    # every sequence of up to three integer maps of det 1 with entries in {-1, 0, 1}: products stay exact, so
-    # u = 0 at a step end, F = 0, leaf maps with m01 <= 0 and products with m01 = 0 all occur
-    unimodular = [m for m in itertools.product((-1, 0, 1), repeat=4) if m[0] * m[3] - m[1] * m[2] == 1]
-    fallbacks = recorded_fallbacks(monkeypatch)
-    lifted = {"u = 0": 0, "F = 0": 0}
-    for maps in itertools.chain.from_iterable(itertools.product(unimodular, repeat=n) for n in (1, 2, 3)):
+def product_m01s(maps):
+    """Per level of the pairwise tree over integer maps (m00, m01, m10, m11), the m01 of each product it forms."""
+    level = [np.reshape(m, (2, 2)) for m in maps]
+    while len(level) > 1:
+        pairs = [level[j + 1] @ level[j] for j in range(0, len(level) - 1, 2)]
+        yield [int(p[0, 1]) for p in pairs]
+        level = pairs + level[2 * len(pairs) :]
+
+
+def test_exact_zeros_are_skipped_as_by_the_sign_walk():
+    # every sequence of up to four integer maps of det 1 with entries in {-1, 0, 1} and m01 = 1, as every
+    # step map has m01 > 0: products stay exact, so u = 0 at a step end, F = 0 and products with m01 = 0 occur
+    unimodular = [m for m in itertools.product((-1, 0, 1), repeat=4) if m[0] * m[3] - m[1] * m[2] == 1 and m[1] == 1]
+    seen = {"u = 0": 0, "F = 0": 0, "level 1 m01 = 0": 0, "level 2 m01 = 0": 0}
+    sequences = list(itertools.chain.from_iterable(itertools.product(unimodular, repeat=n) for n in (1, 2, 3, 4)))
+    for maps in sequences:
         u, w, us = 1, 1, [1]
         for m00, m01, m10, m11 in maps:
             u, w = m00 * u + m01 * w, m10 * u + m11 * w
             us.append(u)
         signs = [s for s in np.sign(us + [w + u]).tolist() if s]
         expected = sum(a != b for a, b in zip(signs, signs[1:])), float(w + u)
-        calls = len(fallbacks)
         assert grid_of_maps(maps).count_below(1.0) == expected, maps
-        if len(fallbacks) == calls:
-            lifted["u = 0"] += 0 in us
-            lifted["F = 0"] += w + u == 0
-    # of the 399 sequences whose maps all have m01 = 1, 98 with u = 0 at a step end and 24 with F = 0 take the lift
-    assert lifted["u = 0"] >= 50 and lifted["F = 0"] >= 10 and fallbacks
+        seen["u = 0"] += 0 in us
+        seen["F = 0"] += w + u == 0
+        for level, m01s in enumerate(product_m01s(maps), 1):
+            seen[f"level {level} m01 = 0"] += 0 in m01s
+    assert len(unimodular) == 7 and len(sequences) == 2800
+    # 1383 with u = 0 at a step end, 310 with F = 0, and 1513 and 529 with a product's m01 = 0 on levels 1 and 2
+    assert seen["u = 0"] >= 50 and seen["F = 0"] >= 10 and min(seen["level 1 m01 = 0"], seen["level 2 m01 = 0"]) >= 100
 
 
 @st.composite
@@ -1328,7 +1342,7 @@ def test_scan_refuses_a_step_that_may_hold_two_zeros():
         lambda: transfer_matrix(V, 0.1, -0.25, 0.1 / 40),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match=r"h sqrt\(sup\|V\|\) = 6.25 must stay below pi"):
+        with pytest.raises(ValueError, match=r"h sqrt\(sup\|V\|\) = 6.25 must stay below sqrt 6"):
             call()
 
 
