@@ -1082,7 +1082,7 @@ def test_the_lifted_count_equals_the_marched_sign_changes_where_u_grows_by_1e10(
 @pytest.mark.parametrize(
     "V", [SquareWell(depth=(0.9 * math.pi / 0.05) ** 2), canonical_potential(amplitude=5.2e4)], ids=["well", "canonical"]
 )
-def test_a_step_near_the_old_limit_pi_is_refused(V):
+def test_a_step_between_sqrt_6_and_pi_is_refused(V):
     # h = 0.05 (eps 1 at 20 points per period) puts h sqrt(sup|V|) at 0.9 pi or above, past sqrt 6: there a
     # step map at the deepest samples has m01 < 0, RK4 turns u backwards past a zero, and no count holds
     assert 0.9 * math.pi <= 0.05 * math.sqrt(V.sup_abs()) < math.pi
