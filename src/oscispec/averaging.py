@@ -201,12 +201,14 @@ def decay_order_fit(u: TwoScaleFunction, epsilons: Sequence[float]) -> DecayFit:
     if any(not 0 < e < math.inf for e in eps_list) or any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilons must be positive and strictly decreasing")
 
-    limit = averaged_integral(u)
-    errors = [abs(oscillatory_integral(u, e) - limit) for e in eps_list]
-    # Round-off floor estimate: accumulated rounding of the largest-eps
-    # quadrature, scaled by the L1 size of the integrand.
+    # The largest eps is sampled once, for its remainder and for the round-off floor
+    # estimate: accumulated rounding of its quadrature, scaled by the L1 size of u.
     nodes, weights, _ = _fast_rule(u.breakpoints, eps_list[0])
-    floor = 1e-13 * (1.0 + float(np.sum(weights * np.abs(u.eval_fast(nodes, eps_list[0])))))
+    samples = u.eval_fast(nodes, eps_list[0])
+    floor = 1e-13 * (1.0 + float(np.sum(weights * np.abs(samples))))
+    integrals = [complex(np.sum(weights * samples))] + [oscillatory_integral(u, e) for e in eps_list[1:]]
+    limit = averaged_integral(u)
+    errors = [abs(v - limit) for v in integrals]
 
     used = tuple(err > floor for err in errors)
     if sum(used) < 3:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,11 +31,16 @@ CSV_HEADER = (
     "lambda_num_re,lambda_num_im,rel_err,remainder_ratio,verdict,converged"
 )
 
-_THEOREM_COMMANDS = frozenset({"k2", "predict", "solve", "sweep", "scan", "gauge-check", "keps"})
 
-
-def _fmt(x: float) -> str:
-    return "%.16e" % (float(x) + 0.0)  # the add folds negative zero into plain zero
+def _cell(value) -> str:
+    """The one printing rule: None is empty, a bool 1 or 0, an int or a str as it is, any other number %.16e."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (int, str)):
+        return str(value)
+    return "%.16e" % (float(value) + 0.0)  # the add folds negative zero into plain zero
 
 
 @dataclass(frozen=True)
@@ -74,41 +79,32 @@ class SweepSummary:
     ratio_spread: Optional[float]
 
 
-def _opt(x: Optional[float]) -> str:
-    return _fmt(x) if x is not None else ""
+def _csv(header: str, rows, comments: Iterable[tuple[str, object]] = ()) -> bytes:
+    """The one CSV format: a header, comma-joined rows and # name=value comments of `_cell`s, LF-terminated."""
+    lines = [header, *(",".join(map(_cell, row)) for row in rows), *(f"# {k}={_cell(v)}" for k, v in comments)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _csv(header: str, rows, comments: Sequence[str] = ()) -> bytes:
-    """The one CSV format: a header, comma-joined rows, # comments, LF endings and a trailing newline."""
-    return ("\n".join([header, *(",".join(row) for row in rows), *comments]) + "\n").encode("utf-8")
-
-
-def _record_row(r: SweepRecord) -> list[str]:
+def _record_row(r: SweepRecord) -> list:
     lam = r.lambda_num
     return [
-        _fmt(r.eps),
-        _fmt(r.k2.real),
-        _fmt(r.k2.imag),
-        _fmt(r.lambda_pred.real),
-        _fmt(r.lambda_pred.imag),
-        _opt(lam.real if lam is not None else None),
-        _opt(lam.imag if lam is not None else None),
-        _opt(r.rel_err),
-        _opt(r.remainder_ratio),
+        r.eps,
+        r.k2.real,
+        r.k2.imag,
+        r.lambda_pred.real,
+        r.lambda_pred.imag,
+        lam.real if lam is not None else None,
+        lam.imag if lam is not None else None,
+        r.rel_err,
+        r.remainder_ratio,
         r.verdict,
-        ("1" if r.converged else "0") if r.converged is not None else "",
+        r.converged,
     ]
 
 
 def emit_csv(records: Sequence[SweepRecord], summary: SweepSummary | None = None) -> bytes:
-    """Render records (and an optional summary as # comments) to CSV bytes."""
-    comments = []
-    if summary is not None:
-        comments = [
-            "# slope=" + _opt(summary.slope),
-            "# mean_remainder_ratio=" + _opt(summary.mean_remainder_ratio),
-            "# ratio_spread=" + _opt(summary.ratio_spread),
-        ]
+    """Render records (and an optional summary's fields, in order, as # comments) to CSV bytes."""
+    comments = asdict(summary).items() if summary is not None else ()
     return _csv(CSV_HEADER, map(_record_row, records), comments)
 
 
@@ -164,15 +160,15 @@ def _cmd_k2(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
 
     rep = compute_k2(V)
     rows = [
-        ("k2_re", _fmt(rep.value.real)),
-        ("k2_im", _fmt(rep.value.imag)),
-        ("quadrature_re", _fmt(rep.by_quadrature.real)),
-        ("quadrature_im", _fmt(rep.by_quadrature.imag)),
-        ("closed_form_re", _fmt(rep.by_closed_form.real)),
-        ("closed_form_im", _fmt(rep.by_closed_form.imag)),
-        ("agreement", _fmt(rep.agreement)),
+        ("k2_re", rep.value.real),
+        ("k2_im", rep.value.imag),
+        ("quadrature_re", rep.by_quadrature.real),
+        ("quadrature_im", rep.by_quadrature.imag),
+        ("closed_form_re", rep.by_closed_form.real),
+        ("closed_form_im", rep.by_closed_form.imag),
+        ("agreement", rep.agreement),
         ("classification", str(rep.classification)),
-        ("flagged", "1" if rep.flagged else "0"),
+        ("flagged", rep.flagged),
     ]
     return _csv("quantity,value", rows), 0
 
@@ -203,28 +199,26 @@ def _cmd_scan(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
     from .solver import scan_roots
 
     result = scan_roots(V, cfg.epsilons[0], cfg=_solver_config(cfg))
-    rows = [(_fmt(k), _fmt(lam)) for k, lam in zip(result.kappas, result.eigenvalues)]
     comments = [
-        f"# count={result.count}",
-        "# window_low=" + _fmt(result.window[0]),
-        "# window_high=" + _fmt(result.window[1]),
-        f"# samples={result.samples}",
+        ("count", result.count),
+        ("window_low", result.window[0]),
+        ("window_high", result.window[1]),
+        ("samples", result.samples),
     ]
-    return _csv("kappa,eigenvalue", rows, comments), 0
+    return _csv("kappa,eigenvalue", zip(result.kappas, result.eigenvalues), comments), 0
 
 
 def _cmd_lemma(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
     from .averaging import decay_order_fit
 
     fit = decay_order_fit(V, list(cfg.epsilons))
-    rows = [(_fmt(e), _fmt(err)) for e, err in zip(fit.epsilons, fit.errors)]
     comments = [
-        "# fitted_order=" + _fmt(fit.fitted_order),
-        "# floor=" + _fmt(fit.floor),
-        f"# floor_limited={1 if fit.floor_flag else 0}",
-        f"# points_used={sum(fit.used)}",
+        ("fitted_order", fit.fitted_order),
+        ("floor", fit.floor),
+        ("floor_limited", fit.floor_flag),
+        ("points_used", sum(fit.used)),
     ]
-    return _csv("eps,remainder", rows, comments), 0
+    return _csv("eps,remainder", zip(fit.epsilons, fit.errors), comments), 0
 
 
 def _cmd_gauge_check(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
@@ -240,29 +234,26 @@ def _cmd_gauge_check(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes,
         grid = np.arange(x0, x1 + eps / 80.0, eps / 40.0)
         for probe, res in zip(catalog, _identity_residuals(g, catalog, grid)):
             worst = max(worst, res)
-            rows.append((f"eps={eps:.6g}:{probe.label}", _fmt(res)))
-    return _csv("probe,residual", rows, ["# max_residual=" + _fmt(worst)]), 0
+            rows.append((f"eps={eps:.6g}:{probe.label}", res))
+    return _csv("probe,residual", rows, [("max_residual", worst)]), 0
 
 
 def _cmd_keps(cfg: ExperimentConfig, V: TwoScaleFunction) -> tuple[bytes, int]:
     from .asymptotics import compute_k2, compute_k_eps, fit_k_eps_coefficients
 
     reports = [compute_k_eps(V, eps) for eps in cfg.epsilons]
-    rows = [
-        [_fmt(v) for v in (r.eps, r.m1.real, r.m1.imag, r.m2.real, r.m2.imag, r.k_eps.real, r.k_eps.imag)]
-        for r in reports
-    ]
+    rows = [(r.eps, r.m1.real, r.m1.imag, r.m2.real, r.m2.imag, r.k_eps.real, r.k_eps.imag) for r in reports]
     comments = []
     if len(reports) >= 3:
         c1, c2 = fit_k_eps_coefficients(reports)
         rep2 = compute_k2(V)
         comments = [
-            "# c1_re=" + _fmt(c1.real),
-            "# c1_im=" + _fmt(c1.imag),
-            "# c2_re=" + _fmt(c2.real),
-            "# c2_im=" + _fmt(c2.imag),
-            "# k2_re=" + _fmt(rep2.value.real),
-            "# k2_im=" + _fmt(rep2.value.imag),
+            ("c1_re", c1.real),
+            ("c1_im", c1.imag),
+            ("c2_re", c2.real),
+            ("c2_im", c2.imag),
+            ("k2_re", rep2.value.real),
+            ("k2_im", rep2.value.imag),
         ]
     return _csv("eps,m1_re,m1_im,m2_re,m2_im,keps_re,keps_im", rows, comments), 0
 
@@ -296,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, require_zero_mean=args.command in _THEOREM_COMMANDS)
+        cfg = load_config(args.config, require_zero_mean=args.command != "lemma")
         V = cfg.build_potential()
         if V.support_hull[0] == V.support_hull[1]:  # mode lines that cancel leave nothing to report on
             raise ValueError("the potential's support is empty: it holds no bound state and no gauge")

@@ -767,10 +767,11 @@ def find_bound_state(
     """Locate the bound state emerging near the spectral edge, or report absence.
 
     Real potentials use Brent's method on the bracket [kappa0 / 10, 10 kappa0]
-    around the seed kappa0 = eps^2 * k2 when F changes sign across it, else
-    the first root ``scan_roots`` lists; so does a seed whose bracket would
-    reach sqrt(sup|V|).  Complex potentials use damped secant steps from
-    the same seed.  ``bracket`` (real potentials only) overrides the seeding,
+    around the seed kappa0 = Re(eps^2 * k2) when F changes sign across it,
+    else the first root ``scan_roots`` lists; so does a seed with no positive
+    real part, or one whose bracket would reach sqrt(sup|V|): a real
+    potential's seed never decides absence.  Complex potentials use damped
+    secant steps from the same seed.  ``bracket`` (real potentials only) overrides the seeding,
     which is also the route for potentials with a mean component.
 
     Returns None when no admissible root (Re kappa > kappa_floor, |F| within
@@ -795,11 +796,10 @@ def find_bound_state(
         seed = eps * eps * _k2_seed(V, k2_hint)
         if V.is_real:
             kappa0 = seed.real
-            if kappa0 <= 0:
-                return None
-            # a seed at or below the floor still brackets from just above it; a bracket reaching
-            # sqrt(sup|V|) can hold several roots, and Brent need not take the smallest
-            if 10.0 * kappa0 < math.sqrt(V.sup_abs()):
+            # a seed with no positive real part places no bracket, so the count decides; one at or below the
+            # floor still brackets from just above it; a bracket reaching sqrt(sup|V|) can hold several roots,
+            # and Brent need not take the smallest
+            if 0 < 10.0 * kappa0 < math.sqrt(V.sup_abs()):
                 bracket = max(kappa0 / 10.0, _KAPPA_FLOOR), max(10.0 * kappa0, 2.0 * _KAPPA_FLOOR)
         else:
             start = seed if seed.real > _KAPPA_FLOOR else complex(abs(seed))

@@ -13,6 +13,8 @@ from oscispec.cli import (
     CSV_HEADER,
     SweepRecord,
     _COMMANDS,
+    _cell,
+    _csv,
     _solve_record,
     emit_csv,
     main,
@@ -171,6 +173,31 @@ def test_csv_uses_lf_and_trailing_newline():
     assert b"\r" not in data
     assert data.endswith(b"\n")
     assert data.count(b"\n") == 2
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (None, ""),
+        (True, "1"),
+        (False, "0"),
+        (3, "3"),
+        ("Exists", "Exists"),
+        (-0.0, "0.0000000000000000e+00"),
+        (0.1, "1.0000000000000001e-01"),
+        (np.float64(2.5), "2.5000000000000000e+00"),
+    ],
+)
+def test_every_printed_value_goes_through_one_rule(value, text):
+    assert _cell(value) == text
+
+
+def test_csv_writes_one_comment_line_per_pair_in_order():
+    data = _csv("a,b", [(1, None), (0.5, False)], [("count", 2), ("floor", -0.0), ("note", "x")])
+    assert data == (
+        b"a,b\n1,\n5.0000000000000000e-01,0\n"
+        b"# count=2\n# floor=0.0000000000000000e+00\n# note=x\n"
+    )
 
 
 def test_comparison_columns_exist_exactly_when_lambda_num_does():

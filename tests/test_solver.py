@@ -1263,12 +1263,11 @@ def test_an_eps_that_is_not_positive_is_refused(canonical, entry, eps):
 
 
 def test_early_exits_build_no_coefficient_grid(monkeypatch):
-    # a negative real k2 seeds no kappa > 0: absence is reported without sampling a grid
+    # a refused bracket or a potential with a mean is reported without sampling a grid
     def refuse(*args, **kwargs):
         raise AssertionError("coefficient grid built before an early exit")
 
     monkeypatch.setattr(solver, "_CoefficientGrid", refuse)
-    assert find_bound_state(canonical_potential(), 1e-3, k2_hint=-1.0) is None
     with pytest.raises(ValueError, match="bracket"):
         find_bound_state(canonical_potential(), 0.1, bracket=(0.5, 0.1))
     with pytest.raises(ValueError, match="bracket"):
@@ -1276,6 +1275,18 @@ def test_early_exits_build_no_coefficient_grid(monkeypatch):
     # the Sturm count behind a bracket's fallback holds for real potentials only
     with pytest.raises(ValueError, match="bracket needs a real potential"):
         find_bound_state(canonical_potential().scaled(1j), 0.1, bracket=(0.01, 0.5))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+@pytest.mark.parametrize("name", ["canonical", "two_mode"])
+def test_a_real_seed_with_no_positive_part_leaves_the_search_to_the_count(name, eps):
+    # such a seed places no bracket, so the solve takes the count's smallest root in scan_roots' window
+    V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential()
+    k2 = compute_k2(V).value
+    first = scan_roots(V, eps).kappas[0]
+    for hint in (-k2, 0.0, 1j * k2):
+        res = find_bound_state(V, eps, k2_hint=hint)
+        assert res is not None and res.kappa == first, hint
 
 
 def test_scan_refuses_more_samples_than_the_grid_budget_before_any_grid(monkeypatch):
