@@ -35,7 +35,8 @@ in three numpy calls on the stack, whatever its leading shape.
 Pairwise products keep round-off growth at O(log n) (Higham, SIAM J. Sci.
 Comput. 14, 1993).  ``_Tree`` plans the climb to the transfer matrix, once
 per grid, for one lam or a batch, and every output climbs that one plan:
-``transfer_matrix``, root finding, the disk count and the Sturm count.
+``transfer_matrix``, root finding, the disk count and the Sturm count; at
+one kappa through ``transfer``, which returns T's rows as Python scalars.
 u at every step end, for ``eigenfunction``, is ``left_solution``'s march
 through the plan's leaf, one step map at a time.
 
@@ -46,14 +47,21 @@ the number of zeros of the left-decaying solution on the whole line
 every grid keeps h sqrt(sup|V|) < sqrt 6, so each step map turns u forward.
 ``scan_roots`` counts the roots in its window as N(low) - N(high), exactly.
 
-Roots of the real mismatch are isolated by the count and polished with
-Brent's method (``_brent``).  The count splits only brackets that hold
+A seeded root, real or complex, is found by Newton steps on F's model in T
+(``_newton_root``).  With T's rows at lam = -kappa^2, F(kappa) = t10 +
+(t00 + t11) kappa + t01 kappa^2; T, frozen on the first climb and linear
+in lam through the last two after, makes F a quartic in kappa, and each
+step goes to its root nearest the iterate with no climb.  The iterate is
+the root once |F| <= root_tol and that step is at most _ROOT_RTOL |kappa|,
+Brent's stop.  A real seed's steps keep to its bracket, and one that leaves
+falls back on the count; a complex seed's keep Re kappa above the floor.
+The count isolates the roots of the real mismatch, and Brent's method
+(``_brent``) polishes them.  The count splits only brackets that hold
 several roots; a bracket that holds one goes to Brent as it stands once
-F changes sign across it or vanishes at its upper end.  A seed bracket
+F changes sign across it or vanishes at its upper end.  An explicit bracket
 across which F changes sign, or at whose end F vanishes, skips the count.
 Every real bound state has kappa^2 <= sup|V|, so the count searches
-(kappa_floor, sqrt(sup|V|)].
-Complex roots are found by damped secant steps.  Absence is certified by
+(kappa_floor, sqrt(sup|V|)].  Absence is certified by
 counting: F is entire in kappa, so ``min_mismatch_on_disk`` counts the roots
 in a disk by the winding of F along its boundary, the whole contour passed to
 ``mismatch`` as one batch, and on refinement only the new points.
@@ -92,7 +100,8 @@ _ROOT_RTOL = 1e-12
 _KAPPA_FLOOR = 1e-9
 # evenly spaced kappas over which the Sturm count first bisects
 _SAMPLES = 2000
-_SECANT_MAX_ITER = 60
+# most climbs of a Newton solve, and most Newton steps on one climb's model
+_NEWTON_MAX_CLIMBS = 60
 # min_mismatch_on_disk: radius over |eps^2 k2|; boundary samples, doubled up to the cap
 _DISK_RADIUS_FACTOR, _CONTOUR_POINTS, _CONTOUR_MAX_POINTS = 2.0, 16, 1024
 # eigenfunction: largest relative derivative defect of a root at the right edge
@@ -328,7 +337,7 @@ class _CoefficientGrid:
         """
         kappa = self._kappa(kappa, batch=True)
         if not isinstance(kappa, np.ndarray):
-            return _match(kappa, *self._planned(-kappa * kappa, _Tree.climb).tolist())
+            return _match(kappa, *self.transfer(kappa))
         f, ks = np.empty_like(kappa), kappa.tolist()
         size = max(1, _BATCH_MAPS // max(1, self.steps.size))
         size = -(-len(ks) // -(-len(ks) // size)) if ks else 1  # ceil(len / K) batches of equal size
@@ -337,6 +346,16 @@ class _CoefficientGrid:
             top, bottom = self._planned(np.array([-k * k for k in batch]), _Tree.climb).tolist()
             f[start : start + size] = list(map(_match, batch, zip(*top), zip(*bottom)))
         return f
+
+    def transfer(self, kappa, count: bool = False):
+        """T's rows ((t00, t01), (t10, t11)) at lam = -kappa^2 as Python scalars, kappa coerced as in ``mismatch``:
+        one climb of the grid's plan, which every output at one kappa takes.  With count, (rows, n(T)) for
+        ``count_below``."""
+        kappa = self._kappa(kappa)
+        if count:
+            top, n = self._planned(-kappa * kappa, lambda tree: tree.climb(count=True))
+            return top.tolist(), n
+        return self._planned(-kappa * kappa, _Tree.climb).tolist()
 
     def _planned(self, lam, then):
         """then(plan) under _TREE_BUFSIZE, for the grid's one plan of lam's batch shape and dtype with the
@@ -377,8 +396,7 @@ class _CoefficientGrid:
         tree's pairs Q P, a product's m01 of 0 included (``_Tree.climb``).
         """
         kappa = self._kappa(kappa)
-        top, carries = self._planned(-kappa * kappa, lambda tree: tree.climb(count=True))
-        (t00, t01), bottom = top.tolist()
+        ((t00, t01), bottom), carries = self.transfer(kappa, count=True)
         u1, f = t00 + t01 * kappa, _match(kappa, (t00, t01), bottom)
         # the start (1, kappa) adds [fold(1, kappa) >= fold(adj(T) e0)], the right tail [f u1 < 0]
         return int(carries + ((t01 < 0 <= u1) or (u1 <= 0 < t01)) + (f * u1 < 0)), f
@@ -592,13 +610,14 @@ def mismatch(V, eps: float, kappa, cfg: SolverConfig = DEFAULT_SOLVER) -> comple
 
 @dataclass(frozen=True)
 class BoundStateResult:
-    """A located root.  A real one is Brent's first iterate with |F| <=
-    root_tol whose next step is at most 1e-12 |kappa| (``_ROOT_RTOL``), or
-    else the root of Brent's bracket test.  ``iterations`` is the work spent
-    on it: for a real potential, the two mismatch evaluations at the bracket
-    ends, the Sturm counts of the isolation loop a fallback runs when F
-    keeps its sign there, and Brent's iterations; for a complex one, the
-    secant iterations."""
+    """A located root.  A seeded one is Newton's first iterate with |F| <=
+    root_tol whose next step is at most 1e-12 |kappa| (``_ROOT_RTOL``); a
+    real one from the count, or from an explicit bracket, is Brent's first
+    such iterate, or else the root of Brent's bracket test.  ``iterations``
+    is the work spent on it: Newton's climbs of the grid's plan, plus, on the
+    count's route, the Sturm counts of its isolation loop and Brent's
+    iterations (its evaluations and the converging one), and the two
+    evaluations at an explicit bracket's ends."""
 
     kappa: complex
     eigenvalue: complex
@@ -721,31 +740,60 @@ def _real_root(grid: _CoefficientGrid, bracket: Optional[tuple[float, float]]) -
     return None if hit is None else (hit[0], hit[1], work + hit[2])
 
 
-def _secant_root(grid: _CoefficientGrid, start: complex) -> Optional[tuple[complex, complex, int]]:
-    """Damped secant on the analytic mismatch: the slope through the last two iterates.
+def _model_step(kappa, lam, model, slopes):
+    """Newton's step from kappa to the root of F's model: F = a + b z + c z^2 at z, with (a, b, c) = model at
+    lam, plus slopes * (lam(z) - lam) once a second climb gives them.  Newton's steps shrink until round-off
+    takes over, so a step that does not is not taken."""
+    da, db, dc = slopes or (0.0, 0.0, 0.0)
+    z, d = kappa, math.inf
+    for _ in range(_NEWTON_MAX_CLIMBS):
+        shift = -z * z - lam
+        a, b, c = model[0] + shift * da, model[1] + shift * db, model[2] + shift * dc
+        # dF/dz, lam'(z) = -2 z
+        slope = b + 2.0 * c * z - 2.0 * z * (da + z * (db + z * dc))
+        new = (a + z * (b + z * c)) / slope if slope else 0.0
+        if not abs(new) < abs(d):
+            break
+        z, d = z - new, new
+        if abs(d) <= 1e-3 * _ROOT_RTOL * abs(z):
+            break
+    return z - kappa
 
-    The first slope comes from kappa (1 + 1e-7), which stays in the
-    half-plane.  Each step is halved up to 9 times until |F| falls while
-    Re kappa stays above the floor; otherwise there is no root to report.
+
+def _newton_root(grid: _CoefficientGrid, kappa, bracket: Optional[tuple[float, float]]):
+    """(root, F(root), climbs) by Newton steps on F's model in T, each from one climb; root None on failure.
+
+    With T(lam)'s rows at lam = -kappa^2, F(kappa) = t10 + (t00 + t11) kappa
+    + t01 kappa^2.  T is frozen on the first climb and linear in lam through
+    the last two after, so F's model is a quartic in kappa, and
+    ``_model_step`` steps, with no climb, to its root nearest the iterate.
+    The iterate is the root once |F| <= root_tol there and that step is at
+    most ``_ROOT_RTOL`` |kappa|, Brent's ftol stop.  A real root's steps keep
+    to the bracket.  A complex one's keep Re kappa above the floor: the first
+    step is halved back up to 9 times to stay there, and a later one that
+    leaves fails, as does a real step that leaves the bracket and the climb
+    cap.
     """
-    prev, kappa = start * (1.0 + 1e-7), start
-    f_prev, f = grid.mismatch(prev), grid.mismatch(kappa)
-    for it in range(1, _SECANT_MAX_ITER + 1):
-        if _is_root(f):
-            return kappa, f, it
-        step = f * (kappa - prev) / (f - f_prev)
-        damp = 1.0
-        for _ in range(9):
-            cand = kappa - damp * step
-            if cand.real > _KAPPA_FLOOR:
-                fc = grid.mismatch(cand)
-                if abs(fc) < abs(f):
-                    prev, f_prev, kappa, f = kappa, f, cand, fc
+    last = slopes = None
+    for climbs in range(1, _NEWTON_MAX_CLIMBS + 1):
+        (t00, t01), (t10, t11) = top, bottom = grid.transfer(kappa)
+        f, lam, model = _match(kappa, top, bottom), -kappa * kappa, (t10, t00 + t11, t01)
+        if last is not None and lam != last[0]:
+            slopes = [(x - y) / (lam - last[0]) for x, y in zip(model, last[1])]
+        last, step = (lam, model), _model_step(kappa, lam, model, slopes)
+        if _is_root(f) and abs(step) <= _ROOT_RTOL * abs(kappa):
+            return kappa, f, climbs
+        z = kappa + step
+        if bracket is None and climbs == 1:  # a complex seed's first step, halved back into the half-plane
+            for _ in range(9):
+                if z.real > _KAPPA_FLOOR:
                     break
-            damp *= 0.5
-        else:
-            return None
-    return (kappa, f, _SECANT_MAX_ITER) if _is_root(f) else None
+                step *= 0.5
+                z = kappa + step
+        if not (bracket[0] <= z <= bracket[1] if bracket else z.real > _KAPPA_FLOOR):
+            break
+        kappa = z
+    return None, None, climbs
 
 
 def _k2_seed(V, k2_hint: Optional[complex]) -> complex:
@@ -766,13 +814,17 @@ def find_bound_state(
 ) -> Optional[BoundStateResult]:
     """Locate the bound state emerging near the spectral edge, or report absence.
 
-    Real potentials use Brent's method on the bracket [kappa0 / 10, 10 kappa0]
-    around the seed kappa0 = Re(eps^2 * k2) when F changes sign across it,
-    else the first root ``scan_roots`` lists; so does a seed with no positive
-    real part, or one whose bracket would reach sqrt(sup|V|): a real
-    potential's seed never decides absence.  Complex potentials use damped
-    secant steps from the same seed.  ``bracket`` (real potentials only) overrides the seeding,
-    which is also the route for potentials with a mean component.
+    Both take Newton steps on F's model in T (``_newton_root``) from the seed
+    eps^2 * k2.  A real potential starts at kappa0 = Re(eps^2 * k2) and keeps
+    its steps to the bracket [kappa0 / 10, 10 kappa0]; a step that leaves
+    it falls back on the first root ``scan_roots`` lists, and so does a seed
+    with no positive real part, or one whose bracket would reach
+    sqrt(sup|V|): a real potential's seed never decides absence.  A complex
+    potential starts at the seed, its first step halved back up to 9 times
+    to keep Re kappa above the floor, and a later step that leaves finds no
+    root.  ``bracket`` (real potentials only) overrides the seeding with
+    Brent's method on it, or the count when F keeps its sign across it; it
+    is also the route for potentials with a mean component.
 
     Returns None when no admissible root (Re kappa > kappa_floor, |F| within
     root_tol) is found, for a real potential exactly when N(kappa_floor) = 0.
@@ -783,7 +835,7 @@ def find_bound_state(
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive")
     # sample the grid only after every early exit: it is most of a short call's cost
-    start = None  # the secant's start for a complex root, else the real route
+    start = window = None  # Newton's start, and a real seed's bracket that its steps keep to
     if bracket is not None:
         bracket = float(bracket[0]), float(bracket[1])
         if not (0 < bracket[0] < bracket[1] < math.inf):
@@ -798,18 +850,24 @@ def find_bound_state(
             kappa0 = seed.real
             # a seed with no positive real part places no bracket, so the count decides; one at or below the
             # floor still brackets from just above it; a bracket reaching sqrt(sup|V|) can hold several roots,
-            # and Brent need not take the smallest
+            # and Newton need not take the smallest
             if 0 < 10.0 * kappa0 < math.sqrt(V.sup_abs()):
-                bracket = max(kappa0 / 10.0, _KAPPA_FLOOR), max(10.0 * kappa0, 2.0 * _KAPPA_FLOOR)
+                window = max(kappa0 / 10.0, _KAPPA_FLOOR), max(10.0 * kappa0, 2.0 * _KAPPA_FLOOR)
+                start = max(kappa0, _KAPPA_FLOOR)
         else:
             start = seed if seed.real > _KAPPA_FLOOR else complex(abs(seed))
             if abs(start) <= _KAPPA_FLOOR:
                 return None
     grid = _CoefficientGrid(V, eps, _step(eps, cfg))
-    hit = _real_root(grid, bracket) if start is None else _secant_root(grid, start)
-    if hit is None:
+    root, froot, its = None, None, 0
+    if start is not None:
+        root, froot, its = _newton_root(grid, start, window)
+    if root is None and V.is_real:  # an explicit bracket, no seed bracket, or Newton's failure: the count's route
+        hit = _real_root(grid, bracket)
+        if hit is not None:
+            root, froot, its = hit[0], hit[1], its + hit[2]
+    if root is None:
         return None
-    root, froot, its = hit
     kappa, residual = complex(root), abs(froot)
     return BoundStateResult(
         kappa=kappa,

@@ -167,7 +167,7 @@ def test_imaginary_potential_has_no_admissible_root(canonical, canonical_k2):
 @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
 @pytest.mark.parametrize("name", ["canonical_rotated", "canonical", "two_mode"])
 def test_emerging_root_is_found_and_counted_in_the_disk(name, eps):
-    # canonical * e^{0.3i}: k2 = 0.0830+0.0568i, so the secant has a complex root to find
+    # canonical * e^{0.3i}: k2 = 0.0830+0.0568i, so Newton has a complex root to find
     if name == "canonical_rotated":
         V = canonical_potential().scaled(cmath.exp(0.3j))
     else:
@@ -185,16 +185,94 @@ def test_emerging_root_is_found_and_counted_in_the_disk(name, eps):
 
 @pytest.mark.parametrize("name", ["canonical", "two_mode"])
 @pytest.mark.parametrize("theta", [0.3, 0.8, 1.2, math.pi / 2])
-def test_secant_verdict_agrees_with_the_disk_count(name, theta):
-    # the secant reports a root exactly when the winding count finds one in the cut disk
+def test_a_complex_verdict_agrees_with_the_disk_count(name, theta):
+    # a complex solve reports a root exactly when the winding count finds one in the cut disk
     V = load_config(str(CONFIG_DIR / f"{name}.cfg")).build_potential().scaled(cmath.exp(1j * theta))
     k2 = compute_k2(V).value
-    for eps in (0.1, 0.05, 0.025):
+    for eps in (0.1, 0.07, 0.05, 0.025):
         res = find_bound_state(V, eps, k2_hint=k2)
         floor = min_mismatch_on_disk(V, eps, k2_hint=k2)
         assert (res is None) == (floor > 0.0), (eps, res, floor)
         if res is not None:
             assert res.converged and res.iterations <= 5
+
+
+def recorded_targets(monkeypatch):
+    """Where each of Newton's model steps goes from here on, in order."""
+    targets, model_step = [], solver._model_step
+
+    def recorded(kappa, *args):
+        step = model_step(kappa, *args)
+        targets.append(kappa + step)
+        return step
+
+    monkeypatch.setattr(solver, "_model_step", recorded)
+    return targets
+
+
+def test_the_e08i_root_crosses_re_kappa_0_between_eps_0_07_and_0_05(canonical, monkeypatch):
+    # ROADMAP item 10's sign change: a root at eps 0.07, and at 0.05 a second climb's step to the
+    # resonance at Re kappa = -3.989e-6, out of the half-plane, so no root
+    V = canonical.scaled(cmath.exp(0.8j))
+    k2 = compute_k2(V).value
+    res = find_bound_state(V, 0.07, k2_hint=k2)
+    assert res.converged and res.kappa == pytest.approx(8.444e-5 + 5.962e-4j, rel=1e-4)
+    targets = recorded_targets(monkeypatch)
+    assert find_bound_state(V, 0.05, k2_hint=k2) is None
+    assert len(targets) == 2 and targets[-1].real == pytest.approx(-3.989e-6, rel=1e-3)
+
+
+def near_axis_potential(*modes):
+    """The sum of e^{i n xi} c(x) + e^{-i n xi} d(x) over modes (n, support, c's amplitude, d's amplitude,
+    power), the two envelopes poly bumps of that power, or smooth bumps for power None."""
+    total = None
+    for n, support, c, d, power in modes:
+        def bump(amplitude):
+            return smooth_bump(amplitude, support) if power is None else poly_bump(amplitude, power, support)
+
+        piece = TwoScaleFunction(modes={n: bump(c), -n: bump(d)})
+        total = piece if total is None else combine(total, piece, 1.0, 1.0)
+    return total
+
+
+# complex mode sets of the benchmark's asym_batch pools, (item 30 of seed 2) and (item 59 of seed 3)
+ASYM_SEED_2_ITEM_30 = (
+    (2, (0.2819791659773565, 1.4486148717841951), 7.9073989476544995 + 40.842680505590494j,
+     -42.13591831829354 - 10.416268905023607j, 2),
+    (1, (0.0877960413509935, 0.7525061851275994), -43.328760556368564 - 45.16748558145541j,
+     -11.394155625741895 - 13.853134847690505j, None),
+)
+ASYM_SEED_3_ITEM_59 = (
+    (1, (0.26811918472736695, 1.6012918590892309), -26.642282134075156 + 36.17919423364643j,
+     -11.251594577285914 + 7.165208016710736j, None),
+    (2, (0.2115421273760345, 0.5493642464073929), 12.170299130847205 + 43.88951251833279j,
+     8.337423337456492 - 29.661684231324546j, 3),
+    (4, (0.9543083499510827, 1.9200647302962814), 14.422060281740528 - 6.376094636585606j,
+     -49.576159886038695 - 26.523644227837153j, None),
+)
+
+
+@pytest.mark.parametrize(
+    "modes, rotation, eps, secant",
+    [
+        (ASYM_SEED_2_ITEM_30, 1.0, 0.1, 0.0007810987610264083 + 0.04796184142770868j),
+        (ASYM_SEED_3_ITEM_59, 1j, 0.1, 0.009416887266976554 + 0.09861115939663792j),
+        (ASYM_SEED_3_ITEM_59, 1j, 0.05, 0.00014396380009826888 + 0.025086252305188152j),
+    ],
+    ids=["seed-2-item-30", "seed-3-item-59*i-0.1", "seed-3-item-59*i-0.05"],
+)
+def test_a_first_step_past_the_floor_is_halved_back_onto_a_near_axis_root(modes, rotation, eps, secant, monkeypatch):
+    # Newton's first full step leaves the half-plane; halved back it reaches the root the damped secant
+    # found, within the secant's own stop |F| <= root_tol: 2 |F(secant)| / |F'| + 2e-12 |kappa|
+    V = near_axis_potential(*modes).scaled(rotation)
+    grid = _CoefficientGrid(V, eps, eps / DEFAULT_SOLVER.points_per_fast_period)
+    f, d = grid.mismatch(secant), 1e-6 * secant
+    slope = (grid.mismatch(secant + d) - grid.mismatch(secant - d)) / (2.0 * d)
+    targets = recorded_targets(monkeypatch)
+    res = find_bound_state(V, eps)
+    assert targets[0].real <= solver._KAPPA_FLOOR
+    assert res is not None and res.converged
+    assert abs(res.kappa - secant) <= 2.0 * abs(f) / abs(slope) + 2e-12 * abs(res.kappa)
 
 
 def test_disk_floor_samples_only_the_boundary_of_the_cut_disk(canonical, canonical_k2, monkeypatch):
@@ -648,11 +726,11 @@ WELL_BRACKETS = {"well 2.0": (2.0, (0.1, 1.2)), "well 30.0": (30.0, (4.0, 5.4))}
 
 
 @pytest.mark.parametrize(
-    "name, eps",
-    [(name, eps) for name in ("canonical", "two_mode") for eps in (0.1, 0.01, 1e-3)]
-    + [(name, 0.1) for name in WELL_BRACKETS],
+    "route, name, eps",
+    [("find", name, 0.1) for name in WELL_BRACKETS]
+    + [("scan", name, eps) for name in ("canonical", "two_mode") for eps in (0.1, 0.01, 1e-3)]
+    + [("scan", name, 0.1) for name in WELL_BRACKETS],
 )
-@pytest.mark.parametrize("route", ["find", "scan"])
 def test_brent_stops_at_a_root_within_the_relative_step_of_scipys_root(name, eps, route):
     # ftol = root_tol ends Brent at an iterate that is a root and whose next step is at most _ROOT_RTOL kappa
     if name in WELL_BRACKETS:
@@ -672,6 +750,37 @@ def test_brent_stops_at_a_root_within_the_relative_step_of_scipys_root(name, eps
     assert all(solver._is_root(grid.mismatch(kappa)) for kappa in roots)
     assert all(abs(kappa - ref) <= 2.0 * solver._ROOT_RTOL * ref for kappa, ref in zip(roots, exact))
     assert evaluations < exact_evaluations if eps == 1e-3 else evaluations <= exact_evaluations
+
+
+def recorded_climbs(monkeypatch):
+    """The kinds of the climbs a grid makes from here on, in order: "count" for a Sturm count, else "climb"."""
+    climbs, transfer = [], _CoefficientGrid.transfer
+
+    def recorded(grid, kappa, count=False):
+        climbs.append("count" if count else "climb")
+        return transfer(grid, kappa, count)
+
+    monkeypatch.setattr(_CoefficientGrid, "transfer", recorded)
+    return climbs
+
+
+@pytest.mark.parametrize("name, eps", [(name, eps) for name in ("canonical", "two_mode") for eps in (0.1, 0.01, 1e-3)])
+def test_a_seeded_real_solve_stops_within_twice_the_relative_step_of_brents_root(name, eps, monkeypatch):
+    # Newton stops at an iterate that is a root and whose next step is at most _ROOT_RTOL kappa: within
+    # 2 _ROOT_RTOL of Brent's root at ftol = 0 on the seed bracket, from at most three climbs
+    V, shipped, _ = shipped_grid(name)
+    cfg = SolverConfig(points_per_fast_period=shipped.points_per_period)
+    grid = _CoefficientGrid(V, eps, eps / cfg.points_per_fast_period)
+    kappa0 = eps * eps * compute_k2(V).value.real
+    lo, hi = kappa0 / 10.0, 10.0 * kappa0
+    ref, _, _ = _brent(grid.mismatch, lo, hi, grid.mismatch(lo), grid.mismatch(hi))
+    climbs = recorded_climbs(monkeypatch)
+    res = find_bound_state(V, eps, cfg=cfg)
+    assert res.iterations == len(climbs) <= 3
+    assert climbs == ["climb"] * len(climbs)
+    kappa = res.kappa.real
+    assert solver._is_root(res.mismatch_residual) and res.mismatch_residual == abs(grid.mismatch(kappa))
+    assert abs(kappa - ref) <= 2.0 * solver._ROOT_RTOL * ref
 
 
 @pytest.mark.parametrize("depth, states", [(2.0, 1), (30.0, 2), (100.0, 4), (400.0, 7)])
@@ -873,7 +982,7 @@ def test_a_seed_below_the_kappa_floor_is_searched_from_the_floor(eps):
     scan = scan_roots(V, eps)
     assert res is not None and res.converged
     assert scan.count == 1
-    # F keeps its sign across the seed bracket: the count isolates the root, as in the scan
+    # Newton's first step leaves the seed bracket: the count isolates the root, as in the scan
     assert res.kappa.real == scan.kappas[0]
 
 
@@ -905,26 +1014,34 @@ def test_a_bracket_without_a_sign_change_falls_back_on_the_smallest_counted_root
 
 
 @pytest.mark.parametrize(
-    "amplitude, rotation, mismatches, counts, iterations",
+    "amplitude, rotation, climbs, counts, iterations",
     [
-        (100.0, 1.0, 5, 0, 6),  # Brent on the seed bracket
-        (0.03, 1.0, 5, 2, 8),  # a seed below the floor: F keeps its sign across the bracket
-        (3e4, 1.0, 13, 4, 18),  # a seed bracket reaching sqrt(sup|V|): no bracket, the window search alone
-        (100.0, cmath.exp(0.3j), 5, 0, 4),  # a complex seed: the secant
+        (100.0, 1.0, 3, 0, 3),  # Newton inside the seed bracket
+        (0.03, 1.0, 6, 2, 7),  # a seed below the floor: Newton's first step leaves the bracket, the count decides
+        (3e4, 1.0, 17, 4, 18),  # a seed bracket reaching sqrt(sup|V|): no bracket, the window search alone
+        (100.0, cmath.exp(0.3j), 3, 0, 3),  # a complex seed: Newton
     ],
     ids=["seed-bracket", "seed-below-floor", "seed-past-cap", "complex"],
 )
-def test_iterations_count_the_work_on_every_route(amplitude, rotation, mismatches, counts, iterations, monkeypatch):
-    # real routes: every evaluation, plus Brent's converging iteration; the secant: its evaluations less one
+def test_iterations_count_the_work_on_every_route(amplitude, rotation, climbs, counts, iterations, monkeypatch):
+    # every climb of the plan, Sturm counts included, plus Brent's converging iteration on the count's route
     V = canonical_potential(amplitude=amplitude).scaled(rotation)
-    calls = []
-    for name in ("count_below", "mismatch"):
-        f = getattr(_CoefficientGrid, name)
-        monkeypatch.setattr(_CoefficientGrid, name, lambda grid, k, f=f, name=name: calls.append(name) or f(grid, k))
+    made = recorded_climbs(monkeypatch)
     res = find_bound_state(V, 0.1)
     assert res is not None
-    assert (calls.count("mismatch"), calls.count("count_below")) == (mismatches, counts)
+    assert (len(made), made.count("count")) == (climbs, counts)
     assert res.iterations == iterations
+
+
+def test_a_newton_step_that_leaves_the_seed_bracket_falls_back_on_the_count(monkeypatch):
+    # amplitude 0.03 at eps 0.1: the seed bracket (1e-9, 2e-9) misses the root 2.319e-8, so one climb's
+    # step leaves it, and the call returns the count's smallest root, scan_roots' first, bit for bit
+    V = canonical_potential(amplitude=0.03)
+    first = scan_roots(V, 0.1).kappas[0]
+    made = recorded_climbs(monkeypatch)
+    res = find_bound_state(V, 0.1)
+    assert made[:2] == ["climb", "count"]
+    assert res.kappa == first and first == pytest.approx(2.319e-8, rel=1e-3)
 
 
 def reference_counted_roots(grid, lo, hi, samples):
@@ -1638,7 +1755,7 @@ def test_solver_config_validation():
 
 
 def test_eigenfunction_is_normalized_with_exact_tails(canonical):
-    # a real root from Brent, and a complex one from the secant
+    # a real root and a complex one, both from Newton on the seed
     for rotation in (1.0, cmath.exp(0.3j)):
         V = canonical.scaled(rotation)
         res = find_bound_state(V, 0.1, k2_hint=compute_k2(V).value)
